@@ -6,22 +6,26 @@ closed when every bracket decomposes over the basis with rational
 coordinates, and the resulting constants tensor is the single source for
 everything else here.  The adjoint representation Ad(exp(eps*Xi)) acts on
 coordinates as exp(-eps * ad_i) (so the eps-linear term of Ad applied to
-Xj is -eps*[Xi, Xj]); the numeric route evaluates the matrix exponential,
-and the closed-form route fits those values against the small function
-dictionary {1, eps, eps^2, cos eps, sin eps, e^eps, e^-eps} with an exact
-rational snap and an out-of-sample residual gate.
+Xj is -eps*[Xi, Xj]).  The numeric route evaluates the matrix exponential.
+The closed-form route is exact: the Taylor coefficients of
+exp(-eps * ad_i) e_j are rational powers of ad_i, the entry lies in the
+span of the dictionary {1, eps, eps^2, cos eps, sin eps, e^eps, e^-eps}
+exactly when those powers satisfy the dictionary's equation y^(7) = y^(3),
+and the dictionary coefficients then follow from one rational 7x7 solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .expr import Expr, Num, S, cos, equal_exprs, exp, sin, normal_expression
 from .jet import GeneratorField
+from .ratlin import rref
 from .symmetry import coordinates_in_basis
 
 
@@ -35,7 +39,8 @@ class NotClosed(ValueError):
 
 
 class NoClosedForm(ValueError):
-    """An adjoint entry is not a combination of the dictionary functions."""
+    """An adjoint entry is not a combination of the dictionary functions:
+    the certificate (-ad_i)^7 e_j = (-ad_i)^3 e_j fails."""
 
 
 def bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
@@ -148,20 +153,20 @@ def adjoint_numeric(table: LieAlgebraTable, i: int, j: int, eps: float) -> np.nd
     return m[:, j - 1]
 
 
-# dictionary of eps-functions an adjoint entry may be built from
+# dictionary of eps-functions an adjoint entry may be built from: the
+# solutions of y^(7) = y^(3), characteristic polynomial t^3 (t^2+1) (t^2-1)
 _DICTIONARY = (
-    (lambda t: 1.0, Num(Fraction(1))),
-    (lambda t: t, S.eps),
-    (lambda t: t * t, S.eps**2),
-    (np.cos, cos(S.eps)),
-    (np.sin, sin(S.eps)),
-    (np.exp, exp(S.eps)),
-    (lambda t: np.exp(-t), exp(-S.eps)),
+    Num(Fraction(1)), S.eps, S.eps**2,
+    cos(S.eps), sin(S.eps), exp(S.eps), exp(-S.eps),
 )
-_FIT_SAMPLES = np.linspace(0.25, 3.0, 12)
-_CHECK_SAMPLES = np.linspace(0.13, 2.71, 20)
-_SNAP_DEN = 1_000_000
-_TOL = 1e-9
+
+
+def _taylor_row(k: int) -> list:
+    """eps^k Taylor coefficient at eps = 0 of each dictionary function."""
+    f = Fraction(1, factorial(k))
+    sign = (-1) ** (k // 2)
+    return [Fraction(k == 0), Fraction(k == 1), Fraction(k == 2),
+            sign * f * (k % 2 == 0), sign * f * (k % 2), f, (-1) ** k * f]
 
 
 @dataclass(frozen=True)
@@ -192,48 +197,32 @@ class AdjointEntry:
         return " ".join([head] + rest)
 
 
-def _fit_eps_function(values_at, samples=_FIT_SAMPLES):
-    """Rational-snapped dictionary fit of a sampled function of eps."""
-    m = np.array([[fn(t) for fn, _ in _DICTIONARY] for t in samples])
-    rhs = np.array([values_at(t) for t in samples])
-    sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    snapped = []
-    for c in sol:
-        q = Fraction(float(c)).limit_denominator(_SNAP_DEN)
-        if abs(float(q) - float(c)) > _TOL:
-            raise NoClosedForm(f"coefficient {c!r} does not snap to a rational")
-        snapped.append(q)
-    return snapped
-
-
 def adjoint_closed_form(table: LieAlgebraTable, i: int, j: int) -> AdjointEntry:
-    """Closed form of Ad(exp(eps*Xi)) Xj over the dictionary, validated
-    against the matrix exponential on fresh samples."""
-    a = ad_matrix(table, i)
+    """Exact closed form of Ad(exp(eps*Xi)) Xj over the dictionary.
+
+    With v_k = (-ad_i)^k e_j the entry is sum_k v_k eps^k / k!.  It solves
+    y^(7) = y^(3), and so lies in the dictionary's span, iff v_7 = v_3; its
+    dictionary coefficients then match the Taylor coefficients k = 0..6,
+    whose table over the dictionary (the Wronskian at 0) is invertible."""
+    c = table.constants[i - 1]
     n = table.dim
-
-    def column(t):
-        return expm(-t * a)[:, j - 1]
-
-    sampled = {t: column(t) for t in _FIT_SAMPLES}
+    powers = [[Fraction(l == j - 1) for l in range(n)]]
+    for _ in range(7):
+        v = powers[-1]
+        powers.append([-sum(c[l][k] * v[l] for l in range(n)) for k in range(n)])
+    if powers[7] != powers[3]:
+        raise NoClosedForm(f"entry ({i},{j}) is not in the dictionary span")
+    rows, _ = rref(
+        [_taylor_row(k) + [e / factorial(k) for e in powers[k]] for k in range(7)],
+        cols=7,
+    )
     coeffs = []
-    for k in range(n):
-        snapped = _fit_eps_function(lambda t, k=k: sampled[t][k])
+    for m in range(n):
         expr: Expr = Num(Fraction(0))
-        for q, (_, basis_expr) in zip(snapped, _DICTIONARY):
-            if q:
-                expr = expr + Num(q) * basis_expr
+        for row, basis_expr in zip(rows, _DICTIONARY):
+            if row[7 + m]:
+                expr = expr + Num(row[7 + m]) * basis_expr
         coeffs.append(normal_expression(expr))
-
-        def fitted(t, snapped=snapped):
-            return sum(float(q) * fn(t) for q, (fn, _) in zip(snapped, _DICTIONARY))
-
-        for t in _CHECK_SAMPLES:
-            truth = column(t)[k]
-            if abs(fitted(t) - truth) > _TOL * max(1.0, abs(truth)):
-                raise NoClosedForm(
-                    f"entry ({i},{j}) component {k + 1} fails out-of-sample check"
-                )
     return AdjointEntry(source=i, target=j, coefficients=tuple(coeffs))
 
 
@@ -305,6 +294,16 @@ def table_to_json(table: LieAlgebraTable) -> dict:
     }
 
 
+def _grid(cells) -> str:
+    """Aligned text grid: each column padded to its widest cell."""
+    widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in cells
+    ]
+    return "\n".join(lines)
+
+
 def table_grid(table: LieAlgebraTable) -> str:
     """Aligned text grid of the full bracket table."""
     cells = [[""] + list(table.names)]
@@ -313,12 +312,7 @@ def table_grid(table: LieAlgebraTable) -> str:
         for j in range(table.dim):
             row.append(table.entry_string(i + 1, j + 1))
         cells.append(row)
-    widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in cells
-    ]
-    return "\n".join(lines)
+    return _grid(cells)
 
 
 def adjoint_grid(entries, names) -> str:
@@ -330,9 +324,4 @@ def adjoint_grid(entries, names) -> str:
         for j in range(1, n + 1):
             row.append(entries[(i, j)].to_string(names))
         cells.append(row)
-    widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in cells
-    ]
-    return "\n".join(lines)
+    return _grid(cells)

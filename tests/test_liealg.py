@@ -159,11 +159,34 @@ def test_adjoint_closed_form_agrees_with_numeric_on_fresh_samples():
                 assert abs(eval_numeric(c, {S.eps: float(t)}) - numeric[k]) < 1e-9
 
 
+def _table_from_brackets(dim, brackets):
+    """Table built straight from constants {(i, j): {k: c}}, 1-based, i < j."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), combo in brackets.items():
+        for k, v in combo.items():
+            c[i - 1][j - 1][k - 1] = Fraction(v)
+            c[j - 1][i - 1][k - 1] = -Fraction(v)
+    names = tuple(f"X{k}" for k in range(1, dim + 1))
+    constants = tuple(tuple(map(tuple, row)) for row in c)
+    return la.LieAlgebraTable((None,) * dim, names, constants)
+
+
+def test_adjoint_closed_form_keeps_exact_rational_constants():
+    heisenberg = _table_from_brackets(3, {(1, 2): {3: Fraction(1, 1000003)}})
+    entry = la.adjoint_closed_form(heisenberg, 1, 2)
+    assert entry.to_string(heisenberg.names) == "X2 - eps/1000003*X3"
+
+
 def test_adjoint_rejects_entries_outside_the_dictionary():
     scaled = [B7[3], B7[6].scale(parse("2"))]
     t = la.structure_constants(scaled)  # bracket gives -2 * first element
     with pytest.raises(la.NoClosedForm):
         la.adjoint_closed_form(t, 2, 1)  # entry would be exp(2*eps)
+    filiform = _table_from_brackets(
+        5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}}
+    )
+    with pytest.raises(la.NoClosedForm):
+        la.adjoint_closed_form(filiform, 1, 2)  # entry would need eps^3
 
 
 # --- subalgebras ---------------------------------------------------------------
