@@ -26,7 +26,7 @@ from scipy.linalg import expm
 from .expr import Expr, Num, S, cos, equal_exprs, exp, sin, normal_expression
 from .jet import GeneratorField
 from .ratlin import rref
-from .symmetry import coordinates_in_basis
+from .symmetry import basis_coordinates
 
 
 class NotClosed(ValueError):
@@ -83,15 +83,15 @@ def structure_constants(basis, names=None) -> LieAlgebraTable:
     names = tuple(names) if names else tuple(f"X{k}" for k in range(1, n + 1))
     zero = tuple(Fraction(0) for _ in range(n))
     table = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = bracket(basis[i], basis[j])
-            coords = coordinates_in_basis(basis, br)
-            if coords is None:
-                raise NotClosed(i + 1, j + 1, br)
-            vec = tuple(coords)
-            table[i][j] = vec
-            table[j][i] = tuple(-c for c in vec)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
+    coords_of = basis_coordinates(basis, brackets)
+    for (i, j), br, coords in zip(pairs, brackets, coords_of):
+        if coords is None:
+            raise NotClosed(i + 1, j + 1, br)
+        vec = tuple(coords)
+        table[i][j] = vec
+        table[j][i] = tuple(-c for c in vec)
     return LieAlgebraTable(
         basis=basis,
         names=names,

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Plain Gaussian elimination on Fraction matrices with deterministic
-first-nonzero pivoting, so nullspace bases come out in a reproducible order.
-Matrices are lists of lists of Fractions; nothing here ever touches floats.
+One elimination core on sparse rows, dicts {column: Fraction} of the
+nonzero entries, so the work follows the nonzeros and not the width.
+First-nonzero pivoting and full back-substitution give the unique reduced
+row echelon form, so nullspace bases come out in a reproducible order.
+Public functions take and return lists of Fractions; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +13,43 @@ from fractions import Fraction
 from math import gcd
 
 
-def _clone(m):
-    return [list(map(Fraction, row)) for row in m]
+def _sparse(matrix):
+    return [{j: Fraction(e) for j, e in enumerate(row) if e} for row in matrix]
+
+
+def _subtract(row, f, other):
+    """row -= f * other in place, dropping entries that cancel."""
+    for j, e in other.items():
+        v = row.get(j, 0) - f * e
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _reduce(rows, ncols):
+    """Reduced row echelon form of sparse rows, reduced in place:
+    (nonzero rows, pivots).  Pivots as in `rref`, below column `ncols`."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        prow = rows[r] = {j: e / pv for j, e in rows[r].items()}
+        for row in rows[r + 1:]:
+            if c in row:
+                _subtract(row, row[c], prow)
+        pivots.append(c)
+    # later pivot rows are zero in every other pivot column: one pass each
+    where = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(pivots) - 2, -1, -1):
+        row = rows[k]
+        for c in [c for c in row if c in where and c != pivots[k]]:
+            _subtract(row, row[c], rows[where[c]])
+    return rows[: len(pivots)], pivots
 
 
 def rref(matrix, cols: int | None = None):
@@ -21,32 +58,12 @@ def rref(matrix, cols: int | None = None):
     Pivot search walks columns left to right and takes the first row with a
     nonzero entry; `cols` limits pivoting to a left block (used when rows
     carry bookkeeping columns on the right)."""
-    m = _clone(matrix)
-    if not m:
+    if not matrix:
         return [], []
-    ncols = len(m[0]) if cols is None else cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [e / pv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    width = len(matrix[0])
+    rows, pivots = _reduce(_sparse(matrix), width if cols is None else cols)
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(width)] for row in rows], pivots
 
 
 def rank(matrix) -> int:
@@ -100,27 +117,23 @@ def coordinates_in_rowspan(rows, target):
     """Express target as a combination of the given rows, or None.
 
     Returns coefficients c with sum_i c_i rows[i] = target."""
+    return rowspan_coordinates(rows, [target])[0]
+
+
+def rowspan_coordinates(rows, targets):
+    """`coordinates_in_rowspan` for each target, reducing the rows once."""
     if not rows:
-        return None if any(e != 0 for e in target) else []
+        return [None if any(e != 0 for e in t) else [] for t in targets]
     n = len(rows[0])
-    aug = [list(map(Fraction, row)) + _unit(len(rows), i) for i, row in enumerate(rows)]
-    red, pivots = rref(aug, cols=n)
-    t = list(map(Fraction, target))
-    coeffs = [Fraction(0)] * len(rows)
-    for row, pc in zip(red, pivots):
-        f = t[pc]
-        if f == 0:
-            continue
-        for j in range(n):
-            t[j] -= f * row[j]
-        for j in range(len(rows)):
-            coeffs[j] += f * row[n + j]
-    if any(e != 0 for e in t):
-        return None
-    return coeffs
-
-
-def _unit(n, i):
-    out = [Fraction(0)] * n
-    out[i] = Fraction(1)
+    red, pivots = _reduce(
+        [{**row, n + i: Fraction(1)} for i, row in enumerate(_sparse(rows))], n
+    )
+    out = []
+    for t in _sparse(targets):
+        for row, pc in zip(red, pivots):
+            if pc in t:
+                _subtract(t, t[pc], row)
+        inside = all(j >= n for j in t)
+        out.append([-t.get(n + i, Fraction(0)) for i in range(len(rows))]
+                   if inside else None)
     return out

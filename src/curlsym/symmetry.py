@@ -379,6 +379,19 @@ def solve_ansatz_from_equations(
     return _ansatz_from_polys(polys, degree)
 
 
+def _append_distinct(rows, seen, cells, width):
+    """Append each nonzero row of `cells` (monomial -> {column: coefficient})
+    not seen before; compare on sparse keys, make only kept rows dense."""
+    for cols in cells.values():
+        key = tuple(sorted((col, c) for col, c in cols.items() if c))
+        if key and key not in seen:
+            seen.add(key)
+            row = [Fraction(0)] * width
+            for col, c in key:
+                row[col] = c
+            rows.append(row)
+
+
 def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
     base_vars = (S.x, S.y, S.z, S.u, S.v, S.w)
     monos = monomials_up_to(degree, base_vars)
@@ -413,19 +426,7 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
                 for rm, rc in prod.terms.items():
                     cells.setdefault(rm, {})
                     cells[rm][col] = cells[rm].get(col, Fraction(0)) + rc
-        for rm, cols in cells.items():
-            row = [Fraction(0)] * len(slots)
-            live = False
-            for col, c in cols.items():
-                if c:
-                    row[col] = c
-                    live = True
-            if not live:
-                continue
-            key = tuple(row)
-            if key not in rows_seen:
-                rows_seen.add(key)
-                rows.append(row)
+        _append_distinct(rows, rows_seen, cells, len(slots))
 
     vectors = ratlin.nullspace(rows) if rows else []
     gens = []
@@ -477,12 +478,19 @@ def generator_spans_equal(a, b) -> bool:
 
 def coordinates_in_basis(basis, gen: GeneratorField):
     """Exact coordinates of gen in the span of basis, or None."""
+    return basis_coordinates(basis, [gen])[0]
+
+
+def basis_coordinates(basis, gens):
+    """`coordinates_in_basis` for each of gens, reducing the basis once."""
+    basis = list(basis)
+    fields = basis + list(gens)
     deg = 0
-    for g in list(basis) + [gen]:
+    for g in fields:
         for c in g.as_tuple():
             deg = max(deg, normalize(c).degree())
-    mat = generator_span_matrix(list(basis) + [gen], deg)
-    return ratlin.coordinates_in_rowspan(mat[:-1], mat[-1])
+    mat = generator_span_matrix(fields, deg)
+    return ratlin.rowspan_coordinates(mat[: len(basis)], mat[len(basis):])
 
 
 # --- constraints on the scalar profile ---------------------------------------
@@ -548,15 +556,7 @@ def solve_f_family(constraints, degree: int = 2):
             for rm, rc in contrib.terms.items():
                 cells.setdefault(rm, {})
                 cells[rm][col] = cells[rm].get(col, Fraction(0)) + rc
-        for rm, cols in cells.items():
-            row = [Fraction(0)] * len(slots)
-            for col, val in cols.items():
-                row[col] = val
-            if any(row):
-                key = tuple(row)
-                if key not in rows_seen:
-                    rows_seen.add(key)
-                    rows.append(row)
+        _append_distinct(rows, rows_seen, cells, len(slots))
 
     family = []
     for vec in ratlin.nullspace(rows) if rows else []:

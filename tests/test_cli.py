@@ -75,14 +75,24 @@ def test_solve_ansatz_dimensions(capsys, system, degree, dim):
     assert f"dimension {dim}" in out
 
 
-@pytest.mark.parametrize("system", ["curl-absB", "blair"])
-def test_solve_ansatz_fixture_span(capsys, system):
+@pytest.mark.parametrize(
+    "system,degree,dim",
+    [
+        pytest.param("curl-absB", 2, 10, id="curl-absB"),
+        pytest.param("blair", 2, 7, id="blair"),
+        # degree 3 finds nothing new: degree 2 already gives the whole algebra
+        pytest.param("curl-absB", 3, 10, id="curl-absB-deg3"),
+        pytest.param("blair", 3, 7, id="blair-deg3"),
+    ],
+)
+def test_solve_ansatz_fixture_span(capsys, system, degree, dim):
     code, out, _ = run(
-        capsys, "solve-ansatz", "--system", system, "--degree", "2",
+        capsys, "solve-ansatz", "--system", system, "--degree", str(degree),
         "--compare-fixture",
     )
     assert code == cli.EXIT_OK
-    assert "span comparison" in out and "True" in out
+    assert f"dimension {dim}" in out
+    assert f"span comparison ({dim} reference generators): True" in out
 
 
 def test_solve_ansatz_rejects_formal_profile(capsys):
