@@ -1496,7 +1496,9 @@ def to_string(e: Expr) -> str:
             if i == 0:
                 parts.append(to_string(t))
             elif _is_negative_term(t):
-                parts.append(" - " + to_string(_strip_sign(t)))
+                rest = _strip_sign(t)
+                text = to_string(rest)
+                parts.append(f" - ({text})" if isinstance(rest, Add) else " - " + text)
             else:
                 parts.append(" + " + to_string(t))
         return "".join(parts)
@@ -1524,6 +1526,13 @@ def _print_product(coeff: Fraction, factors: list) -> str:
             denom.append(pow_(f.base, -f.n))
         else:
             numer.append(f)
+    # "a*b/c" parses back to the same factors only when the one divisor
+    # comes last; otherwise keep the factor order, negative powers as x^-n
+    last = factors[-1]
+    if denom and (len(denom) + (coeff.denominator != 1) > 1
+                  or not (isinstance(last, Pow) and last.n < 0)):
+        numer = [f for f in factors if not isinstance(f, Num)]
+        denom = []
     sign = "-" if coeff < 0 else ""
     coeff = abs(coeff)
     num_parts = []

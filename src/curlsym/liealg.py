@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-from scipy.linalg import expm
-
 from .expr import Expr, Num, S, cos, equal_exprs, exp, sin, normal_expression
 from .jet import GeneratorField
 from .ratlin import rref
@@ -137,8 +134,11 @@ def format_combination(coords, names) -> str:
 # --- adjoint representation ---------------------------------------------------
 
 
-def ad_matrix(table: LieAlgebraTable, i: int) -> np.ndarray:
-    """Matrix of ad(Xi) on coordinates: column l holds [Xi, Xl]; 1-based i."""
+def ad_matrix(table: LieAlgebraTable, i: int):
+    """Float numpy matrix of ad(Xi) on coordinates: column l holds [Xi, Xl];
+    1-based i."""
+    import numpy as np
+
     n = table.dim
     a = np.zeros((n, n))
     for l in range(n):
@@ -147,8 +147,16 @@ def ad_matrix(table: LieAlgebraTable, i: int) -> np.ndarray:
     return a
 
 
-def adjoint_numeric(table: LieAlgebraTable, i: int, j: int, eps: float) -> np.ndarray:
-    """Coordinates of Ad(exp(eps*Xi)) applied to Xj: exp(-eps*ad_i) e_j."""
+def expm(a):
+    """Matrix exponential of a float array (scipy.linalg.expm)."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
+
+
+def adjoint_numeric(table: LieAlgebraTable, i: int, j: int, eps: float):
+    """Coordinates of Ad(exp(eps*Xi)) applied to Xj: exp(-eps*ad_i) e_j,
+    as a float numpy vector."""
     m = expm(-eps * ad_matrix(table, i))
     return m[:, j - 1]
 

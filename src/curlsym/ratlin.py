@@ -4,7 +4,8 @@ One elimination core on sparse rows, dicts {column: Fraction} of the
 nonzero entries, so the work follows the nonzeros and not the width.
 First-nonzero pivoting and full back-substitution give the unique reduced
 row echelon form, so nullspace bases come out in a reproducible order.
-Public functions take and return lists of Fractions; no floats anywhere.
+Public functions take and return lists of Fractions (`nullspace` also
+takes sparse rows); no floats anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from math import gcd
 
 
 def _sparse(matrix):
-    return [{j: Fraction(e) for j, e in enumerate(row) if e} for row in matrix]
+    """Sparse copies of the rows, each a dense list or a dict {column: value}."""
+    return [
+        {j: Fraction(e)
+         for j, e in (row.items() if isinstance(row, dict) else enumerate(row)) if e}
+        for row in matrix
+    ]
 
 
 def _subtract(row, f, other):
@@ -89,20 +95,24 @@ def primitive(vec):
     return [Fraction(e) for e in ints]
 
 
-def nullspace(matrix):
-    """Basis of {x : Ax = 0}, one primitive vector per free column."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
+def nullspace(matrix, ncols: int | None = None):
+    """Basis of {x : Ax = 0}, one primitive vector per free column.
+
+    Rows are dense lists, or sparse dicts {column: value} of width `ncols`."""
+    if ncols is None:
+        if not matrix:
+            return []
+        ncols = len(matrix[0])
+    rows, pivots = _reduce(_sparse(matrix), ncols)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    zero = Fraction(0)
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
+        vec = [zero] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = -row.get(fc, zero)
         basis.append(primitive(vec))
     return basis
 

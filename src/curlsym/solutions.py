@@ -23,11 +23,9 @@ import csv
 import math
 import numbers
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .expr import (
     EvalError,
@@ -37,6 +35,7 @@ from .expr import (
     REGISTRY,
     S,
     Symbol,
+    add,
     compile_numeric,
     decide_zero,
     differentiate,
@@ -412,9 +411,9 @@ class SolutionTable:
     kind: str
     indep_name: str
     state_names: tuple
-    points: np.ndarray
-    states: np.ndarray
-    slopes: np.ndarray
+    points: object  # numpy arrays: node values, states and RHS slopes
+    states: object
+    slopes: object
     blown_up: bool
 
     def final_state(self) -> tuple:
@@ -432,10 +431,11 @@ def integrate_ode(
 ) -> SolutionTable:
     """Classical fixed-step RK4 over span = (t0, t1).
 
-    Stores the RHS slope at every node so reconstruction can interpolate
-    with cubic Hermite segments without losing the scheme's order.  A state
-    norm above 1e6 truncates the table and raises the blow-up flag.
+    Stores the RHS slope at every node for reconstruction.  A state norm
+    above 1e6 truncates the table and raises the blow-up flag.
     """
+    import numpy as np
+
     t0, t1 = float(span[0]), float(span[1])
     if step <= 0:
         raise ValueError("step must be positive")
@@ -540,14 +540,56 @@ def numeric_field_from_solution(sol: FieldSolution) -> NumericField:
     return NumericField(evaluator, f"exact formula ({sol.label or 'field'})")
 
 
+def _quintic_hermite(ts, ys, d1, d2):
+    """Piecewise quintic Hermite interpolant through the nodes ts with
+    values ys, first derivatives d1 and second derivatives d2."""
+
+    def value(t):
+        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        h = ts[i + 1] - ts[i]
+        s = (t - ts[i]) / h
+        s3 = s * s * s
+        h0 = 1 - s3 * (10 - 15 * s + 6 * s * s)
+        h1 = s - s3 * (6 - 8 * s + 3 * s * s)
+        h2 = s * s * (1 - 3 * s + 3 * s * s - s3) / 2
+        h4 = -s3 * (4 - 7 * s + 3 * s * s)
+        h5 = s3 * (1 - 2 * s + s * s) / 2
+        return (ys[i] * h0 + ys[i + 1] * (1 - h0)
+                + h * (d1[i] * h1 + d1[i + 1] * h4)
+                + h * h * (d2[i] * h2 + d2[i + 1] * h5))
+
+    return value
+
+
 def reconstruct_field(table: SolutionTable) -> NumericField:
     """Lift a rotation-reduction table to the field
-    u = -(y/r) beta(r), v = (x/r) beta(r), w = gamma(r)."""
+    u = -(y/r) beta(r), v = (x/r) beta(r), w = gamma(r).
+
+    beta and gamma are quintic Hermite interpolants of the nodes; the
+    second derivatives come from the ODE itself, y'' = dF/dr + (dF/dy) F,
+    so the interpolant's derivative keeps the order of RK4 at the nodes."""
     if table.kind != "rotation":
         raise ValueError("reconstruction applies to rotation-reduction tables")
-    beta = CubicHermiteSpline(table.points, table.states[:, 0], table.slopes[:, 0])
-    gamma = CubicHermiteSpline(table.points, table.states[:, 1], table.slopes[:, 1])
-    r_lo, r_hi = float(table.points[0]), float(table.points[-1])
+    ode = reduce_system("rotation")
+    args = list(ode.state) + [ode.independent]
+    second = [
+        compile_numeric(
+            add(differentiate(f, ode.independent),
+                *(differentiate(f, s) * g for s, g in zip(ode.state, ode.rhs))),
+            args,
+        )
+        for f in ode.rhs
+    ]
+    ts = [float(t) for t in table.points]
+    states = [tuple(float(c) for c in row) for row in table.states]
+    slopes = [tuple(float(c) for c in row) for row in table.slopes]
+    curvatures = [tuple(fn(*y, t) for fn in second) for t, y in zip(ts, states)]
+    beta, gamma = (
+        _quintic_hermite(ts, [y[k] for y in states], [d[k] for d in slopes],
+                         [c[k] for c in curvatures])
+        for k in range(2)
+    )
+    r_lo, r_hi = ts[0], ts[-1]
 
     def evaluator(x, y, z):
         r = math.hypot(x, y)
@@ -555,9 +597,8 @@ def reconstruct_field(table: SolutionTable) -> NumericField:
             raise ValueError(
                 f"radius {r:.6g} outside reconstruction range [{r_lo:.6g}, {r_hi:.6g}]"
             )
-        b = float(beta(r))
-        c = float(gamma(r))
-        return (-y / r * b, x / r * b, c)
+        b = beta(r)
+        return (-y / r * b, x / r * b, gamma(r))
 
     return NumericField(evaluator, "ode-reconstruction", (r_lo, r_hi), table)
 
@@ -630,6 +671,8 @@ def solution_table_json(table: SolutionTable) -> dict:
 
 def field_grid_csv(field: NumericField, path: str, bounds, n: int = 11) -> None:
     """Sample the field on an n^3 lattice over bounds = ((x0,x1),(y0,y1),(z0,z1))."""
+    import numpy as np
+
     axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -26,20 +26,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratlin
 from .expr import (
     Expr,
     ExprError,
     JET_SYMBOLS,
+    Num,
     Poly,
     REGISTRY,
     S,
     as_ratform,
     collect_poly,
     differentiate,
-    eval_numeric,
     is_zero_expr,
     monomial_expr,
     mul,
@@ -119,30 +117,48 @@ def invariance_residuals(system: PdeSystem, gen: GeneratorField) -> list:
     return [restrict_to_solutions(system, pr.apply(d)) for d in system.residuals]
 
 
-def maximal_rank_check(system: PdeSystem, samples: int = 1) -> int:
-    """Minimum numeric rank, over random on-manifold points, of the residual
-    Jacobian with respect to all base and jet symbols.
+def _pythagorean_point(rng):
+    """Rational (u, v, w) with rational R = |(u, v, w)|: a scaled
+    Pythagorean quadruple (m^2+n^2-p^2-q^2, 2(mq+np), 2(nq-mp)) of length
+    m^2+n^2+p^2+q^2."""
+    while True:
+        m, n, p, q = (rng.randint(-3, 3) for _ in range(4))
+        s = m * m + n * n + p * p + q * q
+        if s:
+            break
+    t = Fraction(rng.randint(1, 4), s)
+    comps = (m * m + n * n - p * p - q * q, 2 * (m * q + n * p), 2 * (n * q - m * p))
+    return [t * c for c in comps], t * s
 
-    Free jets (and the base variables, and the formal profile symbols when
-    the system keeps f symbolic) are drawn uniformly from [-2, 2]; the
+
+def maximal_rank_check(system: PdeSystem, samples: int = 1) -> int:
+    """Minimum exact rank, over random rational on-manifold points, of the
+    residual Jacobian with respect to all base and jet symbols.
+
+    (u, v, w) is a scaled Pythagorean quadruple, so R = |(u, v, w)| is
+    rational; the free jets, x, y, z and, when the system keeps f
+    symbolic, the formal profile symbols are small random fractions.  The
     eliminated jets are solved from the residuals, so every sample point
-    satisfies the system exactly.  Singular values above 1e-8 count."""
+    satisfies the system exactly, and `ratlin.rank` takes the rank."""
     variables = (S.x, S.y, S.z, S.u, S.v, S.w) + JET_SYMBOLS
     jacobian = [
         [differentiate(d, v) for v in variables] for d in system.residuals
     ]
     rng = random.Random(1234)
-    randomized = list(variables[:6]) + list(system.free_jets)
+    randomized = [S.x, S.y, S.z] + list(system.free_jets)
     if system.f_value is None:
         randomized += list(F_SYMBOLS)
     best = None
     for _ in range(max(1, samples)):
-        env = {s: rng.uniform(-2.0, 2.0) for s in randomized}
+        env = {s: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+               for s in randomized}
+        (env[S.u], env[S.v], env[S.w]), env[S.R] = _pythagorean_point(rng)
+        env = {s: Num(c) for s, c in env.items()}
         for jet, rhs in system.eliminate.items():
-            env[jet] = eval_numeric(rhs, env)
-        rows = [[eval_numeric(e, env) for e in row] for row in jacobian]
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
-        rank = int((sv > 1e-8).sum())
+            env[jet] = Num(normalize(substitute(rhs, env)).constant_value())
+        rows = [[normalize(substitute(e, env)).constant_value() for e in row]
+                for row in jacobian]
+        rank = ratlin.rank(rows)
         best = rank if best is None else min(best, rank)
     return best
 
@@ -379,17 +395,14 @@ def solve_ansatz_from_equations(
     return _ansatz_from_polys(polys, degree)
 
 
-def _append_distinct(rows, seen, cells, width):
+def _append_distinct(rows, seen, cells):
     """Append each nonzero row of `cells` (monomial -> {column: coefficient})
-    not seen before; compare on sparse keys, make only kept rows dense."""
+    not seen before, as a sparse dict in column order."""
     for cols in cells.values():
         key = tuple(sorted((col, c) for col, c in cols.items() if c))
         if key and key not in seen:
             seen.add(key)
-            row = [Fraction(0)] * width
-            for col, c in key:
-                row[col] = c
-            rows.append(row)
+            rows.append(dict(key))
 
 
 def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
@@ -426,9 +439,9 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
                 for rm, rc in prod.terms.items():
                     cells.setdefault(rm, {})
                     cells[rm][col] = cells[rm].get(col, Fraction(0)) + rc
-        _append_distinct(rows, rows_seen, cells, len(slots))
+        _append_distinct(rows, rows_seen, cells)
 
-    vectors = ratlin.nullspace(rows) if rows else []
+    vectors = ratlin.nullspace(rows, len(slots))
     gens = []
     for vec in vectors:
         coeffs = [poly_const(Fraction(0)) for _ in range(6)]
@@ -556,10 +569,10 @@ def solve_f_family(constraints, degree: int = 2):
             for rm, rc in contrib.terms.items():
                 cells.setdefault(rm, {})
                 cells[rm][col] = cells[rm].get(col, Fraction(0)) + rc
-        _append_distinct(rows, rows_seen, cells, len(slots))
+        _append_distinct(rows, rows_seen, cells)
 
     family = []
-    for vec in ratlin.nullspace(rows) if rows else []:
+    for vec in ratlin.nullspace(rows, len(slots)):
         p_poly = poly_const(Fraction(0))
         q_poly = poly_const(Fraction(0))
         for (kind, m), val in zip(slots, vec):

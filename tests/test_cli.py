@@ -1,10 +1,15 @@
 """End-to-end checks of the command line, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import curlsym
 from curlsym import cli
 
 
@@ -339,22 +344,18 @@ def test_reduce_translation_stdout_table(capsys):
 
 
 def test_reduce_rotation_reconstruction(capsys):
-    code, out, _ = run(
-        capsys, "reduce", "--kind", "rotation", "--step", "0.002",
-        "--samples", "20",
-    )
+    # the README example, default samples and tolerance
+    code, out, _ = run(capsys, "reduce", "--kind", "rotation", "--step", "1e-3")
     assert code == cli.EXIT_OK
+    assert "over 100 points" in out
     assert "max curl" in out and "max div" in out
 
 
 def test_reduce_rotation_json(capsys):
-    code, doc = run_json(
-        capsys, "reduce", "--kind", "rotation", "--step", "0.002",
-        "--samples", "20",
-    )
+    code, doc = run_json(capsys, "reduce", "--kind", "rotation", "--step", "2e-3")
     assert code == cli.EXIT_OK
     rec = doc["data"]["reconstruction"]
-    assert rec["points"] == 20
+    assert rec["points"] == 100
     assert rec["max_curl"] < 1e-6
     assert rec["max_div"] < 1e-6
     table = doc["data"]["table"]
@@ -474,3 +475,33 @@ def test_missing_subcommand_exits_4(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == cli.EXIT_INPUT
+
+
+# --- start-up -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("run", [
+    "import curlsym.cli",
+    "import runpy\n"
+    "sys.argv = ['curlsym', 'verify-generator', '--gen', 'X8', '--system', 'curl-absB']\n"
+    "try:\n"
+    "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
+    "except SystemExit as e:\n"
+    "    assert e.code == 0, e.code",
+], ids=["import", "verify-generator"])
+def test_symbolic_commands_load_no_numpy_or_scipy(run):
+    """numpy and scipy are imported inside the float routines only, so a
+    fresh process that imports the CLI or runs a symbolic command loads
+    neither."""
+    src = str(Path(curlsym.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        f"import json, sys\n{run}\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('numpy', 'scipy'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curlsym import expr as E
 from curlsym.expr import (
@@ -317,6 +317,9 @@ def _expr_strategy():
 
 @settings(max_examples=120, deadline=None)
 @given(_expr_strategy())
+# a divisor before a numerator factor, and a negated sum after a term
+@example(neg(exp(mul(pow_(S.x, -1), S.x))))
+@example(add(S.x, neg(add(S.x, S.y))))
 def test_print_parse_round_trip(e):
     assert parse(to_string(e)) == e
 

@@ -35,6 +35,8 @@ def test_nullspace_simple():
     assert ns[0] == F(-1, 1, 0) or ns[0] == F(1, -1, 0)
     for row in m:
         assert sum(a * b for a, b in zip(row, ns[0])) == 0
+    # no rows of a given width: every column is free
+    assert nullspace([], 2) == [F(1, 0), F(0, 1)]
 
 
 def test_primitive_scaling():
@@ -94,6 +96,9 @@ def test_nullspace_vectors_annihilate(matrix):
             assert dot(row, vec) == 0
     # rank-nullity
     assert rank(m) + len(ns) == len(m[0])
+    # the same rows as sparse dicts {column: value} give the same basis
+    sparse = [{j: e for j, e in enumerate(row) if e} for row in m]
+    assert nullspace(sparse, len(m[0])) == ns
 
 
 @settings(max_examples=80, deadline=None)
