@@ -323,7 +323,12 @@ def cmd_adjoint(args) -> int:
         for i in range(1, table.dim + 1):
             for j in range(1, table.dim + 1):
                 vec = liealg.adjoint_numeric(table, i, j, eps)
-                entries[f"X{i},X{j}"] = [float(c) for c in vec]
+                if not all(math.isfinite(c) for c in vec):
+                    raise CliInputError(
+                        f"--eps {eps:g} gives non-finite coordinates for "
+                        f"Ad(exp(eps*X{i})) X{j}; give a finite eps of smaller size"
+                    )
+                entries[f"X{i},X{j}"] = vec
                 pretty = " ".join(f"{c: .9f}" for c in vec)
                 lines.append(f"X{i},X{j}: {pretty}")
         data = {"basis": "b7", "eps": eps, "coordinates": entries}
@@ -418,7 +423,7 @@ def cmd_verify_solution(args) -> int:
         "ok": check.ok,
     }
     if check.system == "curl":
-        div_zero, div_mode = decide_zero(
+        div_zero, div_mode, _ = decide_zero(
             sol.divergence(), bindings=sol.binding_map() or None
         )
         lines.append(f"divergence: {'0' if div_zero else 'nonzero'} ({div_mode})")

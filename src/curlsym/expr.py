@@ -349,15 +349,13 @@ class SymbolRegistry:
         self._pair_count = 1
         self._eps_count = 1
 
-    def register(self, name: str, kind: str, parseable: bool = True) -> Symbol:
+    def register(self, name: str, kind: str) -> Symbol:
         if kind not in KINDS:
             raise ValueError(f"bad symbol kind {kind}")
         if name in self.by_name:
             raise ValueError(f"symbol '{name}' already registered")
         s = Symbol(name, kind, self._order)
         self._order += 1
-        if not parseable:
-            s.kind = kind  # jet2 symbols are looked up, never parsed
         self.by_name[name] = s
         return s
 
@@ -1060,16 +1058,17 @@ def equal_exprs(e1: Expr, e2: Expr) -> bool:
 
 def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
                 bindings: dict | None = None):
-    """(is_zero, mode): exact normal form when possible, else numeric
-    sampling at random points.  mode is 'symbolic' or 'numeric'."""
+    """(is_zero, mode, worst): exact normal form when possible, else numeric
+    sampling at random points.  mode is 'symbolic' or 'numeric'; worst is
+    the largest |e| sampled, None when decided symbolically."""
     opaque = False
     try:
         rf = as_ratform(e)
         if rf.num.is_zero():
-            return True, "symbolic"
+            return True, "symbolic", None
         opaque = any(isinstance(a, OpaqueAtom) for a in rf.num.atoms())
         if not opaque:
-            return False, "symbolic"
+            return False, "symbolic", None
     except NotPolynomial:
         pass
     import random
@@ -1098,7 +1097,7 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
             continue
         worst = max(worst, abs(val))
         done += 1
-    return worst <= tol, "numeric"
+    return worst <= tol, "numeric", worst
 
 
 def collect_poly(p: Poly, variables) -> dict:
@@ -1357,11 +1356,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, registry: SymbolRegistry):
-        self.text = text
+    def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.registry = registry
 
     def peek(self):
         return self.toks[self.pos]
@@ -1369,12 +1366,6 @@ class _Parser:
     def next(self):
         t = self.toks[self.pos]
         self.pos += 1
-        return t
-
-    def expect(self, kind: str):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
         return t
 
     def parse(self) -> Expr:
@@ -1453,15 +1444,15 @@ class _Parser:
                 if t[0] != ")":
                     raise ParseError("expected ')'", t[2])
                 return func(text, arg)
-            sym = self.registry.lookup(text)
+            sym = REGISTRY.lookup(text)
             if sym is None:
                 raise ParseError(f"unknown identifier '{text}'", off)
             return sym
         raise ParseError(f"unexpected token {text!r}", off)
 
 
-def parse(text: str, registry: SymbolRegistry | None = None) -> Expr:
-    return _Parser(text, registry or REGISTRY).parse()
+def parse(text: str) -> Expr:
+    return _Parser(text).parse()
 
 
 # --- printer -----------------------------------------------------------------

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, frexp, isfinite
 
-from .expr import Expr, Num, S, cos, equal_exprs, exp, sin, normal_expression
+from .expr import (
+    Add, Expr, Num, S, cos, equal_exprs, exp, normal_expression, sin, to_string,
+)
 from .jet import GeneratorField
 from .ratlin import rref
 from .symmetry import basis_coordinates
@@ -116,49 +118,77 @@ def jacobi_check(table: LieAlgebraTable) -> bool:
     return True
 
 
-def format_combination(coords, names) -> str:
-    """Human form of a coordinate vector: '0', 'X3', '-1/2*X8 + X1', ..."""
+def format_combination(coeffs, names) -> str:
+    """Human form of sum_k coeffs[k]*names[k], with rational or Expr
+    coefficients: '0', 'X3', '-1/2*X8 + X1', '(-exp(-eps) + 1)*X1', ...;
+    a sum coefficient is parenthesized, so the fixture parser reads it back."""
     parts = []
-    for c, name in zip(coords, names):
-        if not c:
+    for c, name in zip(coeffs, names):
+        if not isinstance(c, Expr):
+            c = Num(Fraction(c))
+        if isinstance(c, Num) and abs(c.val) in (0, 1):
+            if c.val:
+                parts.append(("-" if c.val < 0 else "+", name))
             continue
-        mag = abs(c)
-        body = name if mag == 1 else f"{mag}*{name}"
-        parts.append(("- " if c < 0 else "+ ") + body)
+        text = to_string(c)
+        if isinstance(c, Add):
+            parts.append(("+", f"({text})*{name}"))
+        elif text.startswith("-"):
+            parts.append(("-", f"{text[1:]}*{name}"))
+        else:
+            parts.append(("+", f"{text}*{name}"))
     if not parts:
         return "0"
-    head = parts[0].replace("- ", "-", 1).replace("+ ", "", 1)
-    return " ".join([head] + parts[1:])
+    head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return " ".join([head] + [f"{sign} {body}" for sign, body in parts[1:]])
 
 
 # --- adjoint representation ---------------------------------------------------
 
 
-def ad_matrix(table: LieAlgebraTable, i: int):
-    """Float numpy matrix of ad(Xi) on coordinates: column l holds [Xi, Xl];
-    1-based i."""
-    import numpy as np
-
+def ad_matrix(table: LieAlgebraTable, i: int) -> list:
+    """Float matrix of ad(Xi) on coordinates, as rows: column l holds
+    [Xi, Xl]; 1-based i."""
+    c = table.constants[i - 1]
     n = table.dim
-    a = np.zeros((n, n))
-    for l in range(n):
-        for k in range(n):
-            a[k, l] = float(table.constants[i - 1][l][k])
-    return a
+    return [[float(c[l][k]) for l in range(n)] for k in range(n)]
 
 
-def expm(a):
-    """Matrix exponential of a float array (scipy.linalg.expm)."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(a)
+def _matmul(a: list, b: list) -> list:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def adjoint_numeric(table: LieAlgebraTable, i: int, j: int, eps: float):
+def expm(a: list) -> list:
+    """Matrix exponential of a square float matrix given as rows, by
+    scaling and squaring (Moler and Van Loan, SIAM Review 45 (2003)).
+
+    a is scaled by an exact power of two 2^-s, s >= 0, so that its 1-norm
+    is at most 1/2.  The degree-15 Taylor polynomial of the scaled
+    exponential, evaluated by Horner's rule, is then within
+    sum_{k>15} 2^-k/k! <= 2^-16/16! * 17/16.5 < 7.6e-19 of it in the
+    1-norm; squaring it s times gives exp(a).  Non-finite entries give
+    non-finite output."""
+    n = len(a)
+    norm = max((sum(abs(row[l]) for row in a) for l in range(n)), default=0.0)
+    s = max(0, frexp(norm)[1] + 1) if isfinite(norm) else 0
+    scale = 2.0 ** -s
+    x = [[v * scale for v in row] for row in a]
+    eye = [[float(k == l) for l in range(n)] for k in range(n)]
+    p = eye
+    for k in range(15, 0, -1):
+        p = [[e + v / k for e, v in zip(erow, row)]
+             for erow, row in zip(eye, _matmul(x, p))]
+    for _ in range(s):
+        p = _matmul(p, p)
+    return p
+
+
+def adjoint_numeric(table: LieAlgebraTable, i: int, j: int, eps: float) -> list:
     """Coordinates of Ad(exp(eps*Xi)) applied to Xj: exp(-eps*ad_i) e_j,
-    as a float numpy vector."""
-    m = expm(-eps * ad_matrix(table, i))
-    return m[:, j - 1]
+    as floats."""
+    m = expm([[-eps * v for v in row] for row in ad_matrix(table, i)])
+    return [row[j - 1] for row in m]
 
 
 # dictionary of eps-functions an adjoint entry may be built from: the
@@ -184,25 +214,7 @@ class AdjointEntry:
     coefficients: tuple  # Expr per basis element, functions of eps
 
     def to_string(self, names) -> str:
-        from .expr import to_string
-
-        parts = []
-        for c, name in zip(self.coefficients, names):
-            if isinstance(c, Num) and c.val == 0:
-                continue
-            if isinstance(c, Num) and c.val == 1:
-                parts.append(("+", name))
-            else:
-                s = to_string(c)
-                if s.startswith("-"):
-                    parts.append(("-", f"{s[1:]}*{name}"))
-                else:
-                    parts.append(("+", f"{s}*{name}"))
-        if not parts:
-            return "0"
-        head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        rest = [f"{sign} {body}" for sign, body in parts[1:]]
-        return " ".join([head] + rest)
+        return format_combination(self.coefficients, names)
 
 
 def adjoint_closed_form(table: LieAlgebraTable, i: int, j: int) -> AdjointEntry:

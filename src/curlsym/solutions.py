@@ -40,7 +40,6 @@ from .expr import (
     decide_zero,
     differentiate,
     equal_exprs,
-    eval_numeric,
     exp,
     free_symbols,
     neg,
@@ -156,30 +155,6 @@ def residual_expressions(sol: FieldSolution, system: str = "blair") -> list:
     return [substitute(r, subs) for r in base.residuals]
 
 
-def _sample_worst(e: Expr, bindings: dict, samples: int, seed: int) -> float:
-    rng = random.Random(seed)
-    free = sorted(
-        (s for s in free_symbols(e) if s.kind != "radical" and s not in bindings),
-        key=lambda s: s.order,
-    )
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > samples * 12:
-            raise EvalError("could not find enough valid sample points")
-        env = {s: rng.uniform(-2.0, 2.0) for s in free}
-        env.update(bindings)
-        try:
-            val = eval_numeric(e, env)
-        except EvalError:
-            continue
-        worst = max(worst, abs(val))
-        done += 1
-    return worst
-
-
 @dataclass(frozen=True)
 class ResidualCheck:
     system: str
@@ -207,7 +182,7 @@ def verify_solution_residuals(
     displays = []
     all_ok = True
     for e in residual_expressions(sol, kind):
-        ok, mode = decide_zero(
+        ok, mode, worst = decide_zero(
             e, samples=samples, tol=tol, seed=seed, bindings=bindings or None
         )
         modes.append(mode)
@@ -218,7 +193,6 @@ def verify_solution_residuals(
                 text = to_string(normal_expression(e))
                 displays.append(text if len(text) <= 60 else text[:57] + "...")
         else:
-            worst = _sample_worst(e, bindings, samples, seed)
             displays.append(f"{worst:.3e}" if not ok else f"<{tol:g}")
         all_ok = all_ok and ok
     return ResidualCheck(kind, all_ok, tuple(modes), tuple(displays))
@@ -670,10 +644,15 @@ def solution_table_json(table: SolutionTable) -> dict:
 
 
 def field_grid_csv(field: NumericField, path: str, bounds, n: int = 11) -> None:
-    """Sample the field on an n^3 lattice over bounds = ((x0,x1),(y0,y1),(z0,z1))."""
-    import numpy as np
-
-    axes = [np.linspace(lo, hi, n) for lo, hi in bounds]
+    """Sample the field on an n^3 lattice over bounds = ((x0,x1),(y0,y1),(z0,z1));
+    each axis runs from lo to hi in n equal steps (n = 1 gives [lo])."""
+    axes = []
+    for lo, hi in bounds:
+        if n == 1:
+            axes.append([float(lo)])
+            continue
+        step = (hi - lo) / (n - 1)
+        axes.append([lo + k * step for k in range(n - 1)] + [float(hi)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "u", "v", "w"])

@@ -480,13 +480,9 @@ def generator_span_matrix(gens, degree: int | None = None):
 
 
 def generator_spans_equal(a, b) -> bool:
-    deg = 0
-    for g in list(a) + list(b):
-        for c in g.as_tuple():
-            deg = max(deg, normalize(c).degree())
-    return ratlin.span_equal(
-        generator_span_matrix(a, deg), generator_span_matrix(b, deg)
-    )
+    a = list(a)
+    mat = generator_span_matrix(a + list(b))
+    return ratlin.span_equal(mat[: len(a)], mat[len(a):])
 
 
 def coordinates_in_basis(basis, gen: GeneratorField):
@@ -497,12 +493,7 @@ def coordinates_in_basis(basis, gen: GeneratorField):
 def basis_coordinates(basis, gens):
     """`coordinates_in_basis` for each of gens, reducing the basis once."""
     basis = list(basis)
-    fields = basis + list(gens)
-    deg = 0
-    for g in fields:
-        for c in g.as_tuple():
-            deg = max(deg, normalize(c).degree())
-    mat = generator_span_matrix(fields, deg)
+    mat = generator_span_matrix(basis + list(gens))
     return ratlin.rowspan_coordinates(mat[: len(basis)], mat[len(basis):])
 
 

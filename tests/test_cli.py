@@ -229,6 +229,15 @@ def test_adjoint_numeric(capsys):
     assert coords["X4,X5"] == pytest.approx([0, 0, 0, 0, 1, 0, 0])
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "1e6"])
+def test_adjoint_numeric_rejects_non_finite_coordinates(capsys, eps):
+    code, out, err = run(capsys, "adjoint", "--basis", "b7", "--numeric",
+                         "--eps", eps, "--json")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
 def test_adjoint_rejects_b10(capsys):
     code, _, err = run(capsys, "adjoint", "--basis", "b10")
     assert code == cli.EXIT_INPUT
@@ -488,11 +497,17 @@ def test_missing_subcommand_exits_4(capsys):
     "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
     "except SystemExit as e:\n"
     "    assert e.code == 0, e.code",
-], ids=["import", "verify-generator"])
+    "import runpy\n"
+    "sys.argv = ['curlsym', 'adjoint', '--basis', 'b7', '--numeric', '--eps', '0.5']\n"
+    "try:\n"
+    "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
+    "except SystemExit as e:\n"
+    "    assert e.code == 0, e.code",
+], ids=["import", "verify-generator", "adjoint-numeric"])
 def test_symbolic_commands_load_no_numpy_or_scipy(run):
-    """numpy and scipy are imported inside the float routines only, so a
-    fresh process that imports the CLI or runs a symbolic command loads
-    neither."""
+    """numpy is imported only for the RK4 table of `reduce`, so a fresh
+    process that imports the CLI, runs a symbolic command or the float
+    adjoint loads neither numpy nor scipy."""
     src = str(Path(curlsym.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

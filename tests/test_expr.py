@@ -223,12 +223,16 @@ def test_compile_matches_eval():
 
 
 def test_decide_zero_modes():
-    ok, mode = decide_zero(S.R ** 2 - S.u ** 2 - S.v ** 2 - S.w ** 2)
-    assert ok and mode == "symbolic"
-    ok, mode = decide_zero(S.x + 1)
-    assert not ok and mode == "symbolic"
-    ok, mode = decide_zero(sqrt(1 + S.x ** 2) - sqrt(1 + S.x ** 2) + S.x - S.x)
-    assert ok and mode == "numeric"
+    ok, mode, worst = decide_zero(S.R ** 2 - S.u ** 2 - S.v ** 2 - S.w ** 2)
+    assert ok and mode == "symbolic" and worst is None
+    ok, mode, worst = decide_zero(S.x + 1)
+    assert not ok and mode == "symbolic" and worst is None
+    ok, mode, worst = decide_zero(sqrt(1 + S.x ** 2) - sqrt(1 + S.x ** 2) + S.x - S.x)
+    assert ok and mode == "numeric" and worst <= 1e-9
+    ok, mode, worst = decide_zero(sin(S.x) - S.x, samples=40)
+    assert not ok and mode == "numeric"
+    # the largest |sin x - x| of the samples, which all lie in [-2, 2]
+    assert 0.01 < worst <= 2 - math.sin(2)
 
 
 # --- parser and printer ------------------------------------------------------

@@ -117,12 +117,24 @@ def test_adjoint_numeric_group_property():
     for i in (1, 4, 7):
         for e1 in (0.1, 0.3):
             for e2 in (0.1, 0.3):
-                a = la.ad_matrix(T7, i)
+                a = np.array(la.ad_matrix(T7, i))
                 lhs = la.adjoint_numeric(T7, i, 2, e1 + e2)
                 from scipy.linalg import expm
 
                 rhs = expm(-e1 * a) @ la.adjoint_numeric(T7, i, 2, e2)
                 assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+def test_expm_matches_scipy(i):
+    """eps = 0 gives the zero matrix."""
+    from scipy.linalg import expm
+
+    a = np.array(la.ad_matrix(T7, i))
+    for eps in (0, 0.5, -3, 2.6, 30):
+        got = np.array(la.expm((-eps * a).tolist()))
+        want = expm(-eps * a)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_adjoint_closed_form_samples():
@@ -217,6 +229,21 @@ def test_format_combination_roundtrips_through_fixture_parser():
         s = T10.entry_string(i, j)
         got = fx.parse_combination(s).constant_coordinates(10)
         assert got == T10.coordinates(i, j)
+
+
+def test_adjoint_entry_roundtrips_through_fixture_parser():
+    """A sum coefficient prints in parentheses: for [X1, X2] = X2 - X1 the
+    entry Ad(exp(eps*X1)) X2 is (1 - exp(-eps))*X1 + exp(-eps)*X2."""
+    table = _table_from_brackets(2, {(1, 2): {1: -1, 2: 1}})
+    assert table.entry_string(1, 2) == "-X1 + X2"
+    entry = la.adjoint_closed_form(table, 1, 2)
+    text = entry.to_string(table.names)
+    back = fx.parse_combination(text).coordinate_functions(2)
+    assert la.adjoint_entry_matches(entry, back), text
+    for i, j in ((1, 2), (2, 4), (4, 1), (7, 3)):
+        entry = la.adjoint_closed_form(T7, i, j)
+        back = fx.parse_combination(entry.to_string(T7.names))
+        assert la.adjoint_entry_matches(entry, back.coordinate_functions(7))
 
 
 def test_grids_and_json_are_well_formed():

@@ -214,7 +214,7 @@ def test_rotation_reduction_rhs():
         parse("-beta*sqrt(beta^2 + gamma^2)"),
     )
     for got, want in zip(ode.rhs, expected):
-        ok, _ = decide_zero(got - want, samples=30, tol=1e-9)
+        ok, _, _ = decide_zero(got - want, samples=30, tol=1e-9)
         assert ok
 
 
