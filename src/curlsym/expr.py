@@ -34,6 +34,7 @@ tree; numeric work goes through `eval_numeric` / `compile_numeric`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -491,11 +492,19 @@ def _atom_sort_key(atom):
     return (1, _FN_RANK[atom.fn], atom.key)
 
 
+_MONO_KEYS: dict = {}
+
+
 def _mono_sort_key(mono: tuple):
     # graded lex, descending: higher total degree first, then earlier
-    # symbols with higher exponents first
-    deg = sum(e for _, e in mono)
-    return (-deg, tuple((_atom_sort_key(a), -e) for a, e in mono))
+    # symbols with higher exponents first; memoized per monomial and
+    # emptied together with the normalization cache (`_clear_caches`)
+    key = _MONO_KEYS.get(mono)
+    if key is None:
+        deg = sum(e for _, e in mono)
+        key = (-deg, tuple((_atom_sort_key(a), -e) for a, e in mono))
+        _MONO_KEYS[mono] = key
+    return key
 
 
 def _freeze(d: dict) -> tuple:
@@ -527,7 +536,13 @@ class Poly:
         return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def leading(self):
-        return self.sorted_terms()[0]
+        """The first term in graded order, found without a sort.
+
+        Distinct monomials have distinct keys, so this is always
+        `sorted_terms()[0]`: a loop over leading terms sees the same
+        sequence as with a full sort."""
+        m = min(self.terms, key=_mono_sort_key)
+        return m, self.terms[m]
 
     def degree(self) -> int:
         if self.is_zero():
@@ -792,14 +807,12 @@ def ratform(num: Poly, den: Poly) -> RatForm:
         conj = Poly(conj_terms)
         num = num * conj
         den = den * conj
-    # cancel a common monomial factor (cheap gcd; no full polynomial gcd)
-    c_num, c_den = num.content_monomial(), den.content_monomial()
-    if c_num and c_den:
-        common: dict = {}
-        dn, dd = dict(c_num), dict(c_den)
-        for a, e in dn.items():
-            if a in dd:
-                common[a] = min(e, dd[a])
+    # cancel a common monomial factor (cheap gcd; no full polynomial gcd);
+    # the numerator's content matters only if the denominator has one
+    c_den = den.content_monomial()
+    if c_den:
+        dn = dict(num.content_monomial())
+        common = {a: min(e, dn[a]) for a, e in c_den if a in dn}
         if common:
             frozen = _freeze(common)
             num = num.divide_monomial(frozen)
@@ -833,7 +846,7 @@ def ratform(num: Poly, den: Poly) -> RatForm:
 
 
 def _rat_add(a: RatForm, b: RatForm) -> RatForm:
-    if _poly_key(a.den) == _poly_key(b.den):
+    if a.den.terms == b.den.terms:
         return ratform(a.num + b.num, a.den)
     return ratform(a.num * b.den + b.num * a.den, a.den * b.den)
 
@@ -941,31 +954,56 @@ def rat_sqrt(rf: RatForm, origin: Expr) -> RatForm:
 
 
 def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
+    """Exact quotient p / d, or None when d does not divide p.
+
+    The remainder is a dict updated in place; a heap of graded-order keys
+    yields its leading term, and entries whose monomial has cancelled are
+    popped when they reach the top.  The leading terms therefore come out
+    in the same sequence as a full sort of the remainder at every step, so
+    the quotient, the None cases and the 4000-step guard's count are those
+    of the sorted loop."""
     if d.is_zero():
         return None
     if p.is_zero():
         return Poly({})
     dm, dc = d.leading()
     q: dict = {}
-    r = p
+    r = dict(p.terms)
+    heap = [(_mono_sort_key(m), m) for m in r]
+    heapq.heapify(heap)
     guard = 0
-    while not r.is_zero():
+    while r:
         guard += 1
         if guard > 4000:
             return None
-        rm, rc = r.leading()
+        while heap[0][1] not in r:
+            heapq.heappop(heap)
+        rm = heap[0][1]
         t_mono = _mono_div(rm, dm)
         if t_mono is None:
             return None
-        c = rc / dc
+        c = r[rm] / dc
         q[t_mono] = q.get(t_mono, Fraction(0)) + c
-        r = r - Poly({t_mono: c}) * d
+        for m, v in (Poly({t_mono: c}) * d).terms.items():
+            nc = r.get(m, Fraction(0)) - v
+            if nc:
+                if m not in r:
+                    heapq.heappush(heap, (_mono_sort_key(m), m))
+                r[m] = nc
+            else:
+                del r[m]
     return Poly(q)
 
 
 # --- normalization ----------------------------------------------------------
 
 _RAT_CACHE: dict = {}
+
+
+def _clear_caches():
+    """Empty the normalization cache and the monomial-key memo it feeds."""
+    _RAT_CACHE.clear()
+    _MONO_KEYS.clear()
 
 
 def as_ratform(e: Expr) -> RatForm:
@@ -976,7 +1014,7 @@ def as_ratform(e: Expr) -> RatForm:
         return hit
     rf = _as_ratform(e)
     if len(_RAT_CACHE) > 400_000:
-        _RAT_CACHE.clear()
+        _clear_caches()
     _RAT_CACHE[e] = rf
     return rf
 

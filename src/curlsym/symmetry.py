@@ -44,6 +44,7 @@ from .expr import (
     normalize,
     poly_const,
     substitute,
+    _atom_sort_key,
     _freeze,
     _poly_key,
 )
@@ -244,11 +245,13 @@ def _is_bare_identity(p: Poly) -> bool:
     return True
 
 
+def _mono_key(m: tuple) -> tuple:
+    # the monomial part of its one-term _poly_key, so the same order
+    return tuple((_atom_sort_key(a), e) for a, e in m)
+
+
 def _mono_sort_index(polys):
-    monos = sorted(
-        {m for p in polys for m in p.terms},
-        key=lambda m: _poly_key(Poly({m: Fraction(1)})),
-    )
+    monos = sorted({m for p in polys for m in p.terms}, key=_mono_key)
     return {m: i for i, m in enumerate(monos)}
 
 
@@ -362,7 +365,7 @@ def monomials_up_to(degree: int, variables) -> list:
                 new.append((e2, deg + k))
         frontier.extend(new)
     out = [_freeze(e) for e, _ in frontier]
-    out.sort(key=lambda m: (sum(e for _, e in m), _poly_key(Poly({m: Fraction(1)}))))
+    out.sort(key=lambda m: (sum(e for _, e in m), _mono_key(m)))
     return out
 
 

@@ -339,6 +339,123 @@ def test_normalize_is_idempotent_where_defined(e):
     assert p1 == p2
 
 
+# --- the polynomial kernel: leading terms and exact division ----------------
+
+_POLY_ATOMS = [S.x, S.y, S.u, S.v, S.w, S.R, S.a, S.b, sin(S.x + S.y), exp(S.x * S.u)]
+
+
+def _build_poly(terms):
+    acc = E.Poly({})
+    for c, factors in terms:
+        t = E.poly_const(Fraction(c))
+        for i, e in factors:
+            t = t * normalize(_POLY_ATOMS[i]).power(e)
+        acc = acc + t
+    return acc
+
+
+def _poly_strategy(max_terms=4):
+    """Small normal forms; products go through the kernel, so R^2, b^2,
+    sin^2 and exp products are rewritten."""
+    factor = st.tuples(st.integers(0, len(_POLY_ATOMS) - 1), st.integers(1, 2))
+    term = st.tuples(
+        st.integers(-4, 4).filter(bool), st.lists(factor, max_size=3)
+    )
+    return st.lists(term, max_size=max_terms).map(_build_poly)
+
+
+def _sorted_div_exact(p, d):
+    """The division loop that sorts the whole remainder at every step: the
+    reference for `poly_div_exact`."""
+    if d.is_zero():
+        return None
+    if p.is_zero():
+        return E.Poly({})
+    dm, dc = d.sorted_terms()[0]
+    q = {}
+    r = p
+    guard = 0
+    while not r.is_zero():
+        guard += 1
+        if guard > 4000:
+            return None
+        rm, rc = r.sorted_terms()[0]
+        t_mono = E._mono_div(rm, dm)
+        if t_mono is None:
+            return None
+        c = rc / dc
+        q[t_mono] = q.get(t_mono, Fraction(0)) + c
+        r = r - E.Poly({t_mono: c}) * d
+    return E.Poly(q)
+
+
+def _steps(div, p, d):
+    """div(p, d) and the number of division steps it took."""
+    count = [0]
+    mono_div = E._mono_div
+
+    def counting(a, b):
+        count[0] += 1
+        return mono_div(a, b)
+
+    E._mono_div = counting
+    try:
+        return div(p, d), count[0]
+    finally:
+        E._mono_div = mono_div
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_strategy())
+def test_leading_is_head_of_sorted_terms(p):
+    if p.is_zero():
+        return
+    assert p.leading() == p.sorted_terms()[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_strategy(), _poly_strategy(), _poly_strategy(max_terms=2))
+def test_div_exact_matches_sorted_loop(q, d, r):
+    p = q * d + r
+    got, got_steps = _steps(E.poly_div_exact, p, d)
+    want, want_steps = _steps(_sorted_div_exact, p, d)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
+    assert got_steps == want_steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_strategy(), _poly_strategy())
+def test_div_exact_quotient_multiplies_back(q, d):
+    p = q * d
+    got = E.poly_div_exact(p, d)
+    if got is not None:
+        assert got * d == p
+
+
+def test_div_exact_guard_counts_the_same_steps():
+    # exp atoms always divide, so 1 / (1 + exp(x)) never ends without the guard
+    p, d = normalize(Num(Fraction(1))), normalize(1 + exp(S.x))
+    assert _steps(E.poly_div_exact, p, d) == (None, 4000)
+    assert _steps(_sorted_div_exact, p, d) == (None, 4000)
+
+
+class _FullCache(dict):
+    def __len__(self):
+        return 400_001
+
+
+def test_cache_overflow_empties_the_monomial_key_memo(monkeypatch):
+    monkeypatch.setattr(E, "_RAT_CACHE", _FullCache())
+    E._mono_sort_key(E.monomial_key(S.x, S.y))
+    assert E._MONO_KEYS
+    e = S.x * S.y + 3
+    as_ratform(e)
+    assert not E._MONO_KEYS
+    assert list(E._RAT_CACHE) == [e]
+
+
 def test_registry_fresh_symbols():
     before = set(REGISTRY.by_name)
     a2, b2 = REGISTRY.fresh_unit_pair()
