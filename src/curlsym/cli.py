@@ -18,6 +18,7 @@ import sys
 from . import fixtures, liealg, solutions, symmetry
 from .expr import (
     ExprError,
+    NotPolynomial,
     ParseError,
     S,
     _poly_key,
@@ -63,7 +64,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit(args, lines, data, code):
-    if getattr(args, "json", False):
+    if args.json:
         doc = {
             "command": args.command,
             "exit_code": code,
@@ -99,6 +100,13 @@ def _algebra_table(token: str) -> liealg.LieAlgebraTable:
     basis = _fixture_basis(token)
     names = _GENERATOR_NAMES[: len(basis)]
     return liealg.structure_constants(basis, names)
+
+
+def _check_sampling(args):
+    if args.samples < 1:
+        raise CliInputError("--samples must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliInputError("--tol must be a finite number >= 0")
 
 
 def _truncate(text: str, width: int = 100) -> str:
@@ -399,6 +407,7 @@ def _parse_eps(text: str):
 
 
 def cmd_verify_solution(args) -> int:
+    _check_sampling(args)
     sol = _load_solution(args.sol)
     if args.transform is not None:
         if args.eps is None:
@@ -435,6 +444,7 @@ def cmd_verify_solution(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _check_sampling(args)
     ode = solutions.reduce_system(args.kind)
     if args.range is None:
         span = (0.0, 2 * math.pi) if args.kind == "translation" else (0.01, 3.0)
@@ -495,7 +505,7 @@ def cmd_reduce(args) -> int:
             lines.append(f"max deviation from exact profile: {worst:.3e}")
             data["max_deviation"] = worst
 
-    if not args.out and not getattr(args, "json", False):
+    if not args.out and not args.json:
         lines.append("-- table (csv) --")
         lines.append(",".join([table.indep_name, *table.state_names]))
         for t, row in zip(table.points, table.states):
@@ -529,7 +539,9 @@ def _labeled_constraints():
 
 
 def cmd_check_f(args) -> int:
-    if getattr(args, "solve_family", False):
+    if args.solve_family:
+        if args.degree < 0:
+            raise CliInputError("degree must be >= 0")
         constraints = symmetry.f_constraints_from_group(fixtures.load_basis(7))
         family = symmetry.solve_f_family(constraints, degree=args.degree)
         lines = [
@@ -613,64 +625,40 @@ def _subalgebra_section():
 # --- all --------------------------------------------------------------------
 
 
-def _ns(command: str, **kw) -> argparse.Namespace:
-    base = {
-        "command": command,
-        "json": False,
-        "compare_fixture": False,
-        "samples": 50,
-        "tol": 1e-10,
-        "seed": 0,
-    }
-    base.update(kw)
-    return argparse.Namespace(**base)
-
-
 def cmd_all(args) -> int:
     import contextlib
     import io
 
+    parser = build_parser()
     sections = []
 
-    def run(title, fn, ns):
+    def run(title, argv):
+        ns = parser.parse_args(argv)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = fn(ns)
+            code = ns.func(ns)
         sections.append((title, code, buf.getvalue().rstrip("\n").split("\n")))
         return code
 
+    fixture = ["--compare-fixture"] if args.compare_fixtures else []
+    det_fixture = [*fixture, "determining"] if fixture else []
     codes = [
-        run(
-            "determining (formal profile) vs fixture",
-            cmd_determining,
-            _ns("determining", system="curl-f",
-                compare_fixture="determining" if args.compare_fixtures else False),
-        ),
-        run(
-            "ansatz degree 2, magnitude profile",
-            cmd_solve_ansatz,
-            _ns("solve-ansatz", system="curl-absB", degree=2,
-                compare_fixture=args.compare_fixtures),
-        ),
-        run(
-            "ansatz degree 2, divergence-free",
-            cmd_solve_ansatz,
-            _ns("solve-ansatz", system="blair", degree=2,
-                compare_fixture=args.compare_fixtures),
-        ),
-        run("bracket table, ten generators", cmd_bracket_table,
-            _ns("bracket-table", basis="b10")),
-        run("bracket table, seven generators", cmd_bracket_table,
-            _ns("bracket-table", basis="b7")),
-        run("adjoint table", cmd_adjoint,
-            _ns("adjoint", basis="b7", numeric=False, eps=1.0)),
-        run("first solution, full system", cmd_verify_solution,
-            _ns("verify-solution", sol="B1", system="blair",
-                transform=None, eps=None)),
-        run("second solution, curl equations", cmd_verify_solution,
-            _ns("verify-solution", sol="B2", system="curl-absB",
-                transform=None, eps=None)),
-        run("profile constraint check", cmd_check_f, _ns("check-f", expr="R")),
+        run("determining (formal profile) vs fixture",
+            ["determining", "--system", "curl-f", *det_fixture]),
+        run("ansatz degree 2, magnitude profile",
+            ["solve-ansatz", "--system", "curl-absB", "--degree", "2", *fixture]),
+        run("ansatz degree 2, divergence-free",
+            ["solve-ansatz", "--system", "blair", "--degree", "2", *fixture]),
+        run("bracket table, ten generators",
+            ["bracket-table", "--basis", "b10"]),
+        run("bracket table, seven generators",
+            ["bracket-table", "--basis", "b7"]),
+        run("adjoint table", ["adjoint", "--basis", "b7"]),
+        run("first solution, full system",
+            ["verify-solution", "--sol", "B1", "--system", "blair"]),
+        run("second solution, curl equations",
+            ["verify-solution", "--sol", "B2", "--system", "curl-absB"]),
+        run("profile constraint check", ["check-f", "--expr", "R"]),
     ]
 
     sub_lines, _, sub_code = _subalgebra_section()
@@ -790,7 +778,7 @@ def main(argv=None) -> int:
     except CliInputError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
-    except (ParseError, fixtures.FixtureError) as e:
+    except (ParseError, NotPolynomial, fixtures.FixtureError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
 

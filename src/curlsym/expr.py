@@ -335,7 +335,7 @@ def sqrt(a):
 
 # --- symbol registry --------------------------------------------------------
 
-KINDS = ("independent", "dependent", "jet", "radical", "parameter", "jet2")
+KINDS = ("independent", "dependent", "jet", "radical", "parameter")
 
 
 class SymbolRegistry:
@@ -358,12 +358,6 @@ class SymbolRegistry:
         s = Symbol(name, kind, self._order)
         self._order += 1
         self.by_name[name] = s
-        return s
-
-    def lookup(self, name: str) -> Symbol | None:
-        s = self.by_name.get(name)
-        if s is not None and s.kind == "jet2":
-            return None  # private to the prolongation internals
         return s
 
     def add_rule(self, s: Symbol, wrt: Symbol, value: Expr):
@@ -437,16 +431,6 @@ BASE_SYMBOLS = tuple(REGISTRY.by_name[n] for n in ("x", "y", "z", "u", "v", "w")
 JET_SYMBOLS = tuple(
     REGISTRY.by_name[f"{d}_{a}"] for d in ("u", "v", "w") for a in ("x", "y", "z")
 )
-
-
-def jet2_symbol(dep: str, ax1: str, ax2: str) -> Symbol:
-    """Transient second-order jet (private kind); symmetric in the axes."""
-    ax1, ax2 = sorted((ax1, ax2))
-    name = f"{dep}_{ax1}{ax2}"
-    s = REGISTRY.by_name.get(name)
-    if s is None:
-        s = REGISTRY.register(name, "jet2")
-    return s
 
 
 # --- polynomial normal form -------------------------------------------------
@@ -961,7 +945,12 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
     popped when they reach the top.  The leading terms therefore come out
     in the same sequence as a full sort of the remainder at every step, so
     the quotient, the None cases and the 4000-step guard's count are those
-    of the sorted loop."""
+    of the sorted loop.
+
+    The guard must stay.  An exp atom divides every monomial (its inverse
+    is another exp atom), so the leading monomial need not reach an end:
+    1 / (1 + exp(x)) expands into exp(-x) - exp(-2*x) + ... forever
+    (test_div_exact_guard_counts_the_same_steps)."""
     if d.is_zero():
         return None
     if p.is_zero():
@@ -1482,7 +1471,7 @@ class _Parser:
                 if t[0] != ")":
                     raise ParseError("expected ')'", t[2])
                 return func(text, arg)
-            sym = REGISTRY.lookup(text)
+            sym = REGISTRY.by_name.get(text)
             if sym is None:
                 raise ParseError(f"unknown identifier '{text}'", off)
             return sym

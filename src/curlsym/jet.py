@@ -8,11 +8,17 @@ with coefficients depending on base coordinates and components only (never
 on jets).  The first prolongation extends X to the nine first jets.  Two
 independent constructions are implemented and cross-checked:
 
-* `explicit`: the nine expanded coefficient formulas, quadratic in jets;
-* `dform`: D_i(F - zeta q_x - eta q_y - theta q_z) + zeta q_{xi} + ..., run
-  through an extended total derivative that introduces transient
-  second-order jet symbols.  Those must cancel identically; survival is a
-  hard internal error, not a user-facing condition.
+* `dform` (the default route): the characteristic formula for first order,
+
+      phi^u_i = D_i phi - u_x D_i zeta - u_y D_i eta - u_z D_i theta,
+
+  and likewise for v and w (Olver, Applications of Lie Groups to
+  Differential Equations, Sec. 2.3, Thm. 2.36).  It is D_i(Q) + zeta u_xi
+  + eta u_yi + theta u_zi for the characteristic Q = phi - zeta u_x -
+  eta u_y - theta u_z with the second-order jets cancelled by hand, so
+  only total derivatives of point functions are taken;
+* `explicit`: the nine expanded coefficient formulas, quadratic in jets,
+  kept as the reference the tests compare `dform` against.
 """
 
 from __future__ import annotations
@@ -22,20 +28,18 @@ from dataclasses import dataclass
 from .expr import (
     Expr,
     ExprError,
-    JET_SYMBOLS,
     REGISTRY,
     S,
     Symbol,
     _as_expr,
     add,
+    as_ratform,
     differentiate,
     free_symbols,
     is_zero_expr,
-    jet2_symbol,
     mul,
     neg,
     normal_expression,
-    normalize,
 )
 
 
@@ -53,7 +57,7 @@ def jet_symbol(dep: str, ax: str) -> Symbol:
 
 def _no_jets(e: Expr, what: str):
     for s in free_symbols(e):
-        if s.kind in ("jet", "jet2"):
+        if s.kind == "jet":
             raise ExprError(f"{what} may not depend on jet symbol '{s.name}'")
 
 
@@ -107,26 +111,17 @@ class GeneratorField:
 def total_derivative(e: Expr, axis: Symbol) -> Expr:
     """D_axis on a function of base coordinates and components.
 
-    First jets in `e` would require second-order jets, which the public
-    symbol universe does not carry: OrderOverflow."""
+    First jets in `e` would require second-order jets, which the symbol
+    universe does not carry: OrderOverflow."""
     for s in free_symbols(e):
-        if s.kind in ("jet", "jet2"):
+        if s.kind == "jet":
             raise OrderOverflow(
                 f"total derivative of '{s.name}' needs second-order jets"
             )
-    return _total_derivative_extended(e, axis)
-
-
-def _total_derivative_extended(e: Expr, axis: Symbol) -> Expr:
     out = [differentiate(e, axis)]
     for dep in DEPS:
         d = differentiate(e, REGISTRY.by_name[dep])
         out.append(mul(jet_symbol(dep, axis.name), d))
-    for j in JET_SYMBOLS:
-        d = differentiate(e, j)
-        if isinstance(d, Expr) and not is_zero_expr(d):
-            dep, ax1 = j.name.split("_")
-            out.append(mul(jet2_symbol(dep, ax1, axis.name), d))
     return add(*out)
 
 
@@ -154,33 +149,21 @@ def first_prolongation(gen: GeneratorField, route: str = "dform") -> ProlongedGe
 
 
 def _prolong_dform(gen: GeneratorField) -> dict:
-    zeta, eta, theta = gen.zeta, gen.eta, gen.theta
+    base = (gen.zeta, gen.eta, gen.theta)
     comps = {"u": gen.phi, "v": gen.lam, "w": gen.psi}
+    # axis -> (D_axis zeta, D_axis eta, D_axis theta)
+    d_base = {
+        ax: [total_derivative(c, REGISTRY.by_name[ax]) for c in base]
+        for ax in AXES
+    }
     coefs = {}
     for dep in DEPS:
-        F = comps[dep]
-        qx, qy, qz = (jet_symbol(dep, ax) for ax in AXES)
-        characteristic = add(
-            F, neg(mul(zeta, qx)), neg(mul(eta, qy)), neg(mul(theta, qz))
-        )
         for ax in AXES:
             axis = REGISTRY.by_name[ax]
-            raw = add(
-                _total_derivative_extended(characteristic, axis),
-                mul(zeta, jet2_symbol(dep, "x", ax)),
-                mul(eta, jet2_symbol(dep, "y", ax)),
-                mul(theta, jet2_symbol(dep, "z", ax)),
-            )
-            p = normalize(raw)
-            leftover = [a for a in p.atoms()
-                        if isinstance(a, Symbol) and a.kind == "jet2"]
-            if leftover:
-                names = ", ".join(sorted(a.name for a in leftover))
-                raise RuntimeError(
-                    "second-order jets failed to cancel in the first "
-                    f"prolongation: {names}; this is a kernel bug"
-                )
-            coefs[jet_symbol(dep, ax)] = normal_expression(raw)
+            terms = [total_derivative(comps[dep], axis)]
+            for ax2, d in zip(AXES, d_base[ax]):
+                terms.append(neg(mul(jet_symbol(dep, ax2), d)))
+            coefs[jet_symbol(dep, ax)] = normal_expression(add(*terms))
     return coefs
 
 
@@ -261,10 +244,17 @@ def _prolong_explicit(gen: GeneratorField) -> dict:
 
 
 def generator_from_strings(parts) -> GeneratorField:
-    """Six expression strings in slot order."""
+    """Six expression strings in slot order.
+
+    Each coefficient must have a rational normal form: a division by zero
+    raises ExprError and a square root with no exact form NotPolynomial.
+    This is checked here because the prolongation normalizes only the
+    coefficients' derivatives, which for 1/(x - x) all vanish."""
     from .expr import parse
 
     vals = [parse(p) if isinstance(p, str) else _as_expr(p) for p in parts]
     if len(vals) != 6:
         raise ExprError("a generator needs exactly six coefficients")
+    for v in vals:
+        as_ratform(v)
     return GeneratorField(*vals)

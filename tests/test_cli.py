@@ -167,6 +167,41 @@ def test_verify_generator_expr_file_wrong_count(capsys, tmp_path):
     assert "six" in err
 
 
+def test_verify_generator_expr_file_rational_coefficient(capsys, tmp_path):
+    path = tmp_path / "gen.txt"
+    path.write_text("x/(1+y^2)|0|0|u*y|0|0\n")
+    code, out, _ = run(capsys, "verify-generator", "--expr-file", str(path))
+    assert code == cli.EXIT_VERIFY
+    assert "symmetry = False" in out
+    code, doc = run_json(capsys, "verify-generator", "--expr-file", str(path))
+    assert code == cli.EXIT_VERIFY
+    assert doc["data"]["first_failing"]["index"] == 1
+
+
+@pytest.mark.parametrize("coef, message", [
+    ("sqrt(x)", "square root has no exact polynomial form: sqrt(x)"),
+    # every derivative of 1/(x - x) vanishes, so only a check of the
+    # coefficient itself sees the division by zero
+    ("1/(x - x)", "division by zero"),
+], ids=["sqrt", "zero-denominator"])
+def test_verify_generator_expr_file_coefficient_without_normal_form(
+        capsys, tmp_path, coef, message):
+    path = tmp_path / "gen.txt"
+    path.write_text(f"{coef}|0|0|0|0|0\n")
+    code, out, err = run(capsys, "verify-generator", "--expr-file", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err and "Traceback" not in err
+
+
+def test_check_f_sqrt_profile(capsys):
+    code, out, err = run(capsys, "check-f", "--expr", "sqrt(x)")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: square root has no exact polynomial form: sqrt(x)\n"
+
+
 def test_verify_generator_source_conflicts(capsys, tmp_path):
     path = tmp_path / "gen.txt"
     path.write_text("1\n0\n0\n0\n0\n0\n")
@@ -292,6 +327,20 @@ def test_verify_solution_file_bad_expression(capsys, tmp_path):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("extra", [
+    ["--samples", "0"], ["--samples", "-2"], ["--tol", "nan"],
+    ["--tol", "inf"], ["--tol=-1e-9"],
+], ids=["samples-0", "samples-negative", "tol-nan", "tol-inf", "tol-negative"])
+def test_verify_solution_rejects_checks_that_check_nothing(capsys, tmp_path, extra):
+    # a non-solution (exit 2 at --samples 3) that passed with no sample point
+    path = tmp_path / "field.txt"
+    path.write_text("sin(x*y)\ncos(x*y)\n0\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path),
+                         "--system", "blair", *extra)
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
 def test_verify_solution_transformed(capsys):
     code, out, _ = run(
         capsys, "verify-solution", "--sol", "B1", "--system", "blair",
@@ -372,6 +421,17 @@ def test_reduce_rotation_json(capsys):
     assert len(table["points"]) == doc["data"]["rows"]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--samples", "0"], ["--step", "2e-2", "--tol", "nan"],
+    ["--tol", "-1"],
+], ids=["samples-0", "tol-nan", "tol-negative"])
+def test_reduce_rotation_rejects_checks_that_check_nothing(capsys, extra):
+    # --step 2e-2 exits 2 at the default tolerance (max curl about 2e-2)
+    code, out, err = run(capsys, "reduce", "--kind", "rotation", *extra)
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
 def test_reduce_rotation_rejects_singular_start(capsys):
     code, _, _ = run(capsys, "reduce", "--kind", "rotation",
                      "--range", "0", "3")
@@ -415,6 +475,12 @@ def test_check_f_solve_family(capsys):
     code, out, _ = run(capsys, "check-f", "--solve-family")
     assert code == cli.EXIT_OK
     assert "c*R" in out
+
+
+def test_check_f_solve_family_negative_degree(capsys):
+    code, out, err = run(capsys, "check-f", "--solve-family", "--degree", "-1")
+    assert code == cli.EXIT_INPUT
+    assert out == "" and "degree" in err
 
 
 def test_check_f_requires_some_input(capsys):

@@ -1,7 +1,13 @@
 """Prolongation tests: the two construction routes must agree exactly."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import curlsym
 from curlsym.expr import ExprError, S, is_zero_expr, parse
 from curlsym.jet import (
     GeneratorField,
@@ -75,10 +81,32 @@ def test_routes_agree_on_formal_generator():
         ["y*w", "u*v", "x^2 - z", "w^2 + x", "z*u", "v^2"],
         ["2*x*z", "2*y*z", "z^2 - x^2 - y^2",
          "2*(x*w - z*u)", "2*(y*w - z*v)", "-2*(x*u + y*v + z*w)"],
+        ["x/(1+y^2)", "0", "0", "u*y", "0", "0"],
     ],
 )
 def test_routes_agree_on_concrete_generators(parts):
     _routes_agree(generator_from_strings(parts))
+
+
+def test_prolongation_registers_no_symbols():
+    """Prolongation leaves the symbol registry as it found it.  Checked in a
+    fresh interpreter, so no earlier test has registered anything yet."""
+    src = str(Path(curlsym.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from curlsym.expr import REGISTRY\n"
+        "from curlsym.jet import first_prolongation\n"
+        "from curlsym.symmetry import generic_generator\n"
+        "before = len(REGISTRY.by_name)\n"
+        "first_prolongation(generic_generator())\n"
+        "print(before, len(REGISTRY.by_name))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_apply_is_a_derivation():
