@@ -5,7 +5,9 @@ to a machine-readable envelope (sorted keys) that validates against
 `JSON_SCHEMA`.  Exit codes: 0 success / clean fixture match, 1 fixture
 mismatches limited to the documented exception list, 2 verification
 failed, 3 fixture mismatch beyond the documented exceptions, 4 bad input
-(unparseable expression, unknown name, malformed file).
+(unparseable expression, unknown name, malformed file).  Each `cmd_*`
+returns (lines, data, code); only `main` prints, and it alone maps bad input
+to exit 4.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ import sys
 
 from . import fixtures, liealg, solutions, symmetry
 from .expr import (
+    BASE_SYMBOLS,
     ExprError,
-    NotPolynomial,
-    ParseError,
     S,
     _poly_key,
+    as_ratform,
     decide_zero,
+    differentiate,
+    free_symbols,
+    is_zero_expr,
     normal_expression,
     normalize,
     parse,
@@ -116,7 +121,7 @@ def _truncate(text: str, width: int = 100) -> str:
 # --- determining ------------------------------------------------------------
 
 
-def cmd_determining(args) -> int:
+def cmd_determining(args):
     system = _pde_system(args.system)
     eqs = symmetry.determining_system(system)
     lines = [f"determining system for {args.system}: {len(eqs)} equations"]
@@ -153,7 +158,7 @@ def cmd_determining(args) -> int:
         }
         if not rep.ok:
             code = EXIT_FIXTURE
-    return _emit(args, lines, data, code)
+    return lines, data, code
 
 
 # --- solve-ansatz -----------------------------------------------------------
@@ -163,7 +168,7 @@ def _generator_strings(gen) -> str:
     return " | ".join(to_string(c) for c in gen.as_tuple())
 
 
-def cmd_solve_ansatz(args) -> int:
+def cmd_solve_ansatz(args):
     if args.system == "curl-f":
         raise CliInputError(
             "the polynomial ansatz needs a concrete profile; "
@@ -196,7 +201,7 @@ def cmd_solve_ansatz(args) -> int:
         data["fixture"] = {"reference_dimension": len(basis), "span_equal": same}
         if not same:
             code = EXIT_FIXTURE
-    return _emit(args, lines, data, code)
+    return lines, data, code
 
 
 # --- verify-generator -------------------------------------------------------
@@ -208,12 +213,7 @@ def _read_clean_lines(path: str):
             raw = fh.read()
     except OSError as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
-    out = []
-    for line in raw.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return fixtures.content_lines(raw)
 
 
 def _load_generator(args):
@@ -235,14 +235,11 @@ def _load_generator(args):
                 "a generator file needs six coefficient expressions "
                 "(one per line, or one line with '|' separators)"
             )
-        try:
-            return generator_from_strings(parts), args.expr_file
-        except (ParseError, ExprError) as e:
-            raise CliInputError(str(e)) from None
+        return generator_from_strings(parts), args.expr_file
     raise CliInputError("give --gen NAME or --expr-file FILE")
 
 
-def cmd_verify_generator(args) -> int:
+def cmd_verify_generator(args):
     gen, label = _load_generator(args)
     system = _pde_system(args.system)
     report = symmetry.verify_generator(system, gen)
@@ -259,10 +256,18 @@ def cmd_verify_generator(args) -> int:
         text = _truncate(to_string(normal_expression(resid)))
         lines.append(f"first failing equation (index {first + 1}): {text}")
         data["first_failing"] = {"index": first + 1, "residual": text}
-    return _emit(args, lines, data, EXIT_OK if report.ok else EXIT_VERIFY)
+    return lines, data, EXIT_OK if report.ok else EXIT_VERIFY
 
 
 # --- bracket-table ----------------------------------------------------------
+
+
+def _mismatch_code(new, documented) -> int:
+    """Exit code of a fixture comparison: 3 if anything new disagrees,
+    else 1 if only documented exceptions do, else 0."""
+    if new:
+        return EXIT_FIXTURE
+    return EXIT_DOCUMENTED if documented else EXIT_OK
 
 
 def _classify_mismatches(table, mismatches):
@@ -277,7 +282,7 @@ def _classify_mismatches(table, mismatches):
     return documented, new
 
 
-def cmd_bracket_table(args) -> int:
+def cmd_bracket_table(args):
     table = _algebra_table(args.basis)
     lines = [liealg.table_grid(table)]
     jacobi = liealg.jacobi_check(table)
@@ -307,19 +312,13 @@ def cmd_bracket_table(args) -> int:
         "documented_mismatches": [m.describe(names) for m in documented],
         "new_mismatches": [m.describe(names) for m in new],
     }
-    if not jacobi or new:
-        code = EXIT_FIXTURE
-    elif documented:
-        code = EXIT_DOCUMENTED
-    else:
-        code = EXIT_OK
-    return _emit(args, lines, data, code)
+    return lines, data, _mismatch_code(not jacobi or new, documented)
 
 
 # --- adjoint ----------------------------------------------------------------
 
 
-def cmd_adjoint(args) -> int:
+def cmd_adjoint(args):
     if args.basis != "b7":
         raise CliInputError("the adjoint tables are stated for --basis b7")
     table = _algebra_table("b7")
@@ -340,7 +339,7 @@ def cmd_adjoint(args) -> int:
                 pretty = " ".join(f"{c: .9f}" for c in vec)
                 lines.append(f"X{i},X{j}: {pretty}")
         data = {"basis": "b7", "eps": eps, "coordinates": entries}
-        return _emit(args, lines, data, EXIT_OK)
+        return lines, data, EXIT_OK
 
     entries = {}
     try:
@@ -348,12 +347,7 @@ def cmd_adjoint(args) -> int:
             for j in range(1, table.dim + 1):
                 entries[(i, j)] = liealg.adjoint_closed_form(table, i, j)
     except liealg.NoClosedForm as e:
-        return _emit(
-            args,
-            [f"no closed form: {e}"],
-            {"basis": "b7", "error": str(e)},
-            EXIT_VERIFY,
-        )
+        return [f"no closed form: {e}"], {"basis": "b7", "error": str(e)}, EXIT_VERIFY
     lines = [liealg.adjoint_grid(entries, names)]
     reference = fixtures.load_adjoint_table()
     bad = []
@@ -373,7 +367,7 @@ def cmd_adjoint(args) -> int:
         },
         "mismatches": [list(p) for p in bad],
     }
-    return _emit(args, lines, data, EXIT_OK if not bad else EXIT_FIXTURE)
+    return lines, data, EXIT_OK if not bad else EXIT_FIXTURE
 
 
 # --- verify-solution --------------------------------------------------------
@@ -388,25 +382,37 @@ def _load_solution(token: str) -> solutions.FieldSolution:
             f"'{token}' is not a built-in solution name and not a file with "
             "three component expressions (u, v, w)"
         )
-    try:
-        comps = [parse(ln) for ln in lines]
-    except (ParseError, ExprError) as e:
-        raise CliInputError(str(e)) from None
-    return solutions.FieldSolution(*comps, label=token)
+    return solutions.FieldSolution(*(parse(ln) for ln in lines), label=token)
 
 
 def _parse_eps(text: str):
+    """A finite float, or an expression with a rational form that is constant
+    in the base coordinates and free of jet symbols."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise CliInputError(f"bad eps value {text!r}: not a finite number")
+        return value
     try:
-        return parse(text)
-    except (ParseError, ExprError) as e:
+        eps = parse(text)
+        as_ratform(eps)
+        constant = not any(s.kind == "jet" for s in free_symbols(eps)) and all(
+            is_zero_expr(differentiate(eps, s)) for s in BASE_SYMBOLS
+        )
+    except ExprError as e:
         raise CliInputError(f"bad eps value {text!r}: {e}") from None
+    if not constant:
+        raise CliInputError(
+            f"bad eps value {text!r}: the group parameter must not depend on "
+            "x, y, z, u, v, w or their derivatives"
+        )
+    return eps
 
 
-def cmd_verify_solution(args) -> int:
+def cmd_verify_solution(args):
     _check_sampling(args)
     sol = _load_solution(args.sol)
     if args.transform is not None:
@@ -437,13 +443,13 @@ def cmd_verify_solution(args) -> int:
         )
         lines.append(f"divergence: {'0' if div_zero else 'nonzero'} ({div_mode})")
         data["divergence_zero"] = div_zero
-    return _emit(args, lines, data, EXIT_OK if check.ok else EXIT_VERIFY)
+    return lines, data, EXIT_OK if check.ok else EXIT_VERIFY
 
 
 # --- reduce -----------------------------------------------------------------
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     _check_sampling(args)
     ode = solutions.reduce_system(args.kind)
     if args.range is None:
@@ -505,12 +511,10 @@ def cmd_reduce(args) -> int:
             lines.append(f"max deviation from exact profile: {worst:.3e}")
             data["max_deviation"] = worst
 
-    if not args.out and not args.json:
+    if not args.out:
         lines.append("-- table (csv) --")
-        lines.append(",".join([table.indep_name, *table.state_names]))
-        for t, row in zip(table.points, table.states):
-            lines.append(",".join([f"{t:.12g}", *(f"{c:.12g}" for c in row)]))
-    return _emit(args, lines, data, code)
+        lines += [",".join(row) for row in solutions.solution_table_rows(table)]
+    return lines, data, code
 
 
 # --- check-f ----------------------------------------------------------------
@@ -538,7 +542,7 @@ def _labeled_constraints():
     return out
 
 
-def cmd_check_f(args) -> int:
+def cmd_check_f(args):
     if args.solve_family:
         if args.degree < 0:
             raise CliInputError("degree must be >= 0")
@@ -553,12 +557,12 @@ def cmd_check_f(args) -> int:
             "degree": args.degree,
             "family": [to_string(e) for e in family],
         }
-        return _emit(args, lines, data, EXIT_OK)
+        return lines, data, EXIT_OK
     if args.expr is None:
         raise CliInputError("give --expr EXPR (or --solve-family)")
     try:
         profile = parse(args.expr)
-    except (ParseError, ExprError) as e:
+    except ExprError as e:
         raise CliInputError(f"bad expression: {e}") from None
     labeled = _labeled_constraints()
     lines = [f"profile f = {to_string(profile)}"]
@@ -578,7 +582,7 @@ def cmd_check_f(args) -> int:
         else f"verdict: FAIL ({first_fail})"
     )
     data = {"profile": to_string(profile), "constraints": verdicts, "ok": ok}
-    return _emit(args, lines, data, EXIT_OK if ok else EXIT_VERIFY)
+    return lines, data, EXIT_OK if ok else EXIT_VERIFY
 
 
 # --- subalgebras (exposed through `all`) --------------------------------------
@@ -613,77 +617,58 @@ def _subalgebra_section():
     control = liealg.is_subalgebra(table, (1, 4))
     lines.append(f"control pair X1,X4 closes: {control} (expected False)")
     results["X1,X4"] = control
-    if new or control:
-        code = EXIT_FIXTURE
-    elif documented:
-        code = EXIT_DOCUMENTED
-    else:
-        code = EXIT_OK
-    return lines, results, code
+    return lines, results, _mismatch_code(new or control, documented)
 
 
 # --- all --------------------------------------------------------------------
 
 
-def cmd_all(args) -> int:
-    import contextlib
-    import io
-
+def cmd_all(args):
     parser = build_parser()
-    sections = []
-
-    def run(title, argv):
-        ns = parser.parse_args(argv)
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = ns.func(ns)
-        sections.append((title, code, buf.getvalue().rstrip("\n").split("\n")))
-        return code
-
     fixture = ["--compare-fixture"] if args.compare_fixtures else []
     det_fixture = [*fixture, "determining"] if fixture else []
-    codes = [
-        run("determining (formal profile) vs fixture",
-            ["determining", "--system", "curl-f", *det_fixture]),
-        run("ansatz degree 2, magnitude profile",
-            ["solve-ansatz", "--system", "curl-absB", "--degree", "2", *fixture]),
-        run("ansatz degree 2, divergence-free",
-            ["solve-ansatz", "--system", "blair", "--degree", "2", *fixture]),
-        run("bracket table, ten generators",
-            ["bracket-table", "--basis", "b10"]),
-        run("bracket table, seven generators",
-            ["bracket-table", "--basis", "b7"]),
-        run("adjoint table", ["adjoint", "--basis", "b7"]),
-        run("first solution, full system",
-            ["verify-solution", "--sol", "B1", "--system", "blair"]),
-        run("second solution, curl equations",
-            ["verify-solution", "--sol", "B2", "--system", "curl-absB"]),
-        run("profile constraint check", ["check-f", "--expr", "R"]),
+    runs = [
+        ("determining (formal profile) vs fixture",
+         ["determining", "--system", "curl-f", *det_fixture]),
+        ("ansatz degree 2, magnitude profile",
+         ["solve-ansatz", "--system", "curl-absB", "--degree", "2", *fixture]),
+        ("ansatz degree 2, divergence-free",
+         ["solve-ansatz", "--system", "blair", "--degree", "2", *fixture]),
+        ("bracket table, ten generators", ["bracket-table", "--basis", "b10"]),
+        ("bracket table, seven generators", ["bracket-table", "--basis", "b7"]),
+        ("adjoint table", ["adjoint", "--basis", "b7"]),
+        ("first solution, full system",
+         ["verify-solution", "--sol", "B1", "--system", "blair"]),
+        ("second solution, curl equations",
+         ["verify-solution", "--sol", "B2", "--system", "curl-absB"]),
+        ("profile constraint check", ["check-f", "--expr", "R"]),
     ]
+    sections = []
+    for title, argv in runs:
+        ns = parser.parse_args(argv)
+        sections.append((title, *ns.func(ns)))
+    sections.append(("two-generator subalgebra candidates", *_subalgebra_section()))
 
-    sub_lines, _, sub_code = _subalgebra_section()
-    sections.append(("two-generator subalgebra candidates", sub_code, sub_lines))
-    codes.append(sub_code)
-
-    if any(c in (EXIT_FIXTURE, EXIT_INPUT) for c in codes):
+    codes = {code for *_, code in sections}
+    if EXIT_FIXTURE in codes:
         overall = EXIT_FIXTURE
-    elif any(c == EXIT_VERIFY for c in codes):
+    elif EXIT_VERIFY in codes:
         overall = EXIT_VERIFY
-    elif any(c == EXIT_DOCUMENTED for c in codes):
+    elif EXIT_DOCUMENTED in codes:
         overall = EXIT_DOCUMENTED
     else:
         overall = EXIT_OK
 
     lines = []
     data = {"sections": {}}
-    for title, code, body in sections:
+    for title, body, section_data, code in sections:
         lines.append(f"== {title} (exit {code}) ==")
         lines.extend(body)
         lines.append("")
-        data["sections"][title] = {"exit_code": code, "lines": body}
+        data["sections"][title] = {"exit_code": code, "data": section_data}
     lines.append(f"overall exit: {overall}")
     data["overall"] = overall
-    return _emit(args, lines, data, overall)
+    return lines, data, overall
 
 
 # --- parser -----------------------------------------------------------------
@@ -771,16 +756,13 @@ def build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliInputError as e:
+        lines, data, code = args.func(args)
+    except (CliInputError, ExprError, fixtures.FixtureError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
-    except (ParseError, NotPolynomial, fixtures.FixtureError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_INPUT
+    return _emit(args, lines, data, code)
 
 
 if __name__ == "__main__":

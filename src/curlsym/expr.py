@@ -1122,6 +1122,8 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
             val = eval_numeric(e, env)
         except EvalError:
             continue
+        if math.isnan(val):  # max() below would drop it silently
+            continue
         worst = max(worst, abs(val))
         done += 1
     return worst <= tol, "numeric", worst

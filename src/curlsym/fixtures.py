@@ -29,14 +29,18 @@ def _data_dir():
     return files("curlsym") / "fixtures"
 
 
-def _lines(name: str) -> list[str]:
-    text = (_data_dir() / name).read_text(encoding="utf-8")
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of a table file, without blanks and # comments."""
     out = []
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             out.append(line)
     return out
+
+
+def _lines(name: str) -> list[str]:
+    return content_lines((_data_dir() / name).read_text(encoding="utf-8"))
 
 
 # --- linear combinations of named generators --------------------------------

@@ -406,11 +406,16 @@ def integrate_ode(
     """Classical fixed-step RK4 over span = (t0, t1).
 
     Stores the RHS slope at every node for reconstruction.  A state norm
-    above 1e6 truncates the table and raises the blow-up flag.
+    above 1e6, or a NaN state, truncates the table and raises the blow-up
+    flag.  Raises ValueError for a non-finite initial state, span or step.
     """
     import numpy as np
 
     t0, t1 = float(span[0]), float(span[1])
+    y0 = tuple(float(c) for c in initial)
+    for name, values in (("initial state", y0), ("span", (t0, t1)), ("step", (step,))):
+        if not all(math.isfinite(c) for c in values):
+            raise ValueError(f"{name} must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 <= t0:
@@ -425,7 +430,7 @@ def integrate_ode(
         return tuple(fn(*s, t) for fn in fns)
 
     ts = [t0]
-    ys = [tuple(float(c) for c in initial)]
+    ys = [y0]
     ss = [rhs(t0, ys[0])]
     blown = False
 
@@ -449,7 +454,8 @@ def integrate_ode(
         ts.append(t)
         ys.append(y)
         ss.append(rhs(t, y))
-        if max(abs(c) for c in y) > _BLOWUP_NORM:
+        # written so that a NaN component also counts as blown up
+        if not all(abs(c) <= _BLOWUP_NORM for c in y):
             blown = True
             break
 
@@ -624,12 +630,16 @@ def numeric_residuals(field: NumericField, points, h: float = 1e-5) -> dict:
 # --- export helpers ---------------------------------------------------------
 
 
+def solution_table_rows(table: SolutionTable):
+    """The header, then one row of strings (12 significant digits) per node."""
+    yield [table.indep_name, *table.state_names]
+    for t, row in zip(table.points, table.states):
+        yield [f"{t:.12g}", *(f"{c:.12g}" for c in row)]
+
+
 def solution_table_csv(table: SolutionTable, path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([table.indep_name, *table.state_names])
-        for t, row in zip(table.points, table.states):
-            writer.writerow([f"{t:.12g}", *(f"{c:.12g}" for c in row)])
+        csv.writer(fh).writerows(solution_table_rows(table))
 
 
 def solution_table_json(table: SolutionTable) -> dict:

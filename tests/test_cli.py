@@ -202,6 +202,20 @@ def test_check_f_sqrt_profile(capsys):
     assert err == "error: square root has no exact polynomial form: sqrt(x)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-f", "--expr", "1/(u-u)"),
+    ("verify-solution", "--sol", "FIELD"),
+], ids=["check-f", "verify-solution"])
+def test_division_by_zero_is_bad_input(capsys, tmp_path, argv):
+    path = tmp_path / "field.txt"
+    path.write_text("1/(x-x)\n0\n0\n")
+    argv = [str(path) if a == "FIELD" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: division by zero in rational normal form\n"
+
+
 def test_verify_generator_source_conflicts(capsys, tmp_path):
     path = tmp_path / "gen.txt"
     path.write_text("1\n0\n0\n0\n0\n0\n")
@@ -368,6 +382,28 @@ def test_verify_solution_transform_rational_eps(capsys):
     assert "verdict: PASS" in out
 
 
+@pytest.mark.parametrize("sol, system, family, eps, message", [
+    ("B1", "blair", 2, "nan", "not a finite number"),
+    ("B1", "blair", 4, "inf", "not a finite number"),
+    # the NaN parameter made every divergence sample NaN, read as zero
+    ("B2", "curl-absB", 7, "nan", "not a finite number"),
+    ("B2", "curl-absB", 4, "x", "must not depend"),
+    ("B1", "blair", 7, "u_x", "must not depend"),
+    ("B1", "blair", 6, "R", "must not depend"),
+    ("B1", "blair", 4, "1/(x-x)", "division by zero"),
+], ids=["nan", "inf", "nan-divergence", "coordinate", "jet", "radical",
+        "zero-denominator"])
+def test_verify_solution_rejects_bad_eps(capsys, sol, system, family, eps,
+                                         message):
+    code, out, err = run(capsys, "verify-solution", "--sol", sol,
+                         "--system", system, "--transform", str(family),
+                         "--eps", eps)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: bad eps value {eps!r}: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_verify_solution_transform_argument_errors(capsys):
     code, _, _ = run(capsys, "verify-solution", "--sol", "B1",
                      "--transform", "9", "--eps", "0.1")
@@ -430,6 +466,19 @@ def test_reduce_rotation_rejects_checks_that_check_nothing(capsys, extra):
     code, out, err = run(capsys, "reduce", "--kind", "rotation", *extra)
     assert code == cli.EXIT_INPUT
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra, name", [
+    (["--ic", "nan", "1"], "initial state"),
+    (["--range", "0", "inf"], "span"),
+    (["--range", "0.01", "nan"], "span"),
+    (["--step", "nan"], "step"),
+], ids=["ic-nan", "range-inf", "range-nan", "step-nan"])
+def test_reduce_rejects_non_finite_inputs(capsys, extra, name):
+    code, out, err = run(capsys, "reduce", "--kind", "translation", *extra)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and name in err and err.count("\n") == 1
 
 
 def test_reduce_rotation_rejects_singular_start(capsys):
@@ -508,8 +557,34 @@ def test_all_json(capsys):
     assert code == cli.EXIT_DOCUMENTED
     assert doc["data"]["overall"] == cli.EXIT_DOCUMENTED
     sections = doc["data"]["sections"]
-    assert "two-generator subalgebra candidates" in sections
-    assert all("exit_code" in s for s in sections.values())
+    # each section holds what the subcommand alone prints under --json
+    alone = {
+        "determining (formal profile) vs fixture":
+            ("determining", "--system", "curl-f", "--compare-fixture", "determining"),
+        "ansatz degree 2, magnitude profile":
+            ("solve-ansatz", "--system", "curl-absB", "--degree", "2",
+             "--compare-fixture"),
+        "ansatz degree 2, divergence-free":
+            ("solve-ansatz", "--system", "blair", "--degree", "2",
+             "--compare-fixture"),
+        "bracket table, ten generators": ("bracket-table", "--basis", "b10"),
+        "bracket table, seven generators": ("bracket-table", "--basis", "b7"),
+        "adjoint table": ("adjoint", "--basis", "b7"),
+        "first solution, full system":
+            ("verify-solution", "--sol", "B1", "--system", "blair"),
+        "second solution, curl equations":
+            ("verify-solution", "--sol", "B2", "--system", "curl-absB"),
+        "profile constraint check": ("check-f", "--expr", "R"),
+    }
+    assert set(sections) == {*alone, "two-generator subalgebra candidates"}
+    for title, argv in alone.items():
+        single_code, single = run_json(capsys, *argv)
+        assert sections[title] == {"exit_code": single_code, "data": single["data"]}
+    pairs = sections["two-generator subalgebra candidates"]
+    assert pairs["exit_code"] == cli.EXIT_DOCUMENTED
+    assert pairs["data"]["X4,X5"] is True
+    assert pairs["data"]["X2,X5"] is False and pairs["data"]["X3,X4"] is False
+    assert pairs["data"]["X1,X4"] is False  # the control pair
 
 
 # --- envelope and argparse behavior -------------------------------------------

@@ -235,6 +235,13 @@ def test_decide_zero_modes():
     assert 0.01 < worst <= 2 - math.sin(2)
 
 
+def test_decide_zero_skips_nan_samples():
+    # a parameter bound to NaN makes every sample NaN; none may count as zero
+    e = sin(S.x * S.eps) + S.x * exp(S.y * S.eps)
+    with pytest.raises(EvalError, match="enough valid sample points"):
+        decide_zero(e, bindings={S.eps: math.nan})
+
+
 # --- parser and printer ------------------------------------------------------
 
 

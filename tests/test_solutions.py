@@ -249,6 +249,15 @@ def test_integration_argument_checks():
         integrate_ode(ode, (0.0, 1.0), (0.5, 0.5), 1e-3)  # empty span
     with pytest.raises(ValueError):
         integrate_ode(ode, (0.0, 1.0), (0.5, 1.0), 0.0)  # bad step
+    for initial, span, step, name in [
+        ((math.nan, 1.0), (0.5, 1.0), 1e-3, "initial"),
+        ((0.0, 1.0), (0.5, math.inf), 1e-3, "span"),
+        ((0.0, 1.0), (0.5, math.nan), 1e-3, "span"),
+        ((0.0, 1.0), (0.5, 1.0), math.nan, "step"),
+        ((0.0, 1.0), (0.5, 1.0), math.inf, "step"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            integrate_ode(ode, initial, span, step)
 
 
 def test_blowup_flag_truncates():
@@ -263,6 +272,22 @@ def test_blowup_flag_truncates():
     table = integrate_ode(quad, (2.0, 0.0), (0.0, 1.0), 1e-3)
     assert table.blown_up
     assert table.points[-1] < 1.0
+
+
+def test_blowup_flag_catches_nan_state():
+    # at g = 1 the slope of h is inf - inf, so h turns NaN in the first step
+    # while g stays 1: a NaN in the second component, which max() would skip
+    fast = ReducedOde(
+        kind="translation",
+        independent=S.z,
+        state=(S.g, S.h),
+        rhs=(parse("0"), parse("10^305*h - 10^305*g*h")),
+        constraint="",
+        ansatz="",
+    )
+    table = integrate_ode(fast, (1.0, 1e5), (0.0, 1.0), 0.5)
+    assert table.blown_up
+    assert len(table.points) == 2
 
 
 def test_final_step_lands_on_endpoint():
