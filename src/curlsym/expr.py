@@ -29,7 +29,8 @@ keep the form canonical without doing general trig simplification:
 
 The leading monomials of the three quadratic rules are pairwise coprime, so
 the rewrite system is confluent and terminating.  No floats ever enter a
-tree; numeric work goes through `eval_numeric` / `compile_numeric`.
+tree; numeric work goes through `compile_numeric`, which `decide_zero`
+samples through as well.
 """
 
 from __future__ import annotations
@@ -895,12 +896,29 @@ def _mono_div(a: tuple, b: tuple):
     return _freeze(out)
 
 
+def _exp_arg(mono: tuple) -> dict:
+    """The argument of the monomial's exp atom as {monomial: coefficient}."""
+    return next((a.arg_poly.terms for a, _ in mono if _is_mergeable_exp(a)), {})
+
+
 def poly_sqrt(p: Poly) -> Poly | None:
     """Exact square root of a polynomial normal form, or None.
 
-    Positive branch: the leading coefficient of the root is positive."""
+    Positive branch: the leading coefficient of the root is positive.
+
+    exp atoms grade the product by their arguments, and Newt(q^2) =
+    2 Newt(q), so each exp-argument coefficient of a root term lies within
+    half the range of that coefficient over p's terms.  A term outside it
+    means p has no root; without the check 1 + exp(u) would loop on
+    exp(-u/2), exp(-3u/2), ... up to the guard."""
     if p.is_zero():
         return Poly({})
+    args = [_exp_arg(m) for m in p.terms]
+    box = {
+        k: (Fraction(min(a.get(k, 0) for a in args), 2),
+            Fraction(max(a.get(k, 0) for a in args), 2))
+        for k in set().union(*args)
+    }
     lm, lc = p.leading()
     ms, cs = _mono_sqrt(lm), _frac_sqrt(lc)
     if ms is None or cs is None:
@@ -915,6 +933,10 @@ def poly_sqrt(p: Poly) -> Poly | None:
         rm, rc = r.leading()
         t_mono = _mono_div(rm, ms)
         if t_mono is None:
+            return None
+        arg = _exp_arg(t_mono)
+        if not (arg.keys() <= box.keys()
+                and all(lo <= arg.get(k, 0) <= hi for k, (lo, hi) in box.items())):
             return None
         t = Poly({t_mono: rc / (2 * cs)})
         q = q + t
@@ -1032,13 +1054,14 @@ def _as_ratform(e: Expr) -> RatForm:
             return rat_sqrt(arg, e)
         sign = Fraction(1)
         if e.fn in ("sin", "cos"):
+            if arg.num.is_zero():
+                return RatForm(poly_const(Fraction(e.fn == "cos")), one)
             # parity: canonicalize the argument's leading sign
-            if not arg.num.is_zero():
-                _, lc = arg.num.leading()
-                if lc < 0:
-                    arg = RatForm(arg.num.scale(Fraction(-1)), arg.den)
-                    if e.fn == "sin":
-                        sign = Fraction(-1)
+            _, lc = arg.num.leading()
+            if lc < 0:
+                arg = RatForm(arg.num.scale(Fraction(-1)), arg.den)
+                if e.fn == "sin":
+                    sign = Fraction(-1)
         if e.fn == "exp" and arg.is_polynomial():
             c = arg.den.constant_value()
             arg_poly = arg.num.scale(Fraction(1) / c)
@@ -1086,9 +1109,11 @@ def equal_exprs(e1: Expr, e2: Expr) -> bool:
 def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
                 bindings: dict | None = None):
     """(is_zero, mode, worst): exact normal form when possible, else numeric
-    sampling at random points.  mode is 'symbolic' or 'numeric'; worst is
-    the largest |e| sampled, None when decided symbolically."""
-    opaque = False
+    sampling at random points in [-2, 2].  mode is 'symbolic' or 'numeric';
+    worst is the largest |e| sampled, None when decided symbolically.
+
+    Sampling compiles e once.  A point where it raises or gives NaN is
+    skipped; EvalError when fewer than `samples` of 12 * samples are valid."""
     try:
         rf = as_ratform(e)
         if rf.num.is_zero():
@@ -1101,13 +1126,14 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
     import random
 
     rng = random.Random(seed)
-    # never sample R independently; eval_numeric ties it to (u, v, w)
-    free = sorted(
-        (s for s in free_symbols(e) if s.kind != "radical"),
+    bound = bindings or {}
+    # R is never sampled: compile_numeric ties it to (u, v, w)
+    sampled = sorted(
+        (s for s in free_symbols(e) if s.kind != "radical" and s not in bound),
         key=lambda s: s.order,
     )
-    if bindings:
-        free = [s for s in free if s not in bindings]
+    fn = compile_numeric(e, sampled + list(bound))
+    fixed = [float(v) for v in bound.values()]
     worst = 0.0
     done = 0
     attempts = 0
@@ -1115,16 +1141,14 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
         attempts += 1
         if attempts > samples * 12:
             raise EvalError("could not find enough valid sample points")
-        env = {s: rng.uniform(-2.0, 2.0) for s in free}
-        if bindings:
-            env.update(bindings)
+        point = [rng.uniform(-2.0, 2.0) for _ in sampled]
         try:
-            val = eval_numeric(e, env)
-        except EvalError:
-            continue
+            val = abs(fn(*point, *fixed))
+        except (ArithmeticError, ValueError):
+            continue  # a pole, a negative square root or an overflow
         if math.isnan(val):  # max() below would drop it silently
             continue
-        worst = max(worst, abs(val))
+        worst = max(worst, val)
         done += 1
     return worst <= tol, "numeric", worst
 
@@ -1274,78 +1298,72 @@ def _free(e: Expr, out: set):
 # --- numeric evaluation ------------------------------------------------------
 
 
-def eval_numeric(e: Expr, env: dict) -> float:
-    """Evaluate at a point.  R, if unbound, is computed from u, v, w."""
-    if isinstance(e, Num):
-        return float(e.val)
-    if isinstance(e, Symbol):
-        if e in env:
-            return float(env[e])
-        if e.kind == "radical":
-            try:
-                uu, vv, ww = env[S.u], env[S.v], env[S.w]
-            except KeyError:
-                raise EvalError("R unbound and u, v, w not all bound")
-            return math.sqrt(uu * uu + vv * vv + ww * ww)
-        raise EvalError(f"unbound symbol '{e.name}'")
-    if isinstance(e, Add):
-        return sum(eval_numeric(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= eval_numeric(f, env)
-        return out
-    if isinstance(e, Pow):
-        base = eval_numeric(e.base, env)
-        if e.n < 0 and base == 0.0:
-            raise EvalError("division by zero")
-        return base ** e.n
-    if isinstance(e, Func):
-        a = eval_numeric(e.arg, env)
-        if e.fn == "sqrt":
-            if a < 0:
-                raise EvalError("square root of a negative value")
-            return math.sqrt(a)
-        return getattr(math, e.fn)(a)
-    raise EvalError(f"cannot evaluate {type(e).__name__}")
-
-
 def compile_numeric(e: Expr, args: list) -> "callable":
-    """Compile to a plain Python function of the given symbols (fast path
-    for ODE right-hand sides and residual grids)."""
-    names = [s.name for s in args]
-    free = free_symbols(e)
-    body = _pysrc(e)
-    missing = [s for s in free if s not in args and s.kind != "radical"]
+    """Compile to a Python function of the given symbols: the one way an
+    expression becomes a float.  The body is straight-line code, one local
+    per distinct compound subexpression, so depth sets no limit and a shared
+    subtree is computed once; each node keeps its operands' left-to-right
+    order.  An R that is not an argument is sqrt(u^2 + v^2 + w^2).  Raises
+    EvalError for a free symbol that is not an argument, or a free R without
+    u, v and w; calls raise ArithmeticError or ValueError at a pole, an
+    overflow or a negative square root."""
+    operand: dict = {}  # node -> literal, argument name or local
+    body = []
+    free = set()
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in operand:
+            continue
+        if isinstance(node, Num):
+            v = node.val
+            operand[node] = (f"({v.numerator})" if v.denominator == 1
+                             else f"({v.numerator}/{v.denominator})")
+        elif isinstance(node, Symbol):
+            free.add(node)
+            operand[node] = node.name
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(_children(node)))
+        else:
+            local = f"_{len(body)}"
+            body.append(f"    {local} = {_pysrc(node, operand)}\n")
+            operand[node] = local
+    missing = sorted(s.name for s in free if s not in args and s is not S.R)
     if missing:
-        raise EvalError(
-            "unbound symbols in compile: " + ", ".join(s.name for s in missing)
-        )
-    prelude = ""
-    if any(s.kind == "radical" for s in free) and S.R not in args:
-        prelude = "    R = _math.sqrt(u*u + v*v + w*w)\n"
-    src = f"def _fn({', '.join(names)}):\n{prelude}    return {body}\n"
+        raise EvalError("unbound symbols in compile: " + ", ".join(missing))
+    if S.R in free and S.R not in args:
+        if not all(s in args for s in (S.u, S.v, S.w)):
+            raise EvalError("R is unbound and u, v, w are not all arguments")
+        body.insert(0, "    R = _math.sqrt(u*u + v*v + w*w)\n")
+    names = ", ".join(s.name for s in args)
+    src = f"def _fn({names}):\n{''.join(body)}    return {operand[e]}\n"
     ns = {"_math": math}
     exec(src, ns)
     return ns["_fn"]
 
 
-def _pysrc(e: Expr) -> str:
-    if isinstance(e, Num):
-        if e.val.denominator == 1:
-            return f"({e.val.numerator})"
-        return f"({e.val.numerator}/{e.val.denominator})"
-    if isinstance(e, Symbol):
-        return e.name
+def _children(e: Expr) -> tuple:
     if isinstance(e, Add):
-        return "(" + " + ".join(_pysrc(t) for t in e.terms) + ")"
+        return e.terms
     if isinstance(e, Mul):
-        return "(" + " * ".join(_pysrc(f) for f in e.factors) + ")"
+        return e.factors
     if isinstance(e, Pow):
-        return f"({_pysrc(e.base)} ** ({e.n}))"
+        return (e.base,)
     if isinstance(e, Func):
-        return f"_math.{e.fn}({_pysrc(e.arg)})"
+        return (e.arg,)
     raise ExprError(f"cannot compile {type(e).__name__}")
+
+
+def _pysrc(e: Expr, operand: dict) -> str:
+    """One compound node over the operands of its children."""
+    if isinstance(e, Add):
+        return " + ".join(operand[t] for t in e.terms)
+    if isinstance(e, Mul):
+        return " * ".join(operand[f] for f in e.factors)
+    if isinstance(e, Pow):
+        return f"{operand[e.base]} ** {e.n}"
+    return f"_math.{e.fn}({operand[e.arg]})"
 
 
 # --- parser ------------------------------------------------------------------
@@ -1481,7 +1499,12 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        offset = parser.toks[min(parser.pos, len(parser.toks) - 1)][2]
+        raise ParseError("expression nested too deeply", offset) from None
 
 
 # --- printer -----------------------------------------------------------------

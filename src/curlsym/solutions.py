@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    EvalError,
     Expr,
     NotPolynomial,
     Num,
@@ -500,17 +499,11 @@ class NumericField:
 
 
 def numeric_field_from_solution(sol: FieldSolution) -> NumericField:
+    """Float evaluator of the exact field; compile_numeric raises EvalError
+    for a free symbol other than x, y, z and the bound parameters."""
     bindings = sol.binding_map()
     params = sorted(bindings, key=lambda s: s.order)
     args = [S.x, S.y, S.z] + params
-    leftover = set()
-    for c in sol.components():
-        leftover |= {
-            s for s in free_symbols(c) if s not in args and s.kind != "radical"
-        }
-    if leftover:
-        names = ", ".join(sorted(s.name for s in leftover))
-        raise EvalError(f"unbound parameters in field: {names}")
     fns = [compile_numeric(c, args) for c in sol.components()]
     vals = [bindings[p] for p in params]
 
@@ -651,26 +644,3 @@ def solution_table_json(table: SolutionTable) -> dict:
         "states": [[float(c) for c in row] for row in table.states],
         "blown_up": table.blown_up,
     }
-
-
-def field_grid_csv(field: NumericField, path: str, bounds, n: int = 11) -> None:
-    """Sample the field on an n^3 lattice over bounds = ((x0,x1),(y0,y1),(z0,z1));
-    each axis runs from lo to hi in n equal steps (n = 1 gives [lo])."""
-    axes = []
-    for lo, hi in bounds:
-        if n == 1:
-            axes.append([float(lo)])
-            continue
-        step = (hi - lo) / (n - 1)
-        axes.append([lo + k * step for k in range(n - 1)] + [float(hi)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "u", "v", "w"])
-        for x in axes[0]:
-            for y in axes[1]:
-                for z in axes[2]:
-                    u, v, w = field(float(x), float(y), float(z))
-                    writer.writerow(
-                        [f"{c:.12g}" for c in (x, y, z)]
-                        + [f"{c:.12g}" for c in (u, v, w)]
-                    )

@@ -216,6 +216,63 @@ def test_division_by_zero_is_bad_input(capsys, tmp_path, argv):
     assert err == "error: division by zero in rational normal form\n"
 
 
+def test_verify_solution_skips_overflowing_samples(capsys, tmp_path):
+    # exp(1000 x) overflows on part of [-2, 2]^3; those points are skipped
+    path = tmp_path / "field.txt"
+    path.write_text("exp(1000*x)\n0\n0\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path),
+                         "--system", "blair")
+    assert code == cli.EXIT_VERIFY
+    assert "verdict: FAIL" in out and "numeric" in out
+    assert err == ""
+
+
+def test_verify_solution_deep_horner_field(capsys, tmp_path):
+    # 110 nested factors: too deep for one parenthesised Python expression
+    text = "1"
+    for _ in range(110):
+        text = f"1+x*({text})"
+    path = tmp_path / "field.txt"
+    path.write_text(f"sin(y*({text}))\n0\n0\n")
+    code, out, _ = run(capsys, "verify-solution", "--sol", str(path),
+                       "--system", "blair")
+    assert code == cli.EXIT_VERIFY
+    assert "modes: numeric symbolic numeric numeric" in out
+
+
+def test_verify_solution_nested_too_deeply(capsys, tmp_path):
+    path = tmp_path / "field.txt"
+    path.write_text("(" * 200 + "x" + ")" * 200 + "\n0\n0\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_check_f_trig_of_zero_argument(capsys):
+    # sin(u - u) is 0, so this is the radial profile R
+    code, out, _ = run(capsys, "check-f", "--expr", "R + sin(u-u)")
+    assert code == cli.EXIT_OK
+    assert out.count("PASS:") == 4
+
+
+def test_check_f_sqrt_of_exp_gives_up_fast():
+    # sqrt(1 + exp(u)) has no exact form; the root search once ran for
+    # minutes before its step guard ended it
+    src = str(Path(curlsym.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "curlsym.cli", "check-f", "--expr", "sqrt(1+exp(u))"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: square root has no exact polynomial form: sqrt(exp(u) + 1)\n"
+    )
+
+
 def test_verify_generator_source_conflicts(capsys, tmp_path):
     path = tmp_path / "gen.txt"
     path.write_text("1\n0\n0\n0\n0\n0\n")

@@ -1,6 +1,7 @@
 """Kernel tests: trees, normal forms, rewrites, parser/printer, numerics."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from curlsym.expr import (
     cos,
     decide_zero,
     differentiate,
-    eval_numeric,
     exp,
     equal_exprs,
     free_symbols,
@@ -155,6 +155,21 @@ def test_sqrt_without_exact_form_raises():
         normalize(sqrt(1 + S.x))
 
 
+def test_poly_sqrt_stops_outside_the_exp_argument_range():
+    # the root would need exp(-u/2), exp(-3u/2), ...: u-coefficients
+    # outside [0, 1/2], half the range of those of 1 + exp(u)
+    assert poly_sqrt(normalize(1 + exp(S.u))) is None
+    assert poly_sqrt(normalize(exp(2 * S.u) + 1)) is None
+    p = normalize((exp(S.u) + exp(-S.u) + S.x) ** 2)
+    assert poly_sqrt(p) == normalize(exp(S.u) + exp(-S.u) + S.x)
+
+
+def test_trig_of_a_zero_argument_folds():
+    assert normalize(sin(S.x - S.x)) == normalize(E.ZERO)
+    assert normalize(cos(S.x - S.x) + S.y) == normalize(1 + S.y)
+    assert normalize(sin(sin(S.x - S.x))) == normalize(E.ZERO)
+
+
 # --- derivatives -------------------------------------------------------------
 
 
@@ -200,26 +215,65 @@ def test_substitution_into_functions():
 # --- numeric evaluation ------------------------------------------------------
 
 
-def test_eval_numeric_basic():
-    val = eval_numeric(S.x ** 2 + sin(S.y), {S.x: 2.0, S.y: 0.5})
-    assert abs(val - (4.0 + math.sin(0.5))) < 1e-15
+def test_compile_numeric_basic():
+    fn = compile_numeric(S.x ** 2 + sin(S.y), [S.x, S.y])
+    assert abs(fn(2.0, 0.5) - (4.0 + math.sin(0.5))) < 1e-15
 
 
 def test_eval_radical_computed_from_components():
-    val = eval_numeric(S.R, {S.u: 3.0, S.v: 4.0, S.w: 0.0})
-    assert abs(val - 5.0) < 1e-15
+    assert abs(compile_numeric(S.R, [S.u, S.v, S.w])(3.0, 4.0, 0.0) - 5.0) < 1e-15
+    # a bound R wins over the components
+    assert compile_numeric(S.R, [S.u, S.v, S.w, S.R])(3.0, 4.0, 0.0, 2.0) == 2.0
 
 
 def test_eval_unbound_symbol_raises():
-    with pytest.raises(EvalError):
-        eval_numeric(S.x + S.y, {S.x: 1.0})
+    with pytest.raises(EvalError, match="unbound symbols in compile: y"):
+        compile_numeric(S.x + S.y, [S.x])
+    # R is computed from u, v, w only when all three are arguments
+    with pytest.raises(EvalError, match="R"):
+        compile_numeric(S.R * S.x, [S.x, S.u])
 
 
 def test_compile_matches_eval():
     e = S.u * cos(S.x) + S.R / (1 + S.w ** 2)
     fn = compile_numeric(e, [S.x, S.u, S.v, S.w])
-    env = {S.x: 0.3, S.u: 1.0, S.v: -2.0, S.w: 0.7}
-    assert abs(fn(0.3, 1.0, -2.0, 0.7) - eval_numeric(e, env)) < 1e-14
+    want = 1.0 * math.cos(0.3) + math.sqrt(1.0 + 4.0 + 0.49) / (1 + 0.49)
+    assert abs(fn(0.3, 1.0, -2.0, 0.7) - want) < 1e-14
+
+
+def test_compile_numeric_has_no_nesting_limit():
+    # 150 nested factors y*(1 + x*(...)): one parenthesised expression
+    # would exceed the Python parser's nesting limit
+    e = E.ONE
+    for _ in range(150):
+        e = add(1, mul(S.x, e))
+    e = sin(mul(S.y, e))
+    fn = compile_numeric(e, [S.x, S.y])
+    h = 1.0
+    for _ in range(150):
+        h = 1 + 0.5 * h
+    assert fn(0.5, 0.25) == math.sin(0.25 * h)
+
+
+def test_compile_numeric_computes_a_shared_subtree_once(monkeypatch):
+    shared = sin(S.x + S.y)
+    fn = compile_numeric(shared * S.x + shared ** 2 + exp(shared), [S.x, S.y])
+    calls = []
+    real_sin = math.sin
+    monkeypatch.setattr(math, "sin", lambda a: calls.append(a) or real_sin(a))
+    got = fn(0.3, 0.4)
+    s = real_sin(0.3 + 0.4)
+    assert got == s * 0.3 + s ** 2 + math.exp(s)
+    assert calls == [0.3 + 0.4]
+
+
+def test_compile_numeric_raises_float_errors():
+    with pytest.raises(ZeroDivisionError):
+        compile_numeric(1 / S.x, [S.x])(0.0)
+    with pytest.raises(ValueError):
+        compile_numeric(sqrt(S.x), [S.x])(-1.0)
+    with pytest.raises(OverflowError):
+        compile_numeric(exp(S.x), [S.x])(1000.0)
 
 
 def test_decide_zero_modes():
@@ -240,6 +294,23 @@ def test_decide_zero_skips_nan_samples():
     e = sin(S.x * S.eps) + S.x * exp(S.y * S.eps)
     with pytest.raises(EvalError, match="enough valid sample points"):
         decide_zero(e, bindings={S.eps: math.nan})
+
+
+def test_decide_zero_worst_is_recomputed_from_the_seed():
+    # exp(400 x) overflows for x near 2; those points are skipped, and the
+    # worst of the rest equals a direct recomputation from the same draws
+    e = exp(400 * S.x) * sin(S.y) + S.eps
+    ok, mode, worst = decide_zero(e, samples=30, seed=7, bindings={S.eps: 0.5})
+    rng = random.Random(7)
+    values, skipped = [], 0
+    while len(values) < 30:
+        x, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        try:
+            values.append(abs(math.exp(400 * x) * math.sin(y) + 0.5))
+        except OverflowError:
+            skipped += 1
+    assert skipped > 0
+    assert (ok, mode, worst) == (False, "numeric", max(values))
 
 
 # --- parser and printer ------------------------------------------------------
@@ -284,6 +355,14 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as ei:
         parse("foo(x)")
     assert ei.value.offset == 0
+
+
+def test_parse_rejects_input_nested_too_deeply():
+    assert parse("(" * 100 + "x" + ")" * 100) == S.x
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 1000 + "x" + ")" * 1000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("sin(" * 1000 + "x" + ")" * 1000)
 
 
 def test_unknown_identifier_rejected():
@@ -337,6 +416,8 @@ def test_print_parse_round_trip(e):
 
 @settings(max_examples=60, deadline=None)
 @given(_expr_strategy())
+# sin(x - x) normalizes to 0, not to an atom sin(0) that rebuilds as 0
+@example(sin(sin(S.x - S.x)))
 def test_normalize_is_idempotent_where_defined(e):
     try:
         p1 = normalize(e)

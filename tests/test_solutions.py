@@ -18,11 +18,11 @@ from curlsym.solutions import (
     B1,
     B2,
     BUILTIN_SOLUTIONS,
+    FieldSolution,
     ReducedOde,
     ZERO_FIELD,
     annulus_sample_points,
     exact_translation_profile,
-    field_grid_csv,
     integrate_ode,
     numeric_field_from_solution,
     numeric_residuals,
@@ -178,6 +178,12 @@ def test_exact_rational_eps_stays_exact_for_translation():
 def test_unbound_symbolic_field_rejected_numerically():
     with pytest.raises(EvalError):
         numeric_field_from_solution(transform(B1, 2, S.eps))
+
+
+def test_field_with_unbound_radical_rejected_numerically():
+    # R is sqrt(u^2 + v^2 + w^2), and a field in x, y, z has no u, v, w
+    with pytest.raises(EvalError, match="R"):
+        numeric_field_from_solution(FieldSolution(S.R * S.x, S.y, S.z))
 
 
 def test_bad_family_index():
@@ -376,12 +382,3 @@ def test_table_csv_and_json_roundtrip(tmp_path):
     assert data["state"] == ["g", "h"]
     assert len(data["points"]) == len(table.points)
     assert data["blown_up"] is False
-
-
-def test_field_grid_csv(tmp_path):
-    f = numeric_field_from_solution(B1)
-    path = tmp_path / "grid.csv"
-    field_grid_csv(f, str(path), ((-1, 1), (-1, 1), (-1, 1)), n=3)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z,u,v,w"
-    assert len(lines) == 27 + 1
