@@ -54,7 +54,13 @@ class NotPolynomial(ExprError):
     """Raised when normalization meets something with no polynomial form."""
 
     def __init__(self, message: str, subtree: "Expr"):
-        super().__init__(f"{message}: {to_string(subtree)}")
+        # the printer recurses once per level, and a subtree that normalized
+        # near the recursion limit cannot be printed from inside it
+        try:
+            text = to_string(subtree)
+        except RecursionError:
+            text = "expression nested too deeply to print"
+        super().__init__(f"{message}: {text}")
         self.subtree = subtree
 
 
@@ -833,6 +839,13 @@ def ratform(num: Poly, den: Poly) -> RatForm:
 def _rat_add(a: RatForm, b: RatForm) -> RatForm:
     if a.den.terms == b.den.terms:
         return ratform(a.num + b.num, a.den)
+    # when one denominator divides the other (powers of one base, as in a
+    # translated field), the longer is already a common denominator
+    if len(a.den.terms) > 1 and len(b.den.terms) > 1:
+        big, small = (a, b) if len(a.den.terms) >= len(b.den.terms) else (b, a)
+        k = poly_div_exact(big.den, small.den)
+        if k is not None:
+            return ratform(big.num + small.num * k, big.den)
     return ratform(a.num * b.den + b.num * a.den, a.den * b.den)
 
 
@@ -901,6 +914,25 @@ def _exp_arg(mono: tuple) -> dict:
     return next((a.arg_poly.terms for a, _ in mono if _is_mergeable_exp(a)), {})
 
 
+def _exp_range(p: Poly) -> dict:
+    """{exp-argument monomial: (min, max) of its coefficient over p's terms}.
+
+    exp atoms grade a product by their arguments, so in these coordinates
+    the Newton polytope of a product is the sum of its factors' polytopes."""
+    args = [_exp_arg(m) for m in p.terms]
+    return {
+        k: (min(a.get(k, 0) for a in args), max(a.get(k, 0) for a in args))
+        for k in set().union(*args)
+    }
+
+
+def _in_range(mono: tuple, box: dict) -> bool:
+    arg = _exp_arg(mono)
+    return arg.keys() <= box.keys() and all(
+        lo <= arg.get(k, 0) <= hi for k, (lo, hi) in box.items()
+    )
+
+
 def poly_sqrt(p: Poly) -> Poly | None:
     """Exact square root of a polynomial normal form, or None.
 
@@ -913,11 +945,8 @@ def poly_sqrt(p: Poly) -> Poly | None:
     exp(-u/2), exp(-3u/2), ... up to the guard."""
     if p.is_zero():
         return Poly({})
-    args = [_exp_arg(m) for m in p.terms]
     box = {
-        k: (Fraction(min(a.get(k, 0) for a in args), 2),
-            Fraction(max(a.get(k, 0) for a in args), 2))
-        for k in set().union(*args)
+        k: (Fraction(lo, 2), Fraction(hi, 2)) for k, (lo, hi) in _exp_range(p).items()
     }
     lm, lc = p.leading()
     ms, cs = _mono_sqrt(lm), _frac_sqrt(lc)
@@ -934,9 +963,7 @@ def poly_sqrt(p: Poly) -> Poly | None:
         t_mono = _mono_div(rm, ms)
         if t_mono is None:
             return None
-        arg = _exp_arg(t_mono)
-        if not (arg.keys() <= box.keys()
-                and all(lo <= arg.get(k, 0) <= hi for k, (lo, hi) in box.items())):
+        if not _in_range(t_mono, box):
             return None
         t = Poly({t_mono: rc / (2 * cs)})
         q = q + t
@@ -969,14 +996,26 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
     the quotient, the None cases and the 4000-step guard's count are those
     of the sorted loop.
 
-    The guard must stay.  An exp atom divides every monomial (its inverse
-    is another exp atom), so the leading monomial need not reach an end:
-    1 / (1 + exp(x)) expands into exp(-x) - exp(-2*x) + ... forever
-    (test_div_exact_guard_counts_the_same_steps)."""
+    An exp atom divides every monomial (its inverse is another exp atom),
+    so the leading monomial need not reach an end: 1 / (1 + exp(x)) would
+    expand into exp(-x) - exp(-2*x) + ... forever.  For p = q d, Newt(p) =
+    Newt(q) + Newt(d) in the exp-argument coordinates, so each quotient
+    term's coefficient lies in [min_p - min_d, max_p - max_d]; the first
+    term outside that range returns None, and 1 / (1 + exp(x)) stops after
+    one step.  The guard stays: the range bounds only the exp arguments,
+    and the graded order the loop follows is not a monomial order once exp
+    atoms and the quadratic rewrites take part (exp(x)^2 = exp(2*x) counts
+    1 in the degree, R^2 becomes u^2 + v^2 + w^2), so nothing else proves
+    that the loop ends."""
     if d.is_zero():
         return None
     if p.is_zero():
         return Poly({})
+    rp, rd = _exp_range(p), _exp_range(d)
+    box = {}
+    for k in rp.keys() | rd.keys():
+        (p_lo, p_hi), (d_lo, d_hi) = rp.get(k, (0, 0)), rd.get(k, (0, 0))
+        box[k] = (p_lo - d_lo, p_hi - d_hi)
     dm, dc = d.leading()
     q: dict = {}
     r = dict(p.terms)
@@ -991,7 +1030,7 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
             heapq.heappop(heap)
         rm = heap[0][1]
         t_mono = _mono_div(rm, dm)
-        if t_mono is None:
+        if t_mono is None or not _in_range(t_mono, box):
             return None
         c = r[rm] / dc
         q[t_mono] = q.get(t_mono, Fraction(0)) + c

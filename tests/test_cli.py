@@ -256,16 +256,45 @@ def test_check_f_trig_of_zero_argument(capsys):
     assert out.count("PASS:") == 4
 
 
-def test_check_f_sqrt_of_exp_gives_up_fast():
-    # sqrt(1 + exp(u)) has no exact form; the root search once ran for
-    # minutes before its step guard ended it
+def run_fresh(*argv, timeout):
+    """The CLI as a fresh process, with the interpreter's own stack depth."""
     src = str(Path(curlsym.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "curlsym.cli", "check-f", "--expr", "sqrt(1+exp(u))"],
-        env=env, capture_output=True, text=True, timeout=10,
+    return subprocess.run(
+        [sys.executable, "-m", "curlsym.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_verify_solution_too_deep_to_print(tmp_path):
+    # 180 nested factors normalize, but |B| has no exact square root and
+    # the subtree in that message is too deep for the recursive printer
+    text = "1"
+    for _ in range(180):
+        text = f"1+x*({text})"
+    path = tmp_path / "field.txt"
+    path.write_text(f"sin(y*({text}))\n0\n0\n")
+    proc = run_fresh("verify-solution", "--sol", str(path), "--system", "curl-absB",
+                     timeout=60)
+    assert proc.returncode == cli.EXIT_VERIFY
+    assert "verdict: FAIL" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_verify_solution_translated_b2():
+    # every denominator is a power of (x - p)^2 + y^2 + z^2 + 1
+    proc = run_fresh("verify-solution", "--sol", "B2", "--system", "curl-absB",
+                     "--transform", "4", "--eps", "0.3", timeout=20)
+    assert proc.returncode == cli.EXIT_OK
+    assert "residuals: 0 0 0\nmodes: symbolic symbolic symbolic\n" in proc.stdout
+    assert "verdict: PASS" in proc.stdout
+
+
+def test_check_f_sqrt_of_exp_gives_up_fast():
+    # sqrt(1 + exp(u)) has no exact form; the root search once ran for
+    # minutes before its step guard ended it
+    proc = run_fresh("check-f", "--expr", "sqrt(1+exp(u))", timeout=10)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr == (

@@ -442,10 +442,16 @@ def _build_poly(terms):
     return acc
 
 
-def _poly_strategy(max_terms=4):
+# a denominator carries no R, b or sin atom: ratform conjugates them away
+_DEN_ATOMS = [
+    i for i, a in enumerate(_POLY_ATOMS) if a not in (S.R, S.b, sin(S.x + S.y))
+]
+
+
+def _poly_strategy(max_terms=4, atoms=range(len(_POLY_ATOMS))):
     """Small normal forms; products go through the kernel, so R^2, b^2,
     sin^2 and exp products are rewritten."""
-    factor = st.tuples(st.integers(0, len(_POLY_ATOMS) - 1), st.integers(1, 2))
+    factor = st.tuples(st.sampled_from(atoms), st.integers(1, 2))
     term = st.tuples(
         st.integers(-4, 4).filter(bool), st.lists(factor, max_size=3)
     )
@@ -454,11 +460,24 @@ def _poly_strategy(max_terms=4):
 
 def _sorted_div_exact(p, d):
     """The division loop that sorts the whole remainder at every step: the
-    reference for `poly_div_exact`."""
+    reference for `poly_div_exact`.  A quotient term's exp-argument
+    coefficients must lie in [min_p - min_d, max_p - max_d]."""
     if d.is_zero():
         return None
     if p.is_zero():
         return E.Poly({})
+    p_args = [E._exp_arg(m) for m in p.terms]
+    d_args = [E._exp_arg(m) for m in d.terms]
+    keys = set().union(*p_args, *d_args)
+
+    def coords(args, k):
+        return [a.get(k, 0) for a in args]
+
+    box = {
+        k: (min(coords(p_args, k)) - min(coords(d_args, k)),
+            max(coords(p_args, k)) - max(coords(d_args, k)))
+        for k in keys
+    }
     dm, dc = d.sorted_terms()[0]
     q = {}
     r = p
@@ -470,6 +489,11 @@ def _sorted_div_exact(p, d):
         rm, rc = r.sorted_terms()[0]
         t_mono = E._mono_div(rm, dm)
         if t_mono is None:
+            return None
+        arg = E._exp_arg(t_mono)
+        if not set(arg) <= keys or any(
+            not lo <= arg.get(k, 0) <= hi for k, (lo, hi) in box.items()
+        ):
             return None
         c = rc / dc
         q[t_mono] = q.get(t_mono, Fraction(0)) + c
@@ -522,11 +546,30 @@ def test_div_exact_quotient_multiplies_back(q, d):
         assert got * d == p
 
 
-def test_div_exact_guard_counts_the_same_steps():
-    # exp atoms always divide, so 1 / (1 + exp(x)) never ends without the guard
+def test_div_exact_stops_outside_the_exp_argument_range():
+    # exp atoms always divide, so 1 / (1 + exp(x)) would expand forever;
+    # its first quotient term exp(-x) lies outside [0 - 0, 0 - 1]
     p, d = normalize(Num(Fraction(1))), normalize(1 + exp(S.x))
-    assert _steps(E.poly_div_exact, p, d) == (None, 4000)
-    assert _steps(_sorted_div_exact, p, d) == (None, 4000)
+    assert _steps(E.poly_div_exact, p, d) == (None, 1)
+    assert _steps(_sorted_div_exact, p, d) == (None, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_strategy(), _poly_strategy(),
+       _poly_strategy(atoms=_DEN_ATOMS), _poly_strategy(atoms=_DEN_ATOMS))
+def test_rat_add_over_a_shared_denominator(n1, n2, d, k):
+    # n1/(d k) + n2/d = (n1 + n2 k)/(d k), over d k when d divides it
+    if d.is_constant() or (d * k).is_zero():
+        return
+    r = E._rat_add(E.RatForm(n1, d * k), E.RatForm(n2, d))
+    assert r.num * (d * k) == (n1 + n2 * k) * r.den
+
+
+def test_rat_add_keeps_the_square_as_denominator():
+    d = normalize(S.x ** 2 + S.y ** 2 + S.z ** 2 + 1)
+    rf = as_ratform(parse("1/(x^2+y^2+z^2+1) + 1/(x^2+y^2+z^2+1)^2"))
+    assert rf.den == d * d
+    assert rf.num == d + E.poly_const(Fraction(1))
 
 
 class _FullCache(dict):
