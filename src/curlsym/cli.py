@@ -415,6 +415,8 @@ def _parse_eps(text: str):
 def cmd_verify_solution(args):
     _check_sampling(args)
     sol = _load_solution(args.sol)
+    if args.transform is None and args.eps is not None:
+        raise CliInputError("--eps needs --transform")
     if args.transform is not None:
         if args.eps is None:
             raise CliInputError("--transform needs --eps")

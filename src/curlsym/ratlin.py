@@ -4,8 +4,9 @@ One elimination core on sparse rows, dicts {column: Fraction} of the
 nonzero entries, so the work follows the nonzeros and not the width.
 First-nonzero pivoting and full back-substitution give the unique reduced
 row echelon form, so nullspace bases come out in a reproducible order.
-Public functions take and return lists of Fractions (`nullspace` also
-takes sparse rows); no floats anywhere.
+Rows come in as dense lists or as sparse dicts (`rref`: dense only), and
+results are lists of Fractions; no floats anywhere.  The width is taken
+from the rows, except that `nullspace` of sparse rows needs `ncols`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ def _sparse(matrix):
          for j, e in (row.items() if isinstance(row, dict) else enumerate(row)) if e}
         for row in matrix
     ]
+
+
+def _width(rows):
+    """One past the last nonzero column of sparse rows."""
+    return 1 + max((max(row) for row in rows if row), default=-1)
 
 
 def _subtract(row, f, other):
@@ -73,7 +79,8 @@ def rref(matrix, cols: int | None = None):
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    rows = _sparse(matrix)
+    return len(_reduce(rows, _width(rows))[1])
 
 
 def primitive(vec):
@@ -132,14 +139,16 @@ def coordinates_in_rowspan(rows, target):
 
 def rowspan_coordinates(rows, targets):
     """`coordinates_in_rowspan` for each target, reducing the rows once."""
+    rows, targets = _sparse(rows), _sparse(targets)
     if not rows:
-        return [None if any(e != 0 for e in t) else [] for t in targets]
-    n = len(rows[0])
+        return [None if t else [] for t in targets]
+    # bookkeeping columns n + i, right of every column of rows and targets
+    n = _width(rows + targets)
     red, pivots = _reduce(
-        [{**row, n + i: Fraction(1)} for i, row in enumerate(_sparse(rows))], n
+        [{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], n
     )
     out = []
-    for t in _sparse(targets):
+    for t in targets:
         for row, pc in zip(red, pivots):
             if pc in t:
                 _subtract(t, t[pc], row)

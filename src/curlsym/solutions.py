@@ -394,6 +394,7 @@ class SolutionTable:
 
 
 _BLOWUP_NORM = 1e6
+_MAX_STEPS = 1_000_000
 
 
 def integrate_ode(
@@ -405,8 +406,10 @@ def integrate_ode(
     """Classical fixed-step RK4 over span = (t0, t1).
 
     Stores the RHS slope at every node for reconstruction.  A state norm
-    above 1e6, or a NaN state, truncates the table and raises the blow-up
-    flag.  Raises ValueError for a non-finite initial state, span or step.
+    above 1e6, a NaN state, or an arithmetic error (overflow) in a step
+    truncates the table and raises the blow-up flag.  Raises ValueError for
+    a non-finite initial state, span or step, for more than 1,000,000
+    steps, and for an arithmetic error at the initial state.
     """
     import numpy as np
 
@@ -421,6 +424,9 @@ def integrate_ode(
         raise ValueError("empty integration span")
     if ode.kind == "rotation" and t0 <= 0:
         raise ValueError("rotation profile is singular at r = 0; start at r > 0")
+    # counted before anything is allocated; the ratio may be inf
+    if (t1 - t0) / step > _MAX_STEPS:
+        raise ValueError(f"span / step needs more than {_MAX_STEPS} RK4 steps")
 
     args = list(ode.state) + [ode.independent]
     fns = [compile_numeric(e, args) for e in ode.rhs]
@@ -428,31 +434,42 @@ def integrate_ode(
     def rhs(t, s):
         return tuple(fn(*s, t) for fn in fns)
 
+    try:
+        slope = rhs(t0, y0)
+    except ArithmeticError as e:
+        raise ValueError(
+            f"right-hand side fails at the initial state ({type(e).__name__})"
+        ) from None
     ts = [t0]
     ys = [y0]
-    ss = [rhs(t0, ys[0])]
+    ss = [slope]
     blown = False
 
+    # full steps, then one short step onto t1 unless the last lands on it
     n_full = int(math.floor((t1 - t0) / step + 1e-12))
-    targets = [t0 + (i + 1) * step for i in range(n_full)]
-    if not targets or targets[-1] < t1 - 1e-12:
-        targets.append(t1)
+    n_steps = n_full + (not n_full or t0 + n_full * step < t1 - 1e-12)
 
-    t, y = t0, ys[0]
-    for tn in targets:
+    t, y = t0, y0
+    for i in range(n_steps):
+        tn = t0 + (i + 1) * step if i < n_full else t1
         h = tn - t
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k1)))
-        k3 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k2)))
-        k4 = rhs(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
-        y = tuple(
-            yi + h / 6 * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
+        try:
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k1)))
+            k3 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k2)))
+            k4 = rhs(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
+            y = tuple(
+                yi + h / 6 * (a + 2 * b + 2 * c + d)
+                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+            )
+            slope = rhs(tn, y)
+        except ArithmeticError:
+            blown = True
+            break
         t = tn
         ts.append(t)
         ys.append(y)
-        ss.append(rhs(t, y))
+        ss.append(slope)
         # written so that a NaN component also counts as blown up
         if not all(abs(c) <= _BLOWUP_NORM for c in y):
             blown = True

@@ -42,7 +42,6 @@ from .expr import (
     monomial_expr,
     mul,
     normalize,
-    poly_const,
     substitute,
     _atom_sort_key,
     _freeze,
@@ -250,19 +249,16 @@ def _mono_key(m: tuple) -> tuple:
     return tuple((_atom_sort_key(a), e) for a, e in m)
 
 
-def _mono_sort_index(polys):
-    monos = sorted({m for p in polys for m in p.terms}, key=_mono_key)
-    return {m: i for i, m in enumerate(monos)}
+def sparse_rows(*groups):
+    """Each group of rows of Polys as sparse rows {column: coefficient},
+    with one column per (position in the row, monomial) met in any group.
 
-
-def _vectorize(polys, index):
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(index)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    return rows
+    Column order is the order of meeting, so the rows serve only questions
+    that do not depend on it: rank, span equality and coordinates."""
+    cols: dict = {}
+    return [[{cols.setdefault((i, m), len(cols)): c
+              for i, p in enumerate(row) for m, c in p.terms.items()}
+             for row in rows] for rows in groups]
 
 
 @dataclass
@@ -285,24 +281,20 @@ def determining_systems_equivalent(a, b) -> EquivalenceReport:
     certify that each system rewrites to the other."""
     pa = [as_ratform(e).num.monic() for e in a]
     pb = [as_ratform(e).num.monic() for e in b]
-    bare_a = [p for p in pa if _is_bare_identity(p)]
-    bare_b = [p for p in pb if _is_bare_identity(p)]
-    index = _mono_sort_index(bare_a + bare_b)
-    identity_ok = ratlin.span_equal(
-        _vectorize(bare_a, index), _vectorize(bare_b, index)
-    )
+    identity_ok = ratlin.span_equal(*sparse_rows(
+        [[p] for p in pa if _is_bare_identity(p)],
+        [[p] for p in pb if _is_bare_identity(p)],
+    ))
 
     def _reduced(exprs):
         out = []
         for e in exprs:
             p = as_ratform(substitute(e, _GRADIENT_SUBS)).num
             if not p.is_zero():
-                out.append(p.monic())
+                out.append([p.monic()])
         return out
 
-    ra, rb = _reduced(a), _reduced(b)
-    rindex = _mono_sort_index(ra + rb)
-    reduced_ok = ratlin.span_equal(_vectorize(ra, rindex), _vectorize(rb, rindex))
+    reduced_ok = ratlin.span_equal(*sparse_rows(_reduced(a), _reduced(b)))
     return EquivalenceReport(
         ok=identity_ok and reduced_ok,
         identity_spans_match=identity_ok,
@@ -398,21 +390,40 @@ def solve_ansatz_from_equations(
     return _ansatz_from_polys(polys, degree)
 
 
-def _append_distinct(rows, seen, cells):
-    """Append each nonzero row of `cells` (monomial -> {column: coefficient})
-    not seen before, as a sparse dict in column order."""
-    for cols in cells.values():
-        key = tuple(sorted((col, c) for col, c in cols.items() if c))
-        if key and key not in seen:
-            seen.add(key)
-            rows.append(dict(key))
+def _slot_nullspace(conditions, nslots: int):
+    """Exact nullspace of linear conditions on `nslots` unknown slots.
+
+    Each condition is an iterable of (slot, Poly) pairs and says that the
+    sum of slot value times Poly vanishes identically: every monomial of it
+    gives one row over the slots, and a row met before is kept once."""
+    rows = {}
+    for condition in conditions:
+        cells: dict = {}
+        for slot, p in condition:
+            for m, c in p.terms.items():
+                cell = cells.setdefault(m, {})
+                cell[slot] = cell.get(slot, Fraction(0)) + c
+        for cell in cells.values():
+            key = tuple(sorted((slot, c) for slot, c in cell.items() if c))
+            if key:
+                rows.setdefault(key, None)
+    return ratlin.nullspace([dict(key) for key in rows], nslots)
+
+
+def _slot_polys(slots, vec, nparts: int) -> list:
+    """A nullspace vector as one polynomial per part: the slot (part, m)
+    with value c adds the term c*m to that part."""
+    parts = [{} for _ in range(nparts)]
+    for (part, m), c in zip(slots, vec):
+        if c:
+            parts[part][m] = c
+    return [Poly(terms) for terms in parts]
 
 
 def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
     base_vars = (S.x, S.y, S.z, S.u, S.v, S.w)
     monos = monomials_up_to(degree, base_vars)
     slots = [(ci, m) for ci in range(6) for m in monos]
-    slot_index = {sm: i for i, sm in enumerate(slots)}
 
     # per-monomial values of the formal symbols: the function itself and
     # its six first partials
@@ -424,68 +435,27 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
             vals[var] = normalize(differentiate(me, var))
         mono_vals[m] = vals
 
-    formals = list(_SLOT_MAP)
-    rows_seen = set()
-    rows = []
-    for eq in eqs:
-        dec = decompose_linear(eq, formals)
-        # accumulate: result monomial -> slot -> coefficient
-        cells: dict = {}
-        for sym, coefpoly in dec.items():
+    def condition(eq):
+        for sym, coefpoly in decompose_linear(eq, _SLOT_MAP).items():
             ci, var = _SLOT_MAP[sym]
-            for m in monos:
+            for k, m in enumerate(monos):
                 val = mono_vals[m][var]
-                if val.is_zero():
-                    continue
-                prod = coefpoly * val
-                col = slot_index[(ci, m)]
-                for rm, rc in prod.terms.items():
-                    cells.setdefault(rm, {})
-                    cells[rm][col] = cells[rm].get(col, Fraction(0)) + rc
-        _append_distinct(rows, rows_seen, cells)
+                if not val.is_zero():
+                    yield ci * len(monos) + k, coefpoly * val
 
-    vectors = ratlin.nullspace(rows, len(slots))
-    gens = []
-    for vec in vectors:
-        coeffs = [poly_const(Fraction(0)) for _ in range(6)]
-        for (ci, m), val in zip(slots, vec):
-            if val:
-                coeffs[ci] = coeffs[ci] + Poly({m: val})
-        gens.append(GeneratorField(*[p.to_expression() for p in coeffs]))
+    vectors = _slot_nullspace(map(condition, eqs), len(slots))
+    gens = [GeneratorField(*[p.to_expression() for p in _slot_polys(slots, vec, 6)])
+            for vec in vectors]
     return AnsatzResult(generators=gens, slots=slots, vectors=vectors)
 
 
-def generator_span_matrix(gens, degree: int | None = None):
-    """Vectorize polynomial generators over a shared slot basis, for exact
-    span comparisons."""
-    polys = []
-    deg = 0
-    for g in gens:
-        row = [normalize(c) for c in g.as_tuple()]
-        polys.append(row)
-        for p in row:
-            deg = max(deg, p.degree())
-    if degree is not None:
-        deg = max(deg, degree)
-    monos = monomials_up_to(deg, (S.x, S.y, S.z, S.u, S.v, S.w))
-    index = {m: i for i, m in enumerate(monos)}
-    out = []
-    for row in polys:
-        vec = [Fraction(0)] * (6 * len(monos))
-        for ci, p in enumerate(row):
-            for m, c in p.terms.items():
-                if m not in index:
-                    raise ExprError("generator coefficient is not polynomial "
-                                    "in the base variables at this degree")
-                vec[ci * len(monos) + index[m]] = c
-        out.append(vec)
-    return out
+def _coefficient_polys(gens):
+    return [[normalize(c) for c in g.as_tuple()] for g in gens]
 
 
 def generator_spans_equal(a, b) -> bool:
-    a = list(a)
-    mat = generator_span_matrix(a + list(b))
-    return ratlin.span_equal(mat[: len(a)], mat[len(a):])
+    return ratlin.span_equal(*sparse_rows(_coefficient_polys(a),
+                                          _coefficient_polys(b)))
 
 
 def coordinates_in_basis(basis, gen: GeneratorField):
@@ -495,9 +465,8 @@ def coordinates_in_basis(basis, gen: GeneratorField):
 
 def basis_coordinates(basis, gens):
     """`coordinates_in_basis` for each of gens, reducing the basis once."""
-    basis = list(basis)
-    mat = generator_span_matrix(basis + list(gens))
-    return ratlin.rowspan_coordinates(mat[: len(basis)], mat[len(basis):])
+    return ratlin.rowspan_coordinates(*sparse_rows(_coefficient_polys(basis),
+                                                   _coefficient_polys(gens)))
 
 
 # --- constraints on the scalar profile ---------------------------------------
@@ -507,23 +476,20 @@ def f_constraints_from_group(gens, include_div: bool = True):
     """Run the basis through the formal-profile systems and collect the
     surviving conditions on (f, f_u, f_v, f_w).
 
-    Coefficients are split by free-jet monomials, then by base-coordinate
-    monomials; common monomial content is dropped and each condition made
-    monic, so the family conditions come out in a canonical shape."""
+    The determining conditions of each generator are split further by
+    base-coordinate monomials; common monomial content is dropped and each
+    condition made monic, so the family conditions come out in a canonical
+    shape."""
     system = blair_system(None) if include_div else curl_system(None)
     seen = {}
     for gen in gens:
-        for resid in invariance_residuals(system, gen):
-            num = _numerator(resid)
-            for _, coef in collect_poly(num, system.free_jets).items():
-                for _, sub in collect_poly(coef, (S.x, S.y, S.z)).items():
-                    if sub.is_zero():
-                        continue
-                    content = sub.content_monomial()
-                    if content:
-                        sub = sub.divide_monomial(content)
-                    eq = sub.monic()
-                    seen.setdefault(_poly_key(eq), eq)
+        for cond in determining_polys(system, gen):
+            for sub in collect_poly(cond, (S.x, S.y, S.z)).values():
+                content = sub.content_monomial()
+                if content:
+                    sub = sub.divide_monomial(content)
+                eq = sub.monic()
+                seen.setdefault(_poly_key(eq), eq)
     return [seen[k].to_expression() for k in sorted(seen)]
 
 
@@ -535,13 +501,12 @@ def solve_f_family(constraints, degree: int = 2):
     """Profiles f = p(u, v, w) + q(u, v, w) R with deg p <= degree and
     deg q <= degree - 1 satisfying every constraint; exact nullspace basis."""
     comps = (S.u, S.v, S.w)
-    p_monos = monomials_up_to(degree, comps)
-    q_monos = monomials_up_to(max(degree - 1, 0), comps)
-    slots = [("p", m) for m in p_monos] + [("q", m) for m in q_monos]
+    slots = ([(0, m) for m in monomials_up_to(degree, comps)]
+             + [(1, m) for m in monomials_up_to(max(degree - 1, 0), comps)])
 
-    def slot_values(kind, m):
+    def slot_values(part, m):
         me = monomial_expr(m)
-        fval = me if kind == "p" else mul(me, S.R)
+        fval = me if part == 0 else mul(me, S.R)
         return {
             S.f: fval,
             S.f_u: differentiate(fval, S.u),
@@ -549,34 +514,16 @@ def solve_f_family(constraints, degree: int = 2):
             S.f_w: differentiate(fval, S.w),
         }
 
-    rows = []
-    rows_seen = set()
-    for c in constraints:
-        cpoly = normalize(c)
+    def condition(c):
         # guard: conditions must be linear homogeneous in the f symbols
-        decompose_linear(cpoly, F_SYMBOLS)
-        cells: dict = {}
-        for col, (kind, m) in enumerate(slots):
-            # multiply by R so every slot's contribution is polynomial and
-            # all slots of one condition share the same overall scale
-            contrib = normalize(mul(S.R, substitute(c, slot_values(kind, m))))
-            for rm, rc in contrib.terms.items():
-                cells.setdefault(rm, {})
-                cells[rm][col] = cells[rm].get(col, Fraction(0)) + rc
-        _append_distinct(rows, rows_seen, cells)
+        decompose_linear(normalize(c), F_SYMBOLS)
+        # multiply by R so every slot's contribution is polynomial and
+        # all slots of one condition share the same overall scale
+        return [(col, normalize(mul(S.R, substitute(c, slot_values(*slot)))))
+                for col, slot in enumerate(slots)]
 
     family = []
-    for vec in ratlin.nullspace(rows, len(slots)):
-        p_poly = poly_const(Fraction(0))
-        q_poly = poly_const(Fraction(0))
-        for (kind, m), val in zip(slots, vec):
-            if not val:
-                continue
-            if kind == "p":
-                p_poly = p_poly + Poly({m: val})
-            else:
-                q_poly = q_poly + Poly({m: val})
-        family.append(
-            (p_poly.to_expression() + mul(q_poly.to_expression(), S.R))
-        )
+    for vec in _slot_nullspace(map(condition, constraints), len(slots)):
+        p, q = _slot_polys(slots, vec, 2)
+        family.append(p.to_expression() + mul(q.to_expression(), S.R))
     return family

@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -256,14 +257,19 @@ def test_check_f_trig_of_zero_argument(capsys):
     assert out.count("PASS:") == 4
 
 
-def run_fresh(*argv, timeout):
-    """The CLI as a fresh process, with the interpreter's own stack depth."""
+def fresh_env():
+    """The environment of a fresh process that imports this curlsym."""
     src = str(Path(curlsym.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_fresh(*argv, timeout):
+    """The CLI as a fresh process, with the interpreter's own stack depth."""
     return subprocess.run(
         [sys.executable, "-m", "curlsym.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=fresh_env(), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -496,6 +502,9 @@ def test_verify_solution_transform_argument_errors(capsys):
     assert code == cli.EXIT_INPUT
     code, _, _ = run(capsys, "verify-solution", "--sol", "B1", "--transform", "2")
     assert code == cli.EXIT_INPUT
+    code, out, err = run(capsys, "verify-solution", "--sol", "B1", "--eps", "0.3")
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err == "error: --eps needs --transform\n"
 
 
 # --- reduce ------------------------------------------------------------------
@@ -559,12 +568,27 @@ def test_reduce_rotation_rejects_checks_that_check_nothing(capsys, extra):
     (["--range", "0", "inf"], "span"),
     (["--range", "0.01", "nan"], "span"),
     (["--step", "nan"], "step"),
-], ids=["ic-nan", "range-inf", "range-nan", "step-nan"])
+    (["--step", "5e-324", "--range", "0", "1"], "steps"),
+    (["--step", "1e-300", "--range", "0", "1e-290"], "steps"),
+    (["--ic", "1e200", "0"], "initial state"),
+], ids=["ic-nan", "range-inf", "range-nan", "step-nan", "steps-inf",
+        "steps-1e10", "ic-overflows"])
 def test_reduce_rejects_non_finite_inputs(capsys, extra, name):
     code, out, err = run(capsys, "reduce", "--kind", "translation", *extra)
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, ic, rows", [
+    ("translation", "1e150", 1),  # the first step overflows
+    ("rotation", "1e150", 1),
+    ("translation", "1e7", 2),  # the first step leaves the norm bound
+])
+def test_reduce_overflow_is_a_blow_up(capsys, kind, ic, rows):
+    code, out, err = run(capsys, "reduce", "--kind", kind, "--ic", ic, "0")
+    assert code == cli.EXIT_VERIFY
+    assert f"rows: {rows}, blown_up: True" in out and err == ""
 
 
 def test_reduce_rotation_rejects_singular_start(capsys):
@@ -735,15 +759,32 @@ def test_symbolic_commands_load_no_numpy_or_scipy(run):
     """numpy is imported only for the RK4 table of `reduce`, so a fresh
     process that imports the CLI, runs a symbolic command or the float
     adjoint loads neither numpy nor scipy."""
-    src = str(Path(curlsym.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = (
         f"import json, sys\n{run}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('numpy', 'scipy'))))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# --- benchmark tracer ---------------------------------------------------------
+
+
+def test_benchmark_tracer_finds_every_traced_function(tmp_path):
+    """perfbench/tracer.py wraps program functions by name, so deleting or
+    renaming one of them must fail here and not only in the traced runs.
+    Every traced key gets an entry in `calls`, called or not."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = runpy.run_path(str(tracer))["TARGETS"]
+    keys = {"fixtures.load" if fns == "load_*" else f"{mod}.{fn}"
+            for mod, fns in targets.items() for fn in fns}
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "--", "check-f", "--expr", "R"],
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(spans.read_text())["calls"]) == keys

@@ -10,6 +10,7 @@ from curlsym.ratlin import (
     nullspace,
     primitive,
     rank,
+    rowspan_coordinates,
     rref,
     span_equal,
 )
@@ -79,6 +80,11 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def as_sparse(matrix):
+    """The rows as sparse dicts {column: value} of their nonzero entries."""
+    return [{j: e for j, e in enumerate(row) if e} for row in matrix]
+
+
 dense_matrices = st.lists(
     st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
     min_size=1,
@@ -96,9 +102,11 @@ def test_nullspace_vectors_annihilate(matrix):
             assert dot(row, vec) == 0
     # rank-nullity
     assert rank(m) + len(ns) == len(m[0])
-    # the same rows as sparse dicts {column: value} give the same basis
-    sparse = [{j: e for j, e in enumerate(row) if e} for row in m]
+    # the same rows as sparse dicts {column: value} give the same answers
+    sparse = as_sparse(m)
     assert nullspace(sparse, len(m[0])) == ns
+    assert rank(sparse) == rank(m)
+    assert span_equal(sparse, sparse[1:]) == span_equal(m, m[1:])
 
 
 @settings(max_examples=80, deadline=None)
@@ -144,3 +152,7 @@ def test_coordinates_in_dependent_rows_reproduce_the_target(matrix, data):
     e = [Fraction(j == unit) for j in range(len(rows[0]))]
     inside = rank(rows + [e]) == rank(rows)
     assert (coordinates_in_rowspan(rows, e) is not None) == inside
+    # sparse rows and targets, whose width is taken from the rows and targets
+    assert rowspan_coordinates(as_sparse(rows), as_sparse([target, e])) == [
+        coeffs, coordinates_in_rowspan(rows, e)]
+    assert rank(as_sparse(rows + [e])) == rank(rows + [e])

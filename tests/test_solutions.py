@@ -261,6 +261,9 @@ def test_integration_argument_checks():
         ((0.0, 1.0), (0.5, math.nan), 1e-3, "span"),
         ((0.0, 1.0), (0.5, 1.0), math.nan, "step"),
         ((0.0, 1.0), (0.5, 1.0), math.inf, "step"),
+        # too many steps, refused before the targets are laid out
+        ((0.0, 1.0), (0.5, 1.5), 5e-324, "steps"),
+        ((0.0, 1.0), (1e-290, 2e-290), 1e-300, "steps"),
     ]:
         with pytest.raises(ValueError, match=name):
             integrate_ode(ode, initial, span, step)

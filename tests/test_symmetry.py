@@ -38,8 +38,8 @@ def test_formal_determining_system_size_and_rank():
     eqs = sy.determining_polys(_curl_formal())
     assert len(eqs) == 15
     # one linear dependency: the system spans a 14-dimensional space
-    index = sy._mono_sort_index(eqs)
-    assert ratlin.rank(sy._vectorize(eqs, index)) == 14
+    (rows,) = sy.sparse_rows([[p] for p in eqs])
+    assert ratlin.rank(rows) == 14
 
 
 def test_determining_system_matches_reference_modulo_identities():
