@@ -1,105 +1,100 @@
 """Exact linear algebra over the rationals.
 
-One elimination core on sparse rows, dicts {column: Fraction} of the
-nonzero entries, so the work follows the nonzeros and not the width.
-First-nonzero pivoting and full back-substitution give the unique reduced
-row echelon form, so nullspace bases come out in a reproducible order.
-Rows come in as dense lists or as sparse dicts (`rref`: dense only), and
-results are lists of Fractions; no floats anywhere.  The width is taken
-from the rows, except that `nullspace` of sparse rows needs `ncols`.
+One fraction-free elimination core.  Rows come in as dense lists or sparse
+dicts {column: value} of ints or Fractions, and each becomes a primitive
+integer dict once: times the lcm of its denominators, over the gcd of its
+entries.  Rows are inserted one at a time into the reduced row echelon
+form of those before them.  Every pivot row is zero in every other pivot
+column, so one pass over the pivots a new row meets reduces it; a row left
+nonzero adds a pivot at its first column and clears that column from the
+other pivot rows.  A combination a*row - b*prow takes a and b as the two
+entries over their gcd, and its content is removed (fraction-free
+elimination, Bareiss, Math. Comp. 22 (1968) 565-578).
+
+A matrix has exactly one RREF, whose pivot columns are the leading columns
+of the row space whatever the row order, so `rref`, `rank` and the
+primitive `nullspace` vectors (coprime integers, first nonzero positive)
+do not depend on the order the rows arrive in.  Fractions appear only on
+output; no floats anywhere.  The width is taken from the rows, except that
+`nullspace` of sparse rows needs `ncols`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, lcm
 
 
-def _sparse(matrix):
-    """Sparse copies of the rows, each a dense list or a dict {column: value}."""
-    return [
-        {j: Fraction(e)
-         for j, e in (row.items() if isinstance(row, dict) else enumerate(row)) if e}
-        for row in matrix
-    ]
+def _items(row):
+    """(column, value) pairs of a dense list or a dict {column: value}."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
-def _width(rows):
-    """One past the last nonzero column of sparse rows."""
-    return 1 + max((max(row) for row in rows if row), default=-1)
+def _content_free(row):
+    """An integer dict divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: e // g for j, e in row.items()} if g > 1 else row
 
 
-def _subtract(row, f, other):
-    """row -= f * other in place, dropping entries that cancel."""
-    for j, e in other.items():
-        v = row.get(j, 0) - f * e
+def _integer(row):
+    """A positive multiple of the row as a primitive integer dict."""
+    items = [(j, e) for j, e in _items(row) if e]
+    den = lcm(*(e.denominator for _, e in items))
+    return _content_free({j: e.numerator * (den // e.denominator) for j, e in items})
+
+
+def _combine(row, prow, c):
+    """a*row - b*prow with column c cancelled, a > 0, content removed."""
+    x, p = row[c], prow[c]
+    g = gcd(x, p)
+    a, b = p // g, x // g
+    out = {j: a * e for j, e in row.items()} if a != 1 else dict(row)
+    for j, e in prow.items():
+        v = out.get(j, 0) - b * e
         if v:
-            row[j] = v
+            out[j] = v
         else:
-            del row[j]
+            del out[j]
+    return _content_free(out)
 
 
-def _reduce(rows, ncols):
-    """Reduced row echelon form of sparse rows, reduced in place:
-    (nonzero rows, pivots).  Pivots as in `rref`, below column `ncols`."""
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if p is None:
+def _reduce(rows, ncols=inf):
+    """The RREF of the rows as {pivot column: primitive integer row}, each
+    pivot entry positive.  Pivots lie below column `ncols`; a row that has
+    no entry there after reduction is dropped."""
+    pivots = {}
+    for row in rows:
+        row = _integer(row)
+        for c in [c for c in row if c in pivots]:
+            row = _combine(row, pivots[c], c)
+        lead = min((j for j in row if j < ncols), default=None)
+        if lead is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        prow = rows[r] = {j: e / pv for j, e in rows[r].items()}
-        for row in rows[r + 1:]:
-            if c in row:
-                _subtract(row, row[c], prow)
-        pivots.append(c)
-    # later pivot rows are zero in every other pivot column: one pass each
-    where = {c: k for k, c in enumerate(pivots)}
-    for k in range(len(pivots) - 2, -1, -1):
-        row = rows[k]
-        for c in [c for c in row if c in where and c != pivots[k]]:
-            _subtract(row, row[c], rows[where[c]])
-    return rows[: len(pivots)], pivots
+        if row[lead] < 0:
+            row = {j: -e for j, e in row.items()}
+        for c, prow in pivots.items():
+            if lead in prow:
+                pivots[c] = _combine(prow, row, lead)
+        pivots[lead] = row
+    return pivots
 
 
 def rref(matrix, cols: int | None = None):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
-    Pivot search walks columns left to right and takes the first row with a
-    nonzero entry; `cols` limits pivoting to a left block (used when rows
-    carry bookkeeping columns on the right)."""
+    Pivot columns ascend; `cols` limits pivoting to a left block (used when
+    rows carry bookkeeping columns on the right)."""
     if not matrix:
         return [], []
     width = len(matrix[0])
-    rows, pivots = _reduce(_sparse(matrix), width if cols is None else cols)
-    zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(width)] for row in rows], pivots
+    pivots = _reduce(matrix, inf if cols is None else cols)
+    order = sorted(pivots)
+    return [[Fraction(pivots[c].get(j, 0), pivots[c][c]) for j in range(width)]
+            for c in order], order
 
 
 def rank(matrix) -> int:
-    rows = _sparse(matrix)
-    return len(_reduce(rows, _width(rows))[1])
-
-
-def primitive(vec):
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    den = 1
-    for e in vec:
-        den = den * e.denominator // gcd(den, e.denominator)
-    ints = [int(e * den) for e in vec]
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
-    if g > 1:
-        ints = [e // g for e in ints]
-    for e in ints:
-        if e != 0:
-            if e < 0:
-                ints = [-x for x in ints]
-            break
-    return [Fraction(e) for e in ints]
+    return len(_reduce(matrix))
 
 
 def nullspace(matrix, ncols: int | None = None):
@@ -110,17 +105,19 @@ def nullspace(matrix, ncols: int | None = None):
         if not matrix:
             return []
         ncols = len(matrix[0])
-    rows, pivots = _reduce(_sparse(matrix), ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero = Fraction(0)
+    pivots = _reduce(matrix, ncols)
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row.get(fc, zero)
-        basis.append(primitive(vec))
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        hits = [(c, row) for c, row in pivots.items() if fc in row]
+        scale = lcm(*(row[c] for c, row in hits))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for c, row in hits:
+            vec[c] = -row[fc] * (scale // row[c])
+        g = gcd(*vec)
+        if next(e for e in vec if e) < 0:
+            g = -g
+        basis.append([Fraction(e // g) for e in vec])
     return basis
 
 
@@ -139,20 +136,17 @@ def coordinates_in_rowspan(rows, target):
 
 def rowspan_coordinates(rows, targets):
     """`coordinates_in_rowspan` for each target, reducing the rows once."""
-    rows, targets = _sparse(rows), _sparse(targets)
-    if not rows:
-        return [None if t else [] for t in targets]
-    # bookkeeping columns n + i, right of every column of rows and targets
-    n = _width(rows + targets)
-    red, pivots = _reduce(
-        [{**row, n + i: Fraction(1)} for i, row in enumerate(rows)], n
-    )
+    # bookkeeping columns n + i, right of every column of rows and targets;
+    # column n + len(rows) of a target holds the factor it was scaled by
+    n = 1 + max((j for r in [*rows, *targets] for j, e in _items(r) if e), default=-1)
+    scale = n + len(rows)
+    pivots = _reduce([{**dict(_items(r)), n + i: 1} for i, r in enumerate(rows)], n)
     out = []
     for t in targets:
-        for row, pc in zip(red, pivots):
-            if pc in t:
-                _subtract(t, t[pc], row)
+        t = _integer({**dict(_items(t)), scale: 1})
+        for c in [c for c in t if c in pivots]:
+            t = _combine(t, pivots[c], c)
         inside = all(j >= n for j in t)
-        out.append([-t.get(n + i, Fraction(0)) for i in range(len(rows))]
+        out.append([Fraction(-t.get(n + i, 0), t[scale]) for i in range(len(rows))]
                    if inside else None)
     return out

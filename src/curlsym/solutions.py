@@ -454,7 +454,7 @@ def integrate_ode(
         tn = t0 + (i + 1) * step if i < n_full else t1
         h = tn - t
         try:
-            k1 = rhs(t, y)
+            k1 = ss[-1]  # the slope stored for (t, y)
             k2 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k1)))
             k3 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k2)))
             k4 = rhs(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))

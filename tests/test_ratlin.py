@@ -1,14 +1,18 @@
 """Exact linear algebra sanity checks."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from curlsym import ratlin
+from curlsym import symmetry as sy
+from curlsym.expr import S
 from curlsym.ratlin import (
     coordinates_in_rowspan,
     nullspace,
-    primitive,
     rank,
     rowspan_coordinates,
     rref,
@@ -38,13 +42,6 @@ def test_nullspace_simple():
         assert sum(a * b for a, b in zip(row, ns[0])) == 0
     # no rows of a given width: every column is free
     assert nullspace([], 2) == [F(1, 0), F(0, 1)]
-
-
-def test_primitive_scaling():
-    v = [Fraction(1, 2), Fraction(-3, 4), Fraction(0)]
-    assert primitive(v) == F(2, -3, 0) or primitive(v) == F(-2, 3, 0)
-    # leading nonzero is positive
-    assert primitive(v)[0] > 0
 
 
 def test_span_equal():
@@ -156,3 +153,93 @@ def test_coordinates_in_dependent_rows_reproduce_the_target(matrix, data):
     assert rowspan_coordinates(as_sparse(rows), as_sparse([target, e])) == [
         coeffs, coordinates_in_rowspan(rows, e)]
     assert rank(as_sparse(rows + [e])) == rank(rows + [e])
+
+
+def reference_rref(matrix):
+    """Textbook dense Gauss-Jordan over Fractions, the reference for the
+    fraction-free core: columns left to right, the first remaining row with
+    a nonzero entry becomes the pivot row, is scaled to 1 and is cleared
+    from every other row."""
+    rows = [[Fraction(e) for e in row] for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def reference_nullspace(matrix):
+    """One vector per free column from the reference RREF, scaled to
+    coprime integers with the first nonzero entry positive."""
+    rows, pivots = reference_rref(matrix)
+    basis = []
+    for fc in range(len(matrix[0])):
+        if fc in pivots:
+            continue
+        vec = [Fraction(fc == c) for c in range(len(matrix[0]))]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        den = lcm(*(e.denominator for e in vec))
+        ints = [int(e * den) for e in vec]
+        g = gcd(*ints) * (1 if next(e for e in ints if e) > 0 else -1)
+        basis.append([Fraction(e, g) for e in ints])
+    return basis
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices with fractional entries (denominators up to 6), with a zero
+    row and repeated and proportional rows mixed in."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2 * ncols))):
+        support = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+        rows.append([draw(entry) if j in support else Fraction(0)
+                     for j in range(ncols)])
+    rows.append([Fraction(0)] * ncols)
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    for row, f in draw(st.lists(st.tuples(st.sampled_from(rows), entry), max_size=3)):
+        rows.append([f * e for e in row])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_core_matches_the_reference_elimination_in_any_row_order(matrix, data):
+    want_rows, want_pivots = reference_rref(matrix)
+    want_ns = reference_nullspace(matrix)
+    for m in (matrix, data.draw(st.permutations(matrix))):
+        assert rref(m) == (want_rows, want_pivots)
+        assert rank(m) == len(want_pivots)
+        assert nullspace(m) == want_ns
+        assert nullspace(as_sparse(m), len(m[0])) == want_ns
+    for vec in want_ns:
+        assert all(e.denominator == 1 for e in vec)
+        assert gcd(*(e.numerator for e in vec)) == 1
+        assert next(e for e in vec if e) > 0
+
+
+@pytest.mark.parametrize("make_system", [sy.curl_system, sy.blair_system])
+def test_ansatz_basis_order_is_the_reference_elimination(make_system, monkeypatch):
+    # the rows `_slot_nullspace` hands to the core, in the order it builds them
+    seen = []
+    real = ratlin.nullspace
+
+    def spy(matrix, ncols=None):
+        seen.append((matrix, ncols))
+        return real(matrix, ncols)
+
+    monkeypatch.setattr(ratlin, "nullspace", spy)
+    res = sy._ansatz_from_polys(sy.determining_polys(make_system(S.R)), 2)
+    [(matrix, ncols)] = seen
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in matrix]
+    assert res.vectors == reference_nullspace(dense)

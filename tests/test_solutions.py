@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from curlsym import solutions
 from curlsym.expr import (
     EvalError,
     S,
+    compile_numeric,
     decide_zero,
     equal_exprs,
     parse,
@@ -240,6 +242,50 @@ def test_rk4_translation_tracks_exact_solution():
     for t, (g, h) in zip(table.points, table.states):
         worst = max(worst, abs(g - math.sin(t)), abs(h - math.cos(t)))
     assert worst < 1e-8
+
+
+def test_rk4_takes_k1_from_the_stored_slope(monkeypatch):
+    # the initial slope plus four evaluations per step: 100 steps of the
+    # two-component translation ODE make 802 evaluations, not 1,002
+    calls = [0]
+
+    def counting(e, args):
+        fn = compile_numeric(e, args)
+
+        def counted(*a):
+            calls[0] += 1
+            return fn(*a)
+        return counted
+
+    monkeypatch.setattr(solutions, "compile_numeric", counting)
+    ode = reduce_system("translation")
+    table = integrate_ode(ode, (0.0, 1.0), (0.0, 1.0), 1e-2)
+    assert calls[0] == 802
+
+    # the reference loop evaluates k1 afresh: five evaluations per step
+    fns = [compile_numeric(e, list(ode.state) + [ode.independent]) for e in ode.rhs]
+
+    def rhs(t, s):
+        return tuple(fn(*s, t) for fn in fns)
+
+    t, y = 0.0, (0.0, 1.0)
+    ts, ys, ss = [t], [y], [rhs(t, y)]
+    for i in range(100):
+        tn = (i + 1) * 1e-2
+        h = tn - t
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k1)))
+        k3 = rhs(t + h / 2, tuple(yi + h / 2 * ki for yi, ki in zip(y, k2)))
+        k4 = rhs(t + h, tuple(yi + h * ki for yi, ki in zip(y, k3)))
+        y = tuple(yi + h / 6 * (a + 2 * b + 2 * c + d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+        t = tn
+        ts.append(t)
+        ys.append(y)
+        ss.append(rhs(t, y))
+    assert table.points.tolist() == ts
+    assert [tuple(s) for s in table.states.tolist()] == ys
+    assert [tuple(s) for s in table.slopes.tolist()] == ss
 
 
 def test_rk4_convergence_order():
