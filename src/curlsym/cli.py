@@ -177,7 +177,10 @@ def cmd_solve_ansatz(args):
     system = _pde_system(args.system)
     if args.degree < 0:
         raise CliInputError("degree must be >= 0")
-    res = symmetry.solve_polynomial_ansatz(system, args.degree)
+    try:
+        res = symmetry.solve_polynomial_ansatz(system, args.degree)
+    except ValueError as e:
+        raise CliInputError(str(e)) from None
     lines = [
         f"ansatz degree {args.degree} on {args.system}: "
         f"dimension {len(res.generators)}"
@@ -235,7 +238,15 @@ def _load_generator(args):
                 "a generator file needs six coefficient expressions "
                 "(one per line, or one line with '|' separators)"
             )
-        return generator_from_strings(parts), args.expr_file
+        gen = generator_from_strings(parts)
+        # like a jet, a formal symbol would be taken for an unknown function
+        for name, c in zip(symmetry.FORMAL_COEFFS, gen.as_tuple()):
+            formal = free_symbols(c) & symmetry.FORMAL_SYMBOLS
+            if formal:
+                raise CliInputError(
+                    f"generator coefficient {name} may not depend on formal "
+                    f"symbol '{min(s.name for s in formal)}'")
+        return gen, args.expr_file
     raise CliInputError("give --gen NAME or --expr-file FILE")
 
 

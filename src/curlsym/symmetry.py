@@ -18,10 +18,18 @@ restricted conditions by free-jet monomials yields the determining system,
 linear and homogeneous in the generator coefficients and their first
 partials.  `solve_polynomial_ansatz` turns that linear system into an exact
 rational nullspace problem over a polynomial coefficient ansatz.
+
+The ansatz follows the order of the derivation (Olver, Applications of Lie
+Groups to Differential Equations, Sec. 2.3): the determining system is
+derived once with f formal, and only its equations are resolved to the
+concrete profile.  Resolving first would make every sum in the prolonged
+residuals carry the denominator u^2 + v^2 + w^2 that conjugating u/R
+brings in.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,9 +46,11 @@ from .expr import (
     as_ratform,
     collect_poly,
     differentiate,
+    free_symbols,
     is_zero_expr,
     monomial_expr,
     mul,
+    normal_expression,
     normalize,
     substitute,
     _atom_sort_key,
@@ -52,6 +62,7 @@ from .jet import GeneratorField, first_prolongation
 
 FORMAL_COEFFS = ("zeta", "eta", "theta", "phi", "lam", "psi")
 F_SYMBOLS = (S.f, S.f_u, S.f_v, S.f_w)
+_PROFILE_SYMBOLS = frozenset((S.u, S.v, S.w, S.R))
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,7 @@ class PdeSystem:
     eliminate: dict  # jet Symbol -> Expr in free jets only
     free_jets: tuple
     f_value: Expr | None  # None: formal profile symbol
+    formal: PdeSystem | None = None  # the twin with f symbolic; None: this one
 
 
 def curl_system(f_value: Expr | None = None) -> PdeSystem:
@@ -77,7 +89,8 @@ def curl_system(f_value: Expr | None = None) -> PdeSystem:
     }
     free = (S.u_x, S.u_y, S.v_y, S.v_z, S.w_x, S.w_z)
     tag = "curl-eigenfield" + ("" if f_value is None else "/resolved")
-    return PdeSystem(tag, residuals, eliminate, free, f_value)
+    formal = None if f_value is None else curl_system(None)
+    return PdeSystem(tag, residuals, eliminate, free, f_value, formal)
 
 
 def blair_system(f_value: Expr | None = None) -> PdeSystem:
@@ -87,7 +100,8 @@ def blair_system(f_value: Expr | None = None) -> PdeSystem:
     eliminate[S.u_x] = -S.v_y - S.w_z
     free = (S.u_y, S.v_y, S.v_z, S.w_x, S.w_z)
     tag = "curl-eigenfield+div" + ("" if f_value is None else "/resolved")
-    return PdeSystem(tag, residuals, eliminate, free, f_value)
+    formal = None if f_value is None else blair_system(None)
+    return PdeSystem(tag, residuals, eliminate, free, f_value, formal)
 
 
 def generic_generator() -> GeneratorField:
@@ -95,7 +109,14 @@ def generic_generator() -> GeneratorField:
 
 
 def resolve_f(e: Expr, f_value: Expr) -> Expr:
-    """Replace the formal profile and its partials by a concrete profile."""
+    """Replace the formal profile and its partials by a concrete profile.
+
+    The formal profile has partials in u, v and w only, so a profile whose
+    normal form names any symbol but u, v, w and R is an ExprError."""
+    other = free_symbols(normal_expression(f_value)) - _PROFILE_SYMBOLS
+    if other:
+        names = ", ".join(sorted(s.name for s in other))
+        raise ExprError(f"a profile may name only u, v, w and R, not {names}")
     return substitute(
         e,
         {
@@ -325,6 +346,8 @@ def _formal_slot_map() -> dict:
 
 
 _SLOT_MAP = _formal_slot_map()
+# the unknowns of a determining system, which a concrete generator never names
+FORMAL_SYMBOLS = frozenset(_SLOT_MAP) | frozenset(F_SYMBOLS)
 
 
 def decompose_linear(p: Poly, formal_syms) -> dict:
@@ -370,16 +393,28 @@ class AnsatzResult:
 
 def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:
     """All symmetry generators with polynomial coefficients of total degree
-    <= degree, as an exact rational nullspace."""
-    return _ansatz_from_polys(determining_polys(system), degree)
+    <= degree, as an exact rational nullspace.
+
+    The determining equations E_J(f, f_u, f_v, f_w) of the formal-profile
+    twin are resolved to the system's profile afterwards.  Resolving the
+    residual first gives, for the same free-jet monomial J, the numerator
+    D E_J(f_value) with D a nonzero polynomial (a power of u^2 + v^2 + w^2
+    for f = R).  The normal form, with R of degree <= 1, is canonical over
+    a ring without zero divisors, so D E vanishes identically exactly when
+    E does: both routes cut out the same slot space, and its unique RREF
+    gives the same basis vectors in the same order."""
+    formal = system.formal or system
+    return solve_ansatz_from_equations(determining_system(formal), degree,
+                                       system.f_value)
 
 
 def solve_ansatz_from_equations(
     equations, degree: int, f_value: Expr | None = None
 ) -> AnsatzResult:
-    """The same nullspace construction over an explicit determining-equation
-    list (e.g. the reference fixture), optionally resolving the formal
-    profile to a concrete one first."""
+    """The nullspace construction over an explicit determining-equation
+    list (the formal-profile system of `solve_polynomial_ansatz`, or the
+    reference fixture).  Each equation is resolved to `f_value` if one is
+    given, and the nonzero numerators, made monic, are the conditions."""
     polys = []
     for e in equations:
         if f_value is not None:
@@ -420,7 +455,18 @@ def _slot_polys(slots, vec, nparts: int) -> list:
     return [Poly(terms) for terms in parts]
 
 
+# 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
+# degree 6 (5,544 slots) takes 5-6 s; degree 7 (10,296) takes about 15 s
+# and 86 MB, and each further degree about 2.4 times as long
+MAX_ANSATZ_SLOTS = 6_000
+
+
 def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
+    # counted before any monomial is built
+    nslots = 6 * math.comb(degree + 6, 6)
+    if nslots > MAX_ANSATZ_SLOTS:
+        raise ValueError(f"ansatz degree {degree} needs {nslots} coefficient "
+                         f"slots, more than {MAX_ANSATZ_SLOTS}")
     base_vars = (S.x, S.y, S.z, S.u, S.v, S.w)
     monos = monomials_up_to(degree, base_vars)
     slots = [(ci, m) for ci in range(6) for m in monos]

@@ -112,6 +112,20 @@ def test_solve_ansatz_negative_degree(capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_solve_ansatz_refuses_a_degree_past_the_slot_bound(capsys, monkeypatch):
+    # degree 40 has 56,200,914 slots; the refusal must come before any
+    # monomial is built
+    def unbuilt(*args):
+        raise AssertionError("monomials built for an oversized ansatz")
+
+    monkeypatch.setattr(cli.symmetry, "monomials_up_to", unbuilt)
+    code, out, err = run(capsys, "solve-ansatz", "--system", "blair", "--degree", "40")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == ("error: ansatz degree 40 needs 56200914 coefficient slots, "
+                   "more than 6000\n")
+
+
 # --- verify-generator --------------------------------------------------------
 
 
@@ -194,6 +208,30 @@ def test_verify_generator_expr_file_coefficient_without_normal_form(
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, symbol", [
+    ("zeta|0|0|0|0|0", "zeta"),
+    ("f|0|0|0|0|0", "f"),
+    ("0|eps*eta_u|0|0|0|0", "eta_u"),
+], ids=["coefficient", "profile", "partial"])
+def test_verify_generator_expr_file_formal_symbol(capsys, tmp_path, line, symbol):
+    # a formal symbol would be prolonged as an unknown function
+    path = tmp_path / "gen.txt"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, "verify-generator", "--expr-file", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"formal symbol '{symbol}'" in err
+
+
+def test_verify_generator_expr_file_constant_parameters(capsys, tmp_path):
+    path = tmp_path / "gen.txt"
+    path.write_text("a*eps|0|0|0|0|0\n")
+    code, out, _ = run(capsys, "verify-generator", "--expr-file", str(path))
+    assert code == cli.EXIT_OK
+    assert "symmetry = True" in out
 
 
 def test_check_f_sqrt_profile(capsys):
@@ -622,6 +660,22 @@ def test_check_f_constant_profile(capsys):
     assert code == cli.EXIT_VERIFY
     assert "FAIL: radial homogeneity" in out
     assert out.count("PASS:") == 3
+
+
+@pytest.mark.parametrize("expr, symbol", [
+    ("x*R", "x"),
+    ("R*y", "y"),
+    ("zeta", "zeta"),
+    ("f", "f"),
+    ("u_x", "u_x"),
+])
+def test_check_f_profile_not_a_function_of_the_field(capsys, expr, symbol):
+    # the constraints hold for f(u, v, w) only: x*R passes all four, yet
+    # the x-translation is no symmetry of curl B = x |B| B
+    code, out, err = run(capsys, "check-f", "--expr", expr)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == f"error: a profile may name only u, v, w and R, not {symbol}\n"
 
 
 def test_check_f_parse_error(capsys):

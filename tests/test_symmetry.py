@@ -22,6 +22,7 @@ from curlsym.expr import (
     normalize,
     parse,
     substitute,
+    to_string,
     _poly_key,
 )
 from curlsym.jet import GeneratorField
@@ -172,6 +173,45 @@ def test_degree_zero_ansatz_is_translations():
     assert len(res.generators) == 3
     want = [fx.load_basis(7)[k] for k in (3, 4, 5)]
     assert sy.generator_spans_equal(res.generators, want)
+
+
+def _direct_ansatz(system, degree):
+    """The reference route: the determining system of the resolved system,
+    whose residuals carry the profile's own denominators."""
+    return sy._ansatz_from_polys(sy.determining_polys(system), degree)
+
+
+_PROFILES = {"R": "R", "R^2": "R^2", "poly": "u^2 + v^2 + w^2 + 1"}
+
+
+@pytest.mark.parametrize("make_system, profile, degree", [
+    *[(make, name, d) for make in (sy.curl_system, sy.blair_system)
+      for name in _PROFILES for d in (1, 2)],
+    (sy.blair_system, "R", 3),
+])
+def test_ansatz_over_the_formal_system_matches_the_direct_route(
+        make_system, profile, degree):
+    system = make_system(parse(_PROFILES[profile]))
+    got = sy.solve_polynomial_ansatz(system, degree)
+    want = _direct_ansatz(system, degree)
+    assert got.vectors == want.vectors
+    assert got.slots == want.slots
+    assert ([[to_string(c) for c in g.as_tuple()] for g in got.generators]
+            == [[to_string(c) for c in g.as_tuple()] for g in want.generators])
+
+
+def test_ansatz_slot_bound(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr(sy, "monomials_up_to", built)
+    with pytest.raises(Built):  # degree 6: 5,544 slots
+        sy.solve_polynomial_ansatz(sy.blair_system(S.R), 6)
+    with pytest.raises(ValueError, match="10296 coefficient slots"):
+        sy.solve_polynomial_ansatz(sy.blair_system(S.R), 7)
 
 
 def test_coordinates_in_basis_roundtrip():
