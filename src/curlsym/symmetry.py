@@ -31,11 +31,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import ratlin
 from .expr import (
+    BASE_SYMBOLS,
     Expr,
     ExprError,
     JET_SYMBOLS,
@@ -265,11 +268,6 @@ def _is_bare_identity(p: Poly) -> bool:
     return True
 
 
-def _mono_key(m: tuple) -> tuple:
-    # the monomial part of its one-term _poly_key, so the same order
-    return tuple((_atom_sort_key(a), e) for a, e in m)
-
-
 def sparse_rows(*groups):
     """Each group of rows of Polys as sparse rows {column: coefficient},
     with one column per (position in the row, monomial) met in any group.
@@ -369,19 +367,11 @@ def decompose_linear(p: Poly, formal_syms) -> dict:
 
 
 def monomials_up_to(degree: int, variables) -> list:
-    """All monomials in `variables` with total degree <= degree, sorted."""
-    frontier = [({}, 0)]
-    for var in variables:
-        new = []
-        for expo, deg in frontier:
-            for k in range(1, degree - deg + 1):
-                e2 = dict(expo)
-                e2[var] = k
-                new.append((e2, deg + k))
-        frontier.extend(new)
-    out = [_freeze(e) for e, _ in frontier]
-    out.sort(key=lambda m: (sum(e for _, e in m), _mono_key(m)))
-    return out
+    """All monomials in `variables` with total degree <= degree, by degree
+    and then by their (atom, exponent) pairs."""
+    return [m for k in range(degree + 1) for m in sorted(
+        (_freeze(Counter(c)) for c in combinations_with_replacement(variables, k)),
+        key=lambda m: [(_atom_sort_key(a), e) for a, e in m])]
 
 
 @dataclass
@@ -428,16 +418,17 @@ def solve_ansatz_from_equations(
 def _slot_nullspace(conditions, nslots: int):
     """Exact nullspace of linear conditions on `nslots` unknown slots.
 
-    Each condition is an iterable of (slot, Poly) pairs and says that the
-    sum of slot value times Poly vanishes identically: every monomial of it
+    Each condition is an iterable of (slot, terms) pairs, terms a map
+    {monomial key: coefficient} such as `Poly.terms`, and says that the
+    sum of slot value times terms vanishes identically: every key of it
     gives one row over the slots, and a row met before is kept once."""
     rows = {}
     for condition in conditions:
         cells: dict = {}
-        for slot, p in condition:
-            for m, c in p.terms.items():
+        for slot, terms in condition:
+            for m, c in terms.items():
                 cell = cells.setdefault(m, {})
-                cell[slot] = cell.get(slot, Fraction(0)) + c
+                cell[slot] = cell.get(slot, 0) + c
         for cell in cells.values():
             key = tuple(sorted((slot, c) for slot, c in cell.items() if c))
             if key:
@@ -456,8 +447,8 @@ def _slot_polys(slots, vec, nparts: int) -> list:
 
 
 # 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
-# degree 6 (5,544 slots) takes 5-6 s; degree 7 (10,296) takes about 15 s
-# and 86 MB, and each further degree about 2.4 times as long
+# degree 6 (5,544 slots) takes 1.6-2.3 s and up to 44 MB; degree 7
+# (10,296) takes 5.6-6.8 s and 68 MB, three times as long
 MAX_ANSATZ_SLOTS = 6_000
 
 
@@ -467,27 +458,34 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
     if nslots > MAX_ANSATZ_SLOTS:
         raise ValueError(f"ansatz degree {degree} needs {nslots} coefficient "
                          f"slots, more than {MAX_ANSATZ_SLOTS}")
-    base_vars = (S.x, S.y, S.z, S.u, S.v, S.w)
-    monos = monomials_up_to(degree, base_vars)
+    monos = monomials_up_to(degree, BASE_SYMBOLS)
     slots = [(ci, m) for ci in range(6) for m in monos]
 
-    # per-monomial values of the formal symbols: the function itself and
-    # its six first partials
-    mono_vals: dict = {}
-    for m in monos:
-        me = monomial_expr(m)
-        vals = {None: normalize(me)}
-        for var in base_vars:
-            vals[var] = normalize(differentiate(me, var))
-        mono_vals[m] = vals
+    # On the slot monomial m the formal symbol of (ci, var) takes the value
+    # m[var] m / var, or m itself for var None.  Times a normal-form term
+    # this meets no rewrite, as no base variable is a radical, a unit-pair
+    # partner or an exp atom: base exponents just add.  They are packed into
+    # one int, a digit per variable, wider than any sum; the other atoms
+    # ride along as a tuple.
+    radix = 1 + degree + max((e for eq in eqs for m in eq.terms for _, e in m),
+                             default=0)
+    place = {None: 0} | {a: radix ** i for i, a in enumerate(BASE_SYMBOLS)}
+    powers = [(k, {None: 1, **dict(m)}, sum(e * place[a] for a, e in m))
+              for k, m in enumerate(monos)]
 
     def condition(eq):
+        # scaled to integers, which leaves the span of its rows alone
+        den = math.lcm(*(c.denominator for c in eq.terms.values()))
         for sym, coefpoly in decompose_linear(eq, _SLOT_MAP).items():
             ci, var = _SLOT_MAP[sym]
-            for k, m in enumerate(monos):
-                val = mono_vals[m][var]
-                if not val.is_zero():
-                    yield ci * len(monos) + k, coefpoly * val
+            split = [(tuple(ae for ae in m if ae[0] not in place),
+                      sum(e * place.get(a, 0) for a, e in m) - place[var],
+                      c.numerator * (den // c.denominator))
+                     for m, c in coefpoly.terms.items()]
+            for k, expo, p in powers:
+                if var in expo:
+                    yield ci * len(monos) + k, {(rest, b + p): c * expo[var]
+                                                for rest, b, c in split}
 
     vectors = _slot_nullspace(map(condition, eqs), len(slots))
     gens = [GeneratorField(*[p.to_expression() for p in _slot_polys(slots, vec, 6)])
@@ -565,7 +563,7 @@ def solve_f_family(constraints, degree: int = 2):
         decompose_linear(normalize(c), F_SYMBOLS)
         # multiply by R so every slot's contribution is polynomial and
         # all slots of one condition share the same overall scale
-        return [(col, normalize(mul(S.R, substitute(c, slot_values(*slot)))))
+        return [(col, normalize(mul(S.R, substitute(c, slot_values(*slot)))).terms)
                 for col, slot in enumerate(slots)]
 
     family = []

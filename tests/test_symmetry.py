@@ -6,23 +6,33 @@ residual displays, and the generator bases of sizes 10 and 7.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curlsym import expr
 from curlsym import fixtures as fx
 from curlsym import ratlin
 from curlsym import symmetry as sy
 from curlsym.expr import (
+    BASE_SYMBOLS,
     ExprError,
     JET_SYMBOLS,
+    Poly,
     S,
     as_ratform,
+    differentiate,
+    exp,
     monomial_expr,
     normalize,
     parse,
     substitute,
     to_string,
+    _freeze,
     _poly_key,
 )
 from curlsym.jet import GeneratorField
@@ -175,6 +185,13 @@ def test_degree_zero_ansatz_is_translations():
     assert sy.generator_spans_equal(res.generators, want)
 
 
+def _assert_same_ansatz(got, want):
+    assert got.vectors == want.vectors
+    assert got.slots == want.slots
+    assert ([[to_string(c) for c in g.as_tuple()] for g in got.generators]
+            == [[to_string(c) for c in g.as_tuple()] for g in want.generators])
+
+
 def _direct_ansatz(system, degree):
     """The reference route: the determining system of the resolved system,
     whose residuals carry the profile's own denominators."""
@@ -192,12 +209,121 @@ _PROFILES = {"R": "R", "R^2": "R^2", "poly": "u^2 + v^2 + w^2 + 1"}
 def test_ansatz_over_the_formal_system_matches_the_direct_route(
         make_system, profile, degree):
     system = make_system(parse(_PROFILES[profile]))
+    _assert_same_ansatz(sy.solve_polynomial_ansatz(system, degree),
+                        _direct_ansatz(system, degree))
+
+
+def _product_ansatz(eqs, degree):
+    """The reference row builder: the value of each formal symbol on a slot
+    monomial as a normal form, times its coefficient polynomial by
+    `Poly.__mul__`, with every rewrite that product may apply."""
+    monos = sy.monomials_up_to(degree, BASE_SYMBOLS)
+    slots = [(ci, m) for ci in range(6) for m in monos]
+    mono_vals = {}
+    for m in monos:
+        me = monomial_expr(m)
+        mono_vals[m] = {var: normalize(differentiate(me, var))
+                        for var in BASE_SYMBOLS}
+        mono_vals[m][None] = normalize(me)
+
+    def condition(eq):
+        for sym, coefpoly in sy.decompose_linear(eq, sy._SLOT_MAP).items():
+            ci, var = sy._SLOT_MAP[sym]
+            for k, m in enumerate(monos):
+                val = mono_vals[m][var]
+                if not val.is_zero():
+                    yield ci * len(monos) + k, (coefpoly * val).terms
+
+    vectors = sy._slot_nullspace(map(condition, eqs), len(slots))
+    gens = [GeneratorField(*[p.to_expression()
+                             for p in sy._slot_polys(slots, vec, 6)])
+            for vec in vectors]
+    return sy.AnsatzResult(generators=gens, slots=slots, vectors=vectors)
+
+
+@pytest.mark.parametrize("make_system, profile, degree", [
+    *[(make, name, d) for make in (sy.curl_system, sy.blair_system)
+      for name in _PROFILES for d in range(4)],
+    (sy.curl_system, None, 2),  # f, f_u, f_v, f_w as non-base atoms
+])
+def test_ansatz_rows_match_the_product_builder(make_system, profile, degree,
+                                               monkeypatch):
+    system = make_system(None if profile is None else parse(_PROFILES[profile]))
     got = sy.solve_polynomial_ansatz(system, degree)
-    want = _direct_ansatz(system, degree)
+    monkeypatch.setattr(sy, "_ansatz_from_polys", _product_ansatz)
+    _assert_same_ansatz(got, sy.solve_polynomial_ansatz(system, degree))
+
+
+_EXP_ATOM = exp(S.x - 2 * S.u)
+
+
+@st.composite
+def _linear_conditions(draw):
+    """Equations linear homogeneous in the formal slot symbols.  Each term
+    is a slot symbol times a rational, R to a power <= 1 and a few factors
+    among the base variables, one exp atom and the f symbols; so few that
+    terms often meet in one row, with R and without."""
+    factors = st.lists(st.sampled_from((*BASE_SYMBOLS, _EXP_ATOM, *sy.F_SYMBOLS)),
+                       max_size=3)
+    eqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = parse("0")
+        for _ in range(draw(st.integers(1, 5))):
+            c = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 6)))
+            term = parse(str(c)) * draw(st.sampled_from(list(sy._SLOT_MAP)))
+            for a in draw(factors) + [S.R] * draw(st.integers(0, 1)):
+                term = term * a
+            e = e + term
+        p = normalize(e)
+        if not p.is_zero():
+            eqs.append(p.monic())
+    return eqs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_linear_conditions(), st.integers(0, 2))
+def test_ansatz_rows_of_random_conditions_match_the_product_builder(eqs, degree):
+    got = sy._ansatz_from_polys(eqs, degree)
+    want = _product_ansatz(eqs, degree)
     assert got.vectors == want.vectors
     assert got.slots == want.slots
-    assert ([[to_string(c) for c in g.as_tuple()] for g in got.generators]
-            == [[to_string(c) for c in g.as_tuple()] for g in want.generators])
+
+
+def test_ansatz_rows_take_no_normal_forms_or_products(monkeypatch):
+    captured = []
+    monkeypatch.setattr(sy, "_ansatz_from_polys",
+                        lambda eqs, degree: captured.append(eqs))
+    sy.solve_polynomial_ansatz(sy.blair_system(S.R), 3)
+    monkeypatch.undo()
+    [eqs] = captured
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(expr, "normalize", counted("normalize", expr.normalize))
+    monkeypatch.setattr(sy, "normalize", counted("normalize", sy.normalize))
+    monkeypatch.setattr(Poly, "__mul__", counted("Poly.__mul__", Poly.__mul__))
+    res = sy._ansatz_from_polys(eqs, 3)
+    assert len(res.vectors) == 7
+    assert calls == Counter()
+
+
+def test_monomials_up_to_is_the_graded_order():
+    for variables in (BASE_SYMBOLS, (S.u, S.v, S.w)):
+        for degree in range(4):
+            every = [_freeze({a: e for a, e in zip(variables, expo) if e})
+                     for expo in product(range(degree + 1), repeat=len(variables))
+                     if sum(expo) <= degree]
+            # graded order of one-term polynomials, lowest degree first
+            every.sort(key=lambda m: (sum(e for _, e in m),
+                                      _poly_key(Poly({m: Fraction(1)}))))
+            got = sy.monomials_up_to(degree, variables)
+            assert got == every
+            assert len(got) == comb(degree + len(variables), degree)
 
 
 def test_ansatz_slot_bound(monkeypatch):
