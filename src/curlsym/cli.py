@@ -263,8 +263,7 @@ def cmd_verify_generator(args):
     }
     if not report.ok:
         first = report.failures()[0]
-        resid = symmetry.invariance_residuals(system, gen)[first]
-        text = _truncate(to_string(normal_expression(resid)))
+        text = _truncate(to_string(normal_expression(report.residuals[first])))
         lines.append(f"first failing equation (index {first + 1}): {text}")
         data["first_failing"] = {"index": first + 1, "residual": text}
     return lines, data, EXIT_OK if report.ok else EXIT_VERIFY

@@ -48,7 +48,7 @@ from .expr import (
     substitute,
     to_string,
 )
-from .symmetry import blair_system, curl_system
+from .symmetry import blair_system, curl_system, resolve_f
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,14 @@ def _jet_substitution(sol: FieldSolution) -> dict:
 def residual_expressions(sol: FieldSolution, system: str = "blair") -> list:
     """Substitute the field into each equation of the chosen system.
 
-    The eigenvalue profile is the field magnitude sqrt(u^2+v^2+w^2),
-    written as an explicit square root so substitution reaches inside it.
+    The eigenvalue profile put into the formal residuals is the field
+    magnitude sqrt(u^2+v^2+w^2), written as an explicit square root so
+    substitution reaches inside it.
     """
-    kind = _system_kind(system)
+    formal = curl_system() if _system_kind(system) == "curl" else blair_system()
     magnitude = sqrt(S.u**2 + S.v**2 + S.w**2)
-    base = curl_system(magnitude) if kind == "curl" else blair_system(magnitude)
     subs = _jet_substitution(sol)
-    return [substitute(r, subs) for r in base.residuals]
+    return [substitute(resolve_f(r, magnitude), subs) for r in formal.residuals]
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ linear and homogeneous in the generator coefficients and their first
 partials.  `solve_polynomial_ansatz` turns that linear system into an exact
 rational nullspace problem over a polynomial coefficient ansatz.
 
-The ansatz follows the order of the derivation (Olver, Applications of Lie
-Groups to Differential Equations, Sec. 2.3): the determining system is
-derived once with f formal, and only its equations are resolved to the
-concrete profile.  Resolving first would make every sum in the prolonged
+Every route follows the order of the derivation (Olver, Applications of
+Lie Groups to Differential Equations, Sec. 2.3): a `PdeSystem` is the
+formal system, with f symbolic in its residuals and elimination map, and
+it is prolonged and restricted with f formal.  A concrete profile goes in
+only afterwards, into the determining equations or the invariance
+residuals.  Putting it in first would make every sum in the prolonged
 residuals carry the denominator u^2 + v^2 + w^2 that conjugating u/R
 brings in.
 """
@@ -70,45 +72,44 @@ _PROFILE_SYMBOLS = frozenset((S.u, S.v, S.w, S.R))
 
 @dataclass(frozen=True)
 class PdeSystem:
-    name: str
+    """A formal system, f symbolic throughout, and the profile put in after
+    prolongation (None keeps f formal)."""
     residuals: tuple
     eliminate: dict  # jet Symbol -> Expr in free jets only
     free_jets: tuple
-    f_value: Expr | None  # None: formal profile symbol
-    formal: PdeSystem | None = None  # the twin with f symbolic; None: this one
+    f_value: Expr | None = None
 
 
 def curl_system(f_value: Expr | None = None) -> PdeSystem:
-    f = S.f if f_value is None else f_value
     residuals = (
-        S.w_y - S.v_z - S.u * f,
-        S.u_z - S.w_x - S.v * f,
-        S.v_x - S.u_y - S.w * f,
+        S.w_y - S.v_z - S.u * S.f,
+        S.u_z - S.w_x - S.v * S.f,
+        S.v_x - S.u_y - S.w * S.f,
     )
     eliminate = {
-        S.w_y: S.v_z + S.u * f,
-        S.u_z: S.w_x + S.v * f,
-        S.v_x: S.u_y + S.w * f,
+        S.w_y: S.v_z + S.u * S.f,
+        S.u_z: S.w_x + S.v * S.f,
+        S.v_x: S.u_y + S.w * S.f,
     }
     free = (S.u_x, S.u_y, S.v_y, S.v_z, S.w_x, S.w_z)
-    tag = "curl-eigenfield" + ("" if f_value is None else "/resolved")
-    formal = None if f_value is None else curl_system(None)
-    return PdeSystem(tag, residuals, eliminate, free, f_value, formal)
+    return PdeSystem(residuals, eliminate, free, f_value)
 
 
 def blair_system(f_value: Expr | None = None) -> PdeSystem:
     base = curl_system(f_value)
-    residuals = base.residuals + (S.u_x + S.v_y + S.w_z,)
-    eliminate = dict(base.eliminate)
-    eliminate[S.u_x] = -S.v_y - S.w_z
-    free = (S.u_y, S.v_y, S.v_z, S.w_x, S.w_z)
-    tag = "curl-eigenfield+div" + ("" if f_value is None else "/resolved")
-    formal = None if f_value is None else blair_system(None)
-    return PdeSystem(tag, residuals, eliminate, free, f_value, formal)
+    return PdeSystem(base.residuals + (S.u_x + S.v_y + S.w_z,),
+                     base.eliminate | {S.u_x: -S.v_y - S.w_z},
+                     (S.u_y, S.v_y, S.v_z, S.w_x, S.w_z), f_value)
 
 
 def generic_generator() -> GeneratorField:
     return GeneratorField(S.zeta, S.eta, S.theta, S.phi, S.lam, S.psi)
+
+
+def _profile_values(f_value: Expr) -> dict:
+    """The formal profile and its partials -> f_value and its partials."""
+    return {S.f: f_value, S.f_u: differentiate(f_value, S.u),
+            S.f_v: differentiate(f_value, S.v), S.f_w: differentiate(f_value, S.w)}
 
 
 def resolve_f(e: Expr, f_value: Expr) -> Expr:
@@ -120,25 +121,14 @@ def resolve_f(e: Expr, f_value: Expr) -> Expr:
     if other:
         names = ", ".join(sorted(s.name for s in other))
         raise ExprError(f"a profile may name only u, v, w and R, not {names}")
-    return substitute(
-        e,
-        {
-            S.f: f_value,
-            S.f_u: differentiate(f_value, S.u),
-            S.f_v: differentiate(f_value, S.v),
-            S.f_w: differentiate(f_value, S.w),
-        },
-    )
-
-
-def restrict_to_solutions(system: PdeSystem, e: Expr) -> Expr:
-    return substitute(e, system.eliminate)
+    return substitute(e, _profile_values(f_value))
 
 
 def invariance_residuals(system: PdeSystem, gen: GeneratorField) -> list:
-    """pr X applied to each residual, restricted to the solution manifold."""
+    """pr X applied to each residual, restricted to the solution manifold,
+    with f formal."""
     pr = first_prolongation(gen)
-    return [restrict_to_solutions(system, pr.apply(d)) for d in system.residuals]
+    return [substitute(pr.apply(d), system.eliminate) for d in system.residuals]
 
 
 def _pythagorean_point(rng):
@@ -160,14 +150,17 @@ def maximal_rank_check(system: PdeSystem, samples: int = 1) -> int:
     residual Jacobian with respect to all base and jet symbols.
 
     (u, v, w) is a scaled Pythagorean quadruple, so R = |(u, v, w)| is
-    rational; the free jets, x, y, z and, when the system keeps f
-    symbolic, the formal profile symbols are small random fractions.  The
+    rational; the free jets, x, y, z and, when the system sets no profile,
+    the formal profile symbols are small random fractions.  The
     eliminated jets are solved from the residuals, so every sample point
-    satisfies the system exactly, and `ratlin.rank` takes the rank."""
+    satisfies the system exactly, and `ratlin.rank` takes the rank.  A set
+    profile is put into the residuals and the elimination map first."""
+    residuals, eliminate = system.residuals, system.eliminate
+    if system.f_value is not None:
+        residuals = [resolve_f(d, system.f_value) for d in residuals]
+        eliminate = {j: resolve_f(e, system.f_value) for j, e in eliminate.items()}
     variables = (S.x, S.y, S.z, S.u, S.v, S.w) + JET_SYMBOLS
-    jacobian = [
-        [differentiate(d, v) for v in variables] for d in system.residuals
-    ]
+    jacobian = [[differentiate(d, v) for v in variables] for d in residuals]
     rng = random.Random(1234)
     randomized = [S.x, S.y, S.z] + list(system.free_jets)
     if system.f_value is None:
@@ -178,7 +171,7 @@ def maximal_rank_check(system: PdeSystem, samples: int = 1) -> int:
                for s in randomized}
         (env[S.u], env[S.v], env[S.w]), env[S.R] = _pythagorean_point(rng)
         env = {s: Num(c) for s, c in env.items()}
-        for jet, rhs in system.eliminate.items():
+        for jet, rhs in eliminate.items():
             env[jet] = Num(normalize(substitute(rhs, env)).constant_value())
         rows = [[normalize(substitute(e, env)).constant_value() for e in row]
                 for row in jacobian]
@@ -191,18 +184,27 @@ def _numerator(e: Expr) -> Poly:
     return as_ratform(e).num
 
 
-def determining_polys(system: PdeSystem, gen: GeneratorField | None = None):
-    """Monic, deduplicated coefficient equations as normal forms."""
-    gen = generic_generator() if gen is None else gen
+def _conditions(polys, f_value: Expr | None = None) -> list:
+    """The polynomials with f_value put in, if given: the nonzero
+    numerators, monic, deduplicated and in canonical order."""
     seen = {}
-    for resid in invariance_residuals(system, gen):
-        num = _numerator(resid)
-        for _, coef in collect_poly(num, system.free_jets).items():
-            if coef.is_zero():
-                continue
-            eq = coef.monic()
+    for p in polys:
+        if f_value is not None:
+            p = _numerator(resolve_f(p.to_expression(), f_value))
+        if not p.is_zero():
+            eq = p.monic()
             seen.setdefault(_poly_key(eq), eq)
     return [seen[k] for k in sorted(seen)]
+
+
+def determining_polys(system: PdeSystem, gen: GeneratorField | None = None):
+    """The coefficients of the formal invariance conditions by free-jet
+    monomials, resolved to the system's profile as `_conditions`."""
+    gen = generic_generator() if gen is None else gen
+    coefs = [coef for resid in invariance_residuals(system, gen)
+             for coef in collect_poly(_numerator(resid), system.free_jets).values()]
+    # deduplicated with f formal first, so each equation is resolved once
+    return _conditions(_conditions(coefs), system.f_value)
 
 
 def determining_system(system: PdeSystem, gen: GeneratorField | None = None):
@@ -213,6 +215,7 @@ def determining_system(system: PdeSystem, gen: GeneratorField | None = None):
 class VerificationReport:
     ok: bool
     per_residual: list  # (index, bool)
+    residuals: list  # the invariance residuals tested, profile put in
 
     def failures(self):
         return [i for i, good in self.per_residual if not good]
@@ -240,11 +243,7 @@ def formal_substitution(gen: GeneratorField, f_value: Expr | None = None) -> dic
                 c, REGISTRY.by_name[ax]
             )
     if f_value is not None:
-        out[S.f] = f_value
-        for ax in ("u", "v", "w"):
-            out[REGISTRY.by_name[f"f_{ax}"]] = differentiate(
-                f_value, REGISTRY.by_name[ax]
-            )
+        out |= _profile_values(f_value)
     return out
 
 
@@ -323,10 +322,12 @@ def determining_systems_equivalent(a, b) -> EquivalenceReport:
 
 
 def verify_generator(system: PdeSystem, gen: GeneratorField) -> VerificationReport:
-    per = []
-    for i, resid in enumerate(invariance_residuals(system, gen)):
-        per.append((i, _numerator(resid).is_zero()))
-    return VerificationReport(ok=all(g for _, g in per), per_residual=per)
+    residuals = invariance_residuals(system, gen)
+    if system.f_value is not None:
+        residuals = [resolve_f(r, system.f_value) for r in residuals]
+    per = [(i, _numerator(r).is_zero()) for i, r in enumerate(residuals)]
+    return VerificationReport(ok=all(g for _, g in per), per_residual=per,
+                              residuals=residuals)
 
 
 # --- exact polynomial ansatz -------------------------------------------------
@@ -383,36 +384,27 @@ class AnsatzResult:
 
 def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:
     """All symmetry generators with polynomial coefficients of total degree
-    <= degree, as an exact rational nullspace.
+    <= degree, as an exact rational nullspace of `determining_polys`.
 
-    The determining equations E_J(f, f_u, f_v, f_w) of the formal-profile
-    twin are resolved to the system's profile afterwards.  Resolving the
+    The determining equations E_J(f, f_u, f_v, f_w) come from the formal
+    system and are resolved to the profile afterwards.  Resolving the
     residual first gives, for the same free-jet monomial J, the numerator
     D E_J(f_value) with D a nonzero polynomial (a power of u^2 + v^2 + w^2
     for f = R).  The normal form, with R of degree <= 1, is canonical over
     a ring without zero divisors, so D E vanishes identically exactly when
     E does: both routes cut out the same slot space, and its unique RREF
     gives the same basis vectors in the same order."""
-    formal = system.formal or system
-    return solve_ansatz_from_equations(determining_system(formal), degree,
-                                       system.f_value)
+    return _ansatz_from_polys(determining_polys(system), degree)
 
 
 def solve_ansatz_from_equations(
     equations, degree: int, f_value: Expr | None = None
 ) -> AnsatzResult:
-    """The nullspace construction over an explicit determining-equation
-    list (the formal-profile system of `solve_polynomial_ansatz`, or the
-    reference fixture).  Each equation is resolved to `f_value` if one is
-    given, and the nonzero numerators, made monic, are the conditions."""
-    polys = []
-    for e in equations:
-        if f_value is not None:
-            e = resolve_f(e, f_value)
-        num = as_ratform(e).num
-        if not num.is_zero():
-            polys.append(num.monic())
-    return _ansatz_from_polys(polys, degree)
+    """The nullspace construction over an explicit list of formal
+    determining equations, such as the reference fixture, resolved to
+    `f_value` as `determining_polys` resolves its own."""
+    return _ansatz_from_polys(
+        _conditions((_numerator(e) for e in equations), f_value), degree)
 
 
 def _slot_nullspace(conditions, nslots: int):
@@ -550,13 +542,7 @@ def solve_f_family(constraints, degree: int = 2):
 
     def slot_values(part, m):
         me = monomial_expr(m)
-        fval = me if part == 0 else mul(me, S.R)
-        return {
-            S.f: fval,
-            S.f_u: differentiate(fval, S.u),
-            S.f_v: differentiate(fval, S.v),
-            S.f_w: differentiate(fval, S.w),
-        }
+        return _profile_values(me if part == 0 else mul(me, S.R))
 
     def condition(c):
         # guard: conditions must be linear homogeneous in the f symbols

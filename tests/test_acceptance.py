@@ -238,6 +238,7 @@ def test_criterion_08_profile_constraints(b7):
 def _on_manifold_ranks(system, sol, n_points=100, seed=0):
     """Numeric rank of the residual Jacobian (all 15 jet-space coordinates)
     at random points lifted from an exact solution."""
+    residuals = [symmetry.resolve_f(r, system.f_value) for r in system.residuals]
     space = (S.x, S.y, S.z)
     variables = (*space, S.u, S.v, S.w, *JET_SYMBOLS)
     value_fns = [compile_numeric(c, list(space)) for c in sol.components()]
@@ -247,11 +248,11 @@ def _on_manifold_ranks(system, sol, n_points=100, seed=0):
         for ax in space
     ]
     residual_fns = [
-        compile_numeric(r, list(variables)) for r in system.residuals
+        compile_numeric(r, list(variables)) for r in residuals
     ]
     jacobian_fns = [
         [compile_numeric(differentiate(r, v), list(variables)) for v in variables]
-        for r in system.residuals
+        for r in residuals
     ]
     rng = random.Random(seed)
     ranks = set()

@@ -12,6 +12,7 @@ import pytest
 
 import curlsym
 from curlsym import cli
+from curlsym.expr import as_ratform, normalize, parse, poly_div_exact
 
 
 def run(capsys, *argv):
@@ -37,6 +38,22 @@ def test_determining_prints_equations(capsys):
     assert code == cli.EXIT_OK
     assert "15 equations" in out
     assert "zeta_w - theta_u" in out
+
+
+@pytest.mark.parametrize("system, count", [("curl-absB", 15), ("blair", 30)])
+def test_determining_puts_the_profile_in_afterwards(capsys, system, count):
+    # the profile R goes in after prolongation, so no printed equation
+    # keeps the factor u^2 + v^2 + w^2 that putting it in first leaves
+    code, out, _ = run(capsys, "determining", "--system", system)
+    assert code == cli.EXIT_OK
+    head, *lines = out.splitlines()
+    assert head == f"determining system for {system}: {count} equations"
+    code, doc = run_json(capsys, "determining", "--system", system)
+    assert code == cli.EXIT_OK and doc["data"]["count"] == count
+    assert [ln.split(": ", 1)[1] for ln in lines] == doc["data"]["equations"]
+    square = normalize(parse("u^2 + v^2 + w^2"))
+    for eq in doc["data"]["equations"]:
+        assert poly_div_exact(as_ratform(parse(eq)).num, square) is None
 
 
 def test_determining_fixture_match(capsys):

@@ -42,6 +42,19 @@ def _curl_formal():
     return sy.curl_system(None)
 
 
+def _resolved_reference(system):
+    """The reference route: the system with its profile put into the
+    residuals and the elimination map before prolongation, so that the
+    prolonged residuals carry the profile's own denominators."""
+    f = system.f_value
+    return sy.PdeSystem(
+        residuals=tuple(sy.resolve_f(r, f) for r in system.residuals),
+        eliminate={j: sy.resolve_f(e, f) for j, e in system.eliminate.items()},
+        free_jets=system.free_jets,
+        f_value=None,
+    )
+
+
 # --- determining system -------------------------------------------------------
 
 
@@ -61,6 +74,30 @@ def test_determining_system_matches_reference_modulo_identities():
     assert rep.identity_spans_match
     assert rep.reduced_spans_match
     assert rep.ok
+
+
+_SQUARE = normalize(parse("u^2 + v^2 + w^2"))
+
+
+@pytest.mark.parametrize("make_system, count", [(sy.curl_system, 15),
+                                                (sy.blair_system, 30)])
+def test_profile_goes_in_after_prolongation(make_system, count):
+    # each equation of the resolved-first reference is one of the product's
+    # times (u^2 + v^2 + w^2)^k, and the product's carry no such factor
+    system = make_system(S.R)
+    got = sy.determining_polys(system)
+    ref = sy.determining_polys(_resolved_reference(system))
+    assert len(got) == len(ref) == count
+    index = {_poly_key(p): i for i, p in enumerate(got)}
+    partners = []
+    for r in ref:
+        square = expr.poly_div_exact(r, _SQUARE)
+        if square is not None:
+            assert expr.poly_div_exact(square, _SQUARE) is None
+            r = square.monic()
+        partners.append(index[_poly_key(r)])
+    assert sorted(partners) == list(range(count))
+    assert all(expr.poly_div_exact(p, _SQUARE) is None for p in got)
 
 
 def test_equivalence_rejects_a_tampered_reference():
@@ -193,9 +230,9 @@ def _assert_same_ansatz(got, want):
 
 
 def _direct_ansatz(system, degree):
-    """The reference route: the determining system of the resolved system,
-    whose residuals carry the profile's own denominators."""
-    return sy._ansatz_from_polys(sy.determining_polys(system), degree)
+    """The ansatz over the determining system of `_resolved_reference`."""
+    return sy._ansatz_from_polys(
+        sy.determining_polys(_resolved_reference(system)), degree)
 
 
 _PROFILES = {"R": "R", "R^2": "R^2", "poly": "u^2 + v^2 + w^2 + 1"}
@@ -402,6 +439,24 @@ def test_nullspace_dimension_matches_an_independent_elimination():
 # --- generator verification ---------------------------------------------------
 
 
+@pytest.mark.parametrize("make_system", [sy.curl_system, sy.blair_system])
+def test_verify_generator_matches_the_resolved_reference(make_system):
+    system = make_system(S.R)
+    reference = _resolved_reference(system)
+    others = [GeneratorField(*map(parse, ("y", "-x", "0", "v", "-u", "0"))),
+              GeneratorField(*map(parse, ("x^2*y", "0", "0", "0", "0", "0")))]
+    failing = 0
+    for gen in list(fx.load_basis(10)) + others:
+        got = sy.verify_generator(system, gen)
+        want = sy.verify_generator(reference, gen)
+        assert got.per_residual == want.per_residual
+        for i in got.failures():
+            assert (to_string(expr.normal_expression(got.residuals[i]))
+                    == to_string(expr.normal_expression(want.residuals[i])))
+        failing += len(got.failures())
+    assert failing == (3 if make_system is sy.curl_system else 7)
+
+
 def test_verify_generator_accepts_the_quadratic_symmetry():
     b10 = fx.load_basis(10)
     report = sy.verify_generator(sy.curl_system(S.R), b10[7])
@@ -432,7 +487,6 @@ def test_maximal_rank():
 def test_maximal_rank_single_equation():
     # one residual u_x = 0: rank 1 everywhere
     system = sy.PdeSystem(
-        name="single",
         residuals=(S.u_x,),
         eliminate={S.u_x: parse("0")},
         free_jets=tuple(j for j in JET_SYMBOLS if j is not S.u_x),
