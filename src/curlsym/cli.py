@@ -451,7 +451,8 @@ def cmd_verify_solution(args):
     }
     if check.system == "curl":
         div_zero, div_mode, _ = decide_zero(
-            sol.divergence(), bindings=sol.binding_map() or None
+            sol.divergence(), samples=args.samples, tol=args.tol,
+            bindings=sol.binding_map() or None,
         )
         lines.append(f"divergence: {'0' if div_zero else 'nonzero'} ({div_mode})")
         data["divergence_zero"] = div_zero

@@ -535,11 +535,6 @@ class Poly:
         m = min(self.terms, key=_mono_sort_key)
         return m, self.terms[m]
 
-    def degree(self) -> int:
-        if self.is_zero():
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def atoms(self):
         out = set()
         for m in self.terms:

@@ -88,9 +88,6 @@ class Combination:
     def from_pairs(pairs) -> "Combination":
         return Combination(tuple(sorted(pairs, key=lambda kv: kv[0])))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coordinate_functions(self, dim: int) -> tuple[Expr, ...]:
         from .expr import Num
 

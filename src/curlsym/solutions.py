@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import (
     Expr,
@@ -74,22 +72,14 @@ class FieldSolution:
         return dict(self.bindings)
 
     def magnitude_squared(self) -> Expr:
-        m2 = self.u**2 + self.v**2 + self.w**2
-        try:
-            return normal_expression(m2)
-        except NotPolynomial:
-            return m2
+        return _normalized(self.u**2 + self.v**2 + self.w**2)
 
     def divergence(self) -> Expr:
-        d = (
+        return _normalized(
             differentiate(self.u, S.x)
             + differentiate(self.v, S.y)
             + differentiate(self.w, S.z)
         )
-        try:
-            return normal_expression(d)
-        except NotPolynomial:
-            return d
 
 
 def _field(u: str, v: str, w: str, label: str) -> FieldSolution:
@@ -161,10 +151,6 @@ class ResidualCheck:
     modes: tuple
     displays: tuple
 
-    def summary(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        return f"{verdict} [{self.system}] residuals: " + " ".join(self.displays)
-
 
 def verify_solution_residuals(
     sol: FieldSolution,
@@ -199,16 +185,8 @@ def verify_solution_residuals(
 
 # --- one-parameter transform families ------------------------------------
 
-_ROTATION_PLANES = {1: ("x", "y"), 2: ("y", "z"), 3: ("x", "z")}
-_TRANSLATION_AXES = {4: "x", 5: "y", 6: "z"}
-
-
-def _is_exact_zero(eps) -> bool:
-    if isinstance(eps, Num):
-        return eps.val == 0
-    if isinstance(eps, numbers.Real):
-        return float(eps) == 0.0
-    return False
+# coordinate positions (0, 1, 2 for x, y, z) of the rotation planes
+_ROTATION_PLANES = {1: (0, 1), 2: (1, 2), 3: (0, 2)}
 
 
 def _unit_pair_for(sol: FieldSolution):
@@ -231,62 +209,49 @@ def _normalized(e: Expr) -> Expr:
 def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     """Apply one of the seven one-parameter families at group parameter eps.
 
-    eps may be an expression (fully symbolic transform) or a number.  For
-    the rotation families a numeric eps binds a fresh unit pair to
-    (cos eps, sin eps); eps = 0 short-circuits to the exact identity.
+    eps is a Python number or an expression; a `Num` counts as a number
+    for the first two rules below.  The parameter is decided once:
+    - eps = 0 gives the normalized input, its bindings kept;
+    - families 1-3 substitute a unit pair (a, b) for (cos eps, sin eps),
+      bound to those floats when eps is a number and free otherwise;
+    - families 4-7 use an expression eps as it is, and a number that is
+      not an expression as one fresh parameter bound to its float.
+    Then each family is one coordinate substitution plus one map of the
+    components: a rotation of the matching component pair, a translation
+    of axis family - 4, or for family 7 the scaling by e^-eps.
     """
     if family not in range(1, 8):
         raise ValueError(f"family index must be 1..7, got {family}")
+    label = f"{sol.label or 'field'}~{family}"
+    value = None
+    if isinstance(eps, Num) or not isinstance(eps, Expr):
+        value = float(eps.val if isinstance(eps, Num) else eps)
+    if value == 0:
+        return FieldSolution(*map(_normalized, sol.components()), sol.bindings, label)
+    bindings = list(sol.bindings)
+    if family <= 3:
+        ca, sb = _unit_pair_for(sol)
+        if value is not None:
+            bindings += [(ca, math.cos(value)), (sb, math.sin(value))]
+    elif not isinstance(eps, Expr):
+        eps = REGISTRY.fresh_parameter()
+        bindings.append((eps, value))
+
+    xyz = (S.x, S.y, S.z)
     comps = sol.components()
-    new_bindings = list(sol.bindings)
-    suffix = f"{sol.label or 'field'}~{family}"
-
-    if family in _ROTATION_PLANES:
-        ax1, ax2 = (REGISTRY.by_name[n] for n in _ROTATION_PLANES[family])
-        i1 = ("x", "y", "z").index(ax1.name)
-        i2 = ("x", "y", "z").index(ax2.name)
-        num_val = None
-        if isinstance(eps, Num):
-            num_val = float(eps.val)
-        elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
-            num_val = float(eps)
-        if _is_exact_zero(eps):
-            ca, sb = Num(Fraction(1)), Num(Fraction(0))
-        elif num_val is not None:
-            ca, sb = _unit_pair_for(sol)
-            new_bindings += [(ca, math.cos(num_val)), (sb, math.sin(num_val))]
-        else:
-            ca, sb = _unit_pair_for(sol)
-        sigma = {ax1: ca * ax1 + sb * ax2, ax2: -sb * ax1 + ca * ax2}
-        rotated = [substitute(c, sigma) for c in comps]
-        out = list(rotated)
-        out[i1] = ca * rotated[i1] - sb * rotated[i2]
-        out[i2] = sb * rotated[i1] + ca * rotated[i2]
-    elif family in _TRANSLATION_AXES:
-        axis = REGISTRY.by_name[_TRANSLATION_AXES[family]]
-        if _is_exact_zero(eps):
-            shift = Num(Fraction(0))
-        elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
-            shift = REGISTRY.fresh_parameter()
-            new_bindings.append((shift, float(eps)))
-        else:
-            shift = eps
-        out = [substitute(c, {axis: axis - shift}) for c in comps]
+    if family <= 3:
+        i, j = _ROTATION_PLANES[family]
+        xi, xj = xyz[i], xyz[j]
+        sigma = {xi: ca * xi + sb * xj, xj: -sb * xi + ca * xj}
+        out = [substitute(c, sigma) for c in comps]
+        out[i], out[j] = ca * out[i] - sb * out[j], sb * out[i] + ca * out[j]
+    elif family <= 6:
+        axis = xyz[family - 4]
+        out = [substitute(c, {axis: axis - eps}) for c in comps]
     else:
-        if _is_exact_zero(eps):
-            k = Num(Fraction(1))
-        else:
-            if isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
-                par = REGISTRY.fresh_parameter()
-                new_bindings.append((par, float(eps)))
-            else:
-                par = eps
-            k = exp(neg(par))
-        sigma = {S.x: k * S.x, S.y: k * S.y, S.z: k * S.z}
-        out = [k * substitute(c, sigma) for c in comps]
-
-    out = [_normalized(c) for c in out]
-    return FieldSolution(out[0], out[1], out[2], tuple(new_bindings), suffix)
+        k = exp(neg(eps))
+        out = [k * substitute(c, {a: k * a for a in xyz}) for c in comps]
+    return FieldSolution(*map(_normalized, out), tuple(bindings), label)
 
 
 def solutions_equal(a: FieldSolution, b: FieldSolution) -> bool:
@@ -504,10 +469,10 @@ def translation_convergence_ratio(step: float = 2e-3, z_end: float = 1.0) -> flo
 
 @dataclass(frozen=True)
 class NumericField:
-    """Float evaluator (x, y, z) -> (u, v, w) with provenance."""
+    """Float evaluator (x, y, z) -> (u, v, w); a reconstruction also
+    carries its radial range and table."""
 
     evaluator: object
-    provenance: str
     r_range: tuple | None = None
     table: SolutionTable | None = None
 
@@ -527,7 +492,7 @@ def numeric_field_from_solution(sol: FieldSolution) -> NumericField:
     def evaluator(x, y, z):
         return tuple(fn(x, y, z, *vals) for fn in fns)
 
-    return NumericField(evaluator, f"exact formula ({sol.label or 'field'})")
+    return NumericField(evaluator)
 
 
 def _quintic_hermite(ts, ys, d1, d2):
@@ -590,7 +555,7 @@ def reconstruct_field(table: SolutionTable) -> NumericField:
         b = beta(r)
         return (-y / r * b, x / r * b, gamma(r))
 
-    return NumericField(evaluator, "ode-reconstruction", (r_lo, r_hi), table)
+    return NumericField(evaluator, (r_lo, r_hi), table)
 
 
 def annulus_sample_points(

@@ -508,15 +508,15 @@ def basis_coordinates(basis, gens):
 # --- constraints on the scalar profile ---------------------------------------
 
 
-def f_constraints_from_group(gens, include_div: bool = True):
-    """Run the basis through the formal-profile systems and collect the
+def f_constraints_from_group(gens):
+    """Run the basis through the formal-profile blair system and collect the
     surviving conditions on (f, f_u, f_v, f_w).
 
     The determining conditions of each generator are split further by
     base-coordinate monomials; common monomial content is dropped and each
     condition made monic, so the family conditions come out in a canonical
     shape."""
-    system = blair_system(None) if include_div else curl_system(None)
+    system = blair_system(None)
     seen = {}
     for gen in gens:
         for cond in determining_polys(system, gen):

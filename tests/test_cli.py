@@ -502,6 +502,25 @@ def test_verify_solution_rejects_checks_that_check_nothing(capsys, tmp_path, ext
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol, zero", [("1", True), ("1e-10", False)])
+def test_verify_solution_divergence_follows_samples_and_tol(capsys, tmp_path,
+                                                           tol, zero):
+    # the divergence y*cos(x*y)/1000 has no normal form, so it is sampled;
+    # under blair the same divergence is the 4th residual, at the same flags
+    path = tmp_path / "field.txt"
+    path.write_text("sin(x*y)/1000\n0\n0\n")
+    flags = ("--sol", str(path), "--samples", "30", "--tol", tol)
+    code, out, _ = run(capsys, "verify-solution", "--system", "curl", *flags)
+    # two curl residuals are sampled too, and they fail at the small tol
+    assert code == (cli.EXIT_OK if zero else cli.EXIT_VERIFY)
+    assert f"divergence: {'0' if zero else 'nonzero'} (numeric)" in out
+    _, doc = run_json(capsys, "verify-solution", "--system", "curl", *flags)
+    assert doc["data"]["divergence_zero"] is zero
+    _, doc = run_json(capsys, "verify-solution", "--system", "blair", *flags)
+    assert doc["data"]["modes"][3] == "numeric"
+    assert (doc["data"]["residuals"][3] == f"<{float(tol):g}") is zero
+
+
 def test_verify_solution_transformed(capsys):
     code, out, _ = run(
         capsys, "verify-solution", "--sol", "B1", "--system", "blair",
@@ -825,7 +844,14 @@ def test_missing_subcommand_exits_4(capsys):
     "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
     "except SystemExit as e:\n"
     "    assert e.code == 0, e.code",
-], ids=["import", "verify-generator", "adjoint-numeric"])
+    "import runpy\n"
+    "sys.argv = ['curlsym', 'verify-solution', '--sol', 'B1', '--system', 'blair',"
+    " '--transform', '2', '--eps', '0.4']\n"
+    "try:\n"
+    "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
+    "except SystemExit as e:\n"
+    "    assert e.code == 0, e.code",
+], ids=["import", "verify-generator", "adjoint-numeric", "verify-solution-transform"])
 def test_symbolic_commands_load_no_numpy_or_scipy(run):
     """numpy is imported only for the RK4 table of `reduce`, so a fresh
     process that imports the CLI, runs a symbolic command or the float

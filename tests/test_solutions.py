@@ -2,18 +2,26 @@
 
 import json
 import math
+import numbers
+from fractions import Fraction
 
 import pytest
 
 from curlsym import solutions
 from curlsym.expr import (
+    REGISTRY,
     EvalError,
+    Expr,
+    Num,
     S,
     compile_numeric,
     decide_zero,
     equal_exprs,
+    exp,
+    neg,
     parse,
     sqrt,
+    substitute,
     to_string,
 )
 from curlsym.solutions import (
@@ -193,6 +201,106 @@ def test_bad_family_index():
         transform(B1, 0, 0.1)
     with pytest.raises(ValueError):
         transform(B1, 8, 0.1)
+
+
+def _is_exact_zero(eps) -> bool:
+    if isinstance(eps, Num):
+        return eps.val == 0
+    if isinstance(eps, numbers.Real):
+        return float(eps) == 0.0
+    return False
+
+
+def _reference_transform(sol, family, eps):
+    """The reference transform: each family kind decides for itself whether
+    eps is zero, a number or an expression, and looks its axes up by name."""
+    comps = sol.components()
+    new_bindings = list(sol.bindings)
+    suffix = f"{sol.label or 'field'}~{family}"
+
+    if family in (1, 2, 3):
+        names = {1: ("x", "y"), 2: ("y", "z"), 3: ("x", "z")}[family]
+        ax1, ax2 = (REGISTRY.by_name[n] for n in names)
+        i1 = ("x", "y", "z").index(ax1.name)
+        i2 = ("x", "y", "z").index(ax2.name)
+        num_val = None
+        if isinstance(eps, Num):
+            num_val = float(eps.val)
+        elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
+            num_val = float(eps)
+        if _is_exact_zero(eps):
+            ca, sb = Num(Fraction(1)), Num(Fraction(0))
+        elif num_val is not None:
+            ca, sb = solutions._unit_pair_for(sol)
+            new_bindings += [(ca, math.cos(num_val)), (sb, math.sin(num_val))]
+        else:
+            ca, sb = solutions._unit_pair_for(sol)
+        sigma = {ax1: ca * ax1 + sb * ax2, ax2: -sb * ax1 + ca * ax2}
+        rotated = [substitute(c, sigma) for c in comps]
+        out = list(rotated)
+        out[i1] = ca * rotated[i1] - sb * rotated[i2]
+        out[i2] = sb * rotated[i1] + ca * rotated[i2]
+    elif family in (4, 5, 6):
+        axis = REGISTRY.by_name[{4: "x", 5: "y", 6: "z"}[family]]
+        if _is_exact_zero(eps):
+            shift = Num(Fraction(0))
+        elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
+            shift = REGISTRY.fresh_parameter()
+            new_bindings.append((shift, float(eps)))
+        else:
+            shift = eps
+        out = [substitute(c, {axis: axis - shift}) for c in comps]
+    else:
+        if _is_exact_zero(eps):
+            k = Num(Fraction(1))
+        else:
+            if isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
+                par = REGISTRY.fresh_parameter()
+                new_bindings.append((par, float(eps)))
+            else:
+                par = eps
+            k = exp(neg(par))
+        sigma = {S.x: k * S.x, S.y: k * S.y, S.z: k * S.z}
+        out = [k * substitute(c, sigma) for c in comps]
+
+    out = [solutions._normalized(c) for c in out]
+    return FieldSolution(out[0], out[1], out[2], tuple(new_bindings), suffix)
+
+
+def _added_symbols(fn, *args):
+    """fn(*args) and the symbols it added to the registry, in order."""
+    before = set(REGISTRY.by_name)
+    out = fn(*args)
+    return out, [s for n, s in REGISTRY.by_name.items() if n not in before]
+
+
+# the numbers include a `Num`, which the rotations bind like a float
+_DIFF_EPS = {
+    "0": 0, "0.0": 0.0, "Fraction(0)": Fraction(0), "Num(0)": Num(Fraction(0)),
+    "0.4": 0.4, "Num(1/2)": Num(Fraction(1, 2)),
+    "eps": S.eps, "eps+1": S.eps + 1,
+}
+
+
+@pytest.mark.parametrize("source", ["B1", "B2", "B1~2"])
+@pytest.mark.parametrize("eps_id", list(_DIFF_EPS))
+@pytest.mark.parametrize("family", range(1, 8))
+def test_transform_matches_the_reference(family, eps_id, source):
+    # B1~2 at 0.3 already holds a and b, so the rotations take a fresh pair
+    sol = transform(B1, 2, 0.3) if source == "B1~2" else BUILTIN_SOLUTIONS[source]
+    eps = _DIFF_EPS[eps_id]
+    want, want_new = _added_symbols(_reference_transform, sol, family, eps)
+    got, got_new = _added_symbols(transform, sol, family, eps)
+    assert got.label == want.label
+    assert len(got_new) == len(want_new)
+    if isinstance(eps, Expr) and not isinstance(eps, Num):
+        # each call allocates its own free unit pair; compare under one name
+        rename = dict(zip(got_new, want_new))
+        got = FieldSolution(*(substitute(c, rename) for c in got.components()))
+        assert solutions_equal(got, want)
+    else:
+        assert sorted(got.binding_map().values()) == sorted(want.binding_map().values())
+        assert solutions_close(got, want)
 
 
 # --- reductions -------------------------------------------------------------
