@@ -102,9 +102,7 @@ def _fixture_basis(token: str):
 
 
 def _algebra_table(token: str) -> liealg.LieAlgebraTable:
-    basis = _fixture_basis(token)
-    names = _GENERATOR_NAMES[: len(basis)]
-    return liealg.structure_constants(basis, names)
+    return liealg.structure_constants(_fixture_basis(token))
 
 
 def _check_sampling(args):
@@ -331,15 +329,16 @@ def cmd_bracket_table(args):
 def cmd_adjoint(args):
     if args.basis != "b7":
         raise CliInputError("the adjoint tables are stated for --basis b7")
+    if args.eps is not None and not args.numeric:
+        raise CliInputError("--eps needs --numeric")
     table = _algebra_table("b7")
     names = table.names
     if args.numeric:
-        eps = args.eps
+        eps = 1.0 if args.eps is None else args.eps
         lines = [f"numeric adjoint coordinates at eps = {eps:g}"]
         entries = {}
         for i in range(1, table.dim + 1):
-            for j in range(1, table.dim + 1):
-                vec = liealg.adjoint_numeric(table, i, j, eps)
+            for j, vec in enumerate(liealg.adjoint_numeric(table, i, eps), 1):
                 if not all(math.isfinite(c) for c in vec):
                     raise CliInputError(
                         f"--eps {eps:g} gives non-finite coordinates for "
@@ -351,20 +350,16 @@ def cmd_adjoint(args):
         data = {"basis": "b7", "eps": eps, "coordinates": entries}
         return lines, data, EXIT_OK
 
-    entries = {}
     try:
-        for i in range(1, table.dim + 1):
-            for j in range(1, table.dim + 1):
-                entries[(i, j)] = liealg.adjoint_closed_form(table, i, j)
+        rows = [liealg.adjoint_closed_form(table, i) for i in range(1, table.dim + 1)]
     except liealg.NoClosedForm as e:
         return [f"no closed form: {e}"], {"basis": "b7", "error": str(e)}, EXIT_VERIFY
-    lines = [liealg.adjoint_grid(entries, names)]
+    entries = {(i, j): entry for i, row in enumerate(rows, 1)
+               for j, entry in enumerate(row, 1)}
+    lines = [liealg.adjoint_grid(rows, names)]
     reference = fixtures.load_adjoint_table()
-    bad = []
-    for (i, j), entry in entries.items():
-        ref = reference[(i, j)].coordinate_functions(table.dim)
-        if not liealg.adjoint_entry_matches(entry, ref):
-            bad.append((i, j))
+    bad = [pair for pair, entry in entries.items() if not liealg.adjoint_entry_matches(
+        entry, reference[pair].coordinate_functions(table.dim))]
     lines.append(
         f"fixture comparison: 49 entries, {len(bad)} mismatches"
         + (f" at {bad}" if bad else "")
@@ -372,8 +367,8 @@ def cmd_adjoint(args):
     data = {
         "basis": "b7",
         "entries": {
-            f"X{i},X{j}": entries[(i, j)].to_string(names)
-            for (i, j) in sorted(entries)
+            f"X{i},X{j}": liealg.format_combination(entry, names)
+            for (i, j), entry in entries.items()
         },
         "mismatches": [list(p) for p in bad],
     }
@@ -557,22 +552,23 @@ def _labeled_constraints():
 
 def cmd_check_f(args):
     if args.solve_family:
-        if args.degree < 0:
+        if args.expr is not None:
+            raise CliInputError("give either --expr or --solve-family, not both")
+        degree = 2 if args.degree is None else args.degree
+        if degree < 0:
             raise CliInputError("degree must be >= 0")
         constraints = symmetry.f_constraints_from_group(fixtures.load_basis(7))
-        family = symmetry.solve_f_family(constraints, degree=args.degree)
+        family = symmetry.solve_f_family(constraints, degree=degree)
         lines = [
-            f"profiles solving all four constraints (ansatz degree "
-            f"{args.degree}): "
+            f"profiles solving all four constraints (ansatz degree {degree}): "
             + (", ".join(f"c*{to_string(e)}" for e in family) or "none")
         ]
-        data = {
-            "degree": args.degree,
-            "family": [to_string(e) for e in family],
-        }
+        data = {"degree": degree, "family": [to_string(e) for e in family]}
         return lines, data, EXIT_OK
     if args.expr is None:
         raise CliInputError("give --expr EXPR (or --solve-family)")
+    if args.degree is not None:
+        raise CliInputError("--degree needs --solve-family")
     try:
         profile = parse(args.expr)
     except ExprError as e:
@@ -728,7 +724,8 @@ def build_parser() -> _ArgumentParser:
     p = add("adjoint", cmd_adjoint, help="adjoint table (closed form or numeric)")
     p.add_argument("--basis", default="b7", choices=["b10", "b7"])
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--eps", type=float, default=None,
+                   help="group parameter of --numeric (default 1)")
 
     p = add("verify-solution", cmd_verify_solution,
             help="residual check of a field solution")
@@ -760,7 +757,8 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--expr", default=None)
     p.add_argument("--solve-family", action="store_true",
                    help="print the exact solution family of the constraints")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=int, default=None,
+                   help="ansatz degree of --solve-family (default 2)")
 
     p = add("all", cmd_all, help="run the full fixture suite")
     p.add_argument("--compare-fixtures", action="store_true")

@@ -380,9 +380,9 @@ class SymbolRegistry:
         self._pair_count += 1
         return self.register_unit_pair(f"a{self._pair_count}", f"b{self._pair_count}")
 
-    def fresh_parameter(self, prefix: str = "eps") -> Symbol:
+    def fresh_parameter(self) -> Symbol:
         self._eps_count += 1
-        return self.register(f"{prefix}{self._eps_count}", "parameter")
+        return self.register(f"eps{self._eps_count}", "parameter")
 
 
 def _build_registry() -> SymbolRegistry:
@@ -640,9 +640,9 @@ def poly_const(c: Fraction) -> Poly:
     return Poly({(): c}) if c else Poly({})
 
 
-def poly_atom(atom, e: int = 1) -> Poly:
+def poly_atom(atom) -> Poly:
     out: dict = {}
-    _emit(out, {atom: e}, Fraction(1))
+    _emit(out, {atom: 1}, Fraction(1))
     return Poly(out)
 
 
@@ -1489,7 +1489,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             off = self.peek()[2]
-            exponent = self.parse_unary_for_exponent()
+            exponent = self.parse_unary()
             if not isinstance(exponent, Num) or exponent.val.denominator != 1:
                 raise ParseError("exponent must be an integer", off)
             try:
@@ -1497,13 +1497,6 @@ class _Parser:
             except ExprError as err:
                 raise ParseError(str(err), off)
         return base
-
-    def parse_unary_for_exponent(self) -> Expr:
-        # exponents: optionally signed atoms / parenthesized integers
-        if self.peek()[0] == "-":
-            self.next()
-            return neg(self.parse_unary_for_exponent())
-        return self.parse_power()
 
     def parse_atom(self) -> Expr:
         kind, text, off = self.next()

@@ -184,11 +184,11 @@ def expm(a: list) -> list:
     return p
 
 
-def adjoint_numeric(table: LieAlgebraTable, i: int, j: int, eps: float) -> list:
-    """Coordinates of Ad(exp(eps*Xi)) applied to Xj: exp(-eps*ad_i) e_j,
-    as floats."""
+def adjoint_numeric(table: LieAlgebraTable, i: int, eps: float) -> list:
+    """Coordinates of Ad(exp(eps*Xi)) applied to each Xj, as float lists in
+    the order of j: the columns of exp(-eps*ad_i)."""
     m = expm([[-eps * v for v in row] for row in ad_matrix(table, i)])
-    return [row[j - 1] for row in m]
+    return [list(col) for col in zip(*m)]
 
 
 # dictionary of eps-functions an adjoint entry may be built from: the
@@ -207,52 +207,46 @@ def _taylor_row(k: int) -> list:
             sign * f * (k % 2 == 0), sign * f * (k % 2), f, (-1) ** k * f]
 
 
-@dataclass(frozen=True)
-class AdjointEntry:
-    source: int  # 1-based basis indices
-    target: int
-    coefficients: tuple  # Expr per basis element, functions of eps
-
-    def to_string(self, names) -> str:
-        return format_combination(self.coefficients, names)
-
-
-def adjoint_closed_form(table: LieAlgebraTable, i: int, j: int) -> AdjointEntry:
-    """Exact closed form of Ad(exp(eps*Xi)) Xj over the dictionary.
+def adjoint_closed_form(table: LieAlgebraTable, i: int) -> tuple:
+    """Exact closed forms of Ad(exp(eps*Xi)) Xj over the dictionary, one
+    tuple of coefficient functions of eps per j.
 
     With v_k = (-ad_i)^k e_j the entry is sum_k v_k eps^k / k!.  It solves
     y^(7) = y^(3), and so lies in the dictionary's span, iff v_7 = v_3; its
     dictionary coefficients then match the Taylor coefficients k = 0..6,
-    whose table over the dictionary (the Wronskian at 0) is invertible."""
+    whose table over the dictionary (the Wronskian at 0) is invertible, so
+    one solve serves every j."""
     c = table.constants[i - 1]
     n = table.dim
-    powers = [[Fraction(l == j - 1) for l in range(n)]]
+    powers = [[[Fraction(l == j) for l in range(n)] for j in range(n)]]
     for _ in range(7):
-        v = powers[-1]
-        powers.append([-sum(c[l][k] * v[l] for l in range(n)) for k in range(n)])
-    if powers[7] != powers[3]:
-        raise NoClosedForm(f"entry ({i},{j}) is not in the dictionary span")
+        powers.append([[-sum(c[l][k] * v[l] for l in range(n)) for k in range(n)]
+                       for v in powers[-1]])
+    for j in range(n):
+        if powers[7][j] != powers[3][j]:
+            raise NoClosedForm(f"entry ({i},{j + 1}) is not in the dictionary span")
     rows, _ = rref(
-        [_taylor_row(k) + [e / factorial(k) for e in powers[k]] for k in range(7)],
+        [_taylor_row(k) + [e / factorial(k) for v in powers[k] for e in v]
+         for k in range(7)],
         cols=7,
     )
-    coeffs = []
-    for m in range(n):
+
+    def combine(col):
         expr: Expr = Num(Fraction(0))
         for row, basis_expr in zip(rows, _DICTIONARY):
-            if row[7 + m]:
-                expr = expr + Num(row[7 + m]) * basis_expr
-        coeffs.append(normal_expression(expr))
-    return AdjointEntry(source=i, target=j, coefficients=tuple(coeffs))
+            if row[col]:
+                expr = expr + Num(row[col]) * basis_expr
+        return normal_expression(expr)
+
+    return tuple(tuple(combine(7 + j * n + m) for m in range(n)) for j in range(n))
 
 
-def adjoint_entry_matches(entry: AdjointEntry, reference_coeffs) -> bool:
-    """Exact comparison of an entry against reference coefficient functions."""
-    if len(entry.coefficients) != len(reference_coeffs):
+def adjoint_entry_matches(coeffs, reference_coeffs) -> bool:
+    """Exact comparison of an entry's coefficient functions against
+    reference ones."""
+    if len(coeffs) != len(reference_coeffs):
         return False
-    return all(
-        equal_exprs(a, b) for a, b in zip(entry.coefficients, reference_coeffs)
-    )
+    return all(equal_exprs(a, b) for a, b in zip(coeffs, reference_coeffs))
 
 
 # --- subalgebras and fixture diffs --------------------------------------------
@@ -314,34 +308,26 @@ def table_to_json(table: LieAlgebraTable) -> dict:
     }
 
 
-def _grid(cells) -> str:
-    """Aligned text grid: each column padded to its widest cell."""
-    widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in cells
+def _grid(corner, names, cell) -> str:
+    """Aligned text grid with the names along both edges and cell(i, j) at
+    0-based row i, column j; each column padded to its widest cell."""
+    n = len(names)
+    cells = [[corner, *names]] + [
+        [names[i], *(cell(i, j) for j in range(n))] for i in range(n)
     ]
-    return "\n".join(lines)
+    widths = [max(len(r[c]) for r in cells) for c in range(n + 1)]
+    return "\n".join(
+        "  ".join(text.ljust(w) for text, w in zip(row, widths)).rstrip()
+        for row in cells
+    )
 
 
 def table_grid(table: LieAlgebraTable) -> str:
     """Aligned text grid of the full bracket table."""
-    cells = [[""] + list(table.names)]
-    for i in range(table.dim):
-        row = [table.names[i]]
-        for j in range(table.dim):
-            row.append(table.entry_string(i + 1, j + 1))
-        cells.append(row)
-    return _grid(cells)
+    return _grid("", table.names, lambda i, j: table.entry_string(i + 1, j + 1))
 
 
 def adjoint_grid(entries, names) -> str:
-    """Aligned text grid for a full set of adjoint entries {(i,j): entry}."""
-    n = len(names)
-    cells = [["Ad"] + list(names)]
-    for i in range(1, n + 1):
-        row = [names[i - 1]]
-        for j in range(1, n + 1):
-            row.append(entries[(i, j)].to_string(names))
-        cells.append(row)
-    return _grid(cells)
+    """Aligned text grid of the adjoint table; entries[i][j] holds the
+    coefficients of Ad(exp(eps*X(i+1))) X(j+1)."""
+    return _grid("Ad", names, lambda i, j: format_combination(entries[i][j], names))

@@ -235,13 +235,9 @@ _GRADIENT_SUBS = {S.eta_u: S.zeta_v, S.theta_v: S.eta_w, S.zeta_w: S.theta_u}
 def formal_substitution(gen: GeneratorField, f_value: Expr | None = None) -> dict:
     """Map the formal coefficient symbols (and their partials, and the
     formal profile if `f_value` is given) to a concrete generator."""
-    out: dict = {}
-    for name, c in zip(FORMAL_COEFFS, gen.as_tuple()):
-        out[REGISTRY.by_name[name]] = c
-        for ax in ("x", "y", "z", "u", "v", "w"):
-            out[REGISTRY.by_name[f"{name}_{ax}"]] = differentiate(
-                c, REGISTRY.by_name[ax]
-            )
+    coeffs = gen.as_tuple()
+    out = {sym: coeffs[idx] if var is None else differentiate(coeffs[idx], var)
+           for sym, (idx, var) in _SLOT_MAP.items()}
     if f_value is not None:
         out |= _profile_values(f_value)
     return out

@@ -3,6 +3,7 @@
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 import curlsym
-from curlsym import cli
+from curlsym import cli, liealg
 from curlsym.expr import as_ratform, normalize, parse, poly_div_exact
 
 
@@ -440,6 +441,26 @@ def test_adjoint_rejects_b10(capsys):
     assert "b7" in err
 
 
+@pytest.mark.parametrize("argv, counted", [
+    (("adjoint", "--basis", "b7", "--numeric", "--eps", "0.5"), "expm"),
+    (("adjoint", "--basis", "b7"), "rref"),
+])
+def test_adjoint_solves_once_per_generator(capsys, monkeypatch, argv, counted):
+    """One matrix exponential, or one Wronskian solve, per generator of b7,
+    not one per table entry."""
+    calls = []
+    inner = getattr(liealg, counted)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, counted, counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert len(calls) == 7
+
+
 # --- verify-solution ---------------------------------------------------------
 
 
@@ -738,6 +759,19 @@ def test_check_f_requires_some_input(capsys):
     assert "--expr" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("check-f", "--expr", "u", "--solve-family"),
+     "give either --expr or --solve-family, not both"),
+    (("check-f", "--expr", "R", "--degree", "3"), "--degree needs --solve-family"),
+    (("adjoint", "--basis", "b7", "--eps", "0.5"), "--eps needs --numeric"),
+])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_flags_that_would_be_ignored_are_refused(capsys, argv, message, json_flag):
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err == f"error: {message}\n"
+
+
 # --- all ---------------------------------------------------------------------
 
 
@@ -825,6 +859,34 @@ def test_missing_subcommand_exits_4(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == cli.EXIT_INPUT
+
+
+# --- the README ---------------------------------------------------------------
+
+
+def _readme_commands():
+    """The `curlsym ...` lines of the README's "Command line" block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(ln.strip())[1:] for ln in section.splitlines()
+            if ln.startswith("    curlsym ")]
+
+
+_README_EXITS = {("bracket-table", "--basis", "b10"): cli.EXIT_DOCUMENTED,
+                 ("all", "--compare-fixtures"): cli.EXIT_DOCUMENTED,
+                 ("check-f", "--expr", "u"): cli.EXIT_VERIFY}
+
+
+def test_readme_commands_run_as_documented(capsys, monkeypatch, tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 18
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_generator.txt").write_text("-y\nx\n0\n-v\nu\n0\n")
+    for argv in commands:
+        code, doc = run_json(capsys, *argv)
+        assert code == _README_EXITS.get(tuple(argv), cli.EXIT_OK), argv
+        assert doc["command"] == argv[0]
+    assert (tmp_path / "table.csv").read_text().startswith("z,g,h\n")
 
 
 # --- start-up -----------------------------------------------------------------

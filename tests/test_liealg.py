@@ -3,14 +3,16 @@ compared cell-by-cell against the shipped reference fixtures."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
 from curlsym import fixtures as fx
 from curlsym import liealg as la
-from curlsym.expr import S, compile_numeric, parse
+from curlsym.expr import Num, S, compile_numeric, normal_expression, parse
 from curlsym.jet import GeneratorField
+from curlsym.ratlin import rref
 
 
 B10 = fx.load_basis(10)
@@ -99,17 +101,64 @@ def test_documented_bracket_cells():
 # --- adjoint representation ---------------------------------------------------
 
 
+def _closed_form_entry(table, i, j):
+    """Reference: the closed form of the single entry Ad(exp(eps*Xi)) Xj,
+    with its own powers of ad_i and its own Wronskian solve."""
+    c = table.constants[i - 1]
+    n = table.dim
+    powers = [[Fraction(l == j - 1) for l in range(n)]]
+    for _ in range(7):
+        v = powers[-1]
+        powers.append([-sum(c[l][k] * v[l] for l in range(n)) for k in range(n)])
+    if powers[7] != powers[3]:
+        raise la.NoClosedForm(f"entry ({i},{j}) is not in the dictionary span")
+    rows, _ = rref(
+        [la._taylor_row(k) + [e / factorial(k) for e in powers[k]]
+         for k in range(7)],
+        cols=7,
+    )
+    coeffs = []
+    for m in range(n):
+        expr = Num(Fraction(0))
+        for row, basis_expr in zip(rows, la._DICTIONARY):
+            if row[7 + m]:
+                expr = expr + Num(row[7 + m]) * basis_expr
+        coeffs.append(normal_expression(expr))
+    return tuple(coeffs)
+
+
+def _numeric_entry(table, i, j, eps):
+    """Reference: Ad(exp(eps*Xi)) Xj from its own matrix exponential."""
+    m = la.expm([[-eps * v for v in row] for row in la.ad_matrix(table, i)])
+    return [row[j - 1] for row in m]
+
+
+@pytest.mark.parametrize("table", [T7, T10], ids=["b7", "b10"])
+def test_adjoint_per_generator_equals_the_per_entry_reference(table):
+    """All 49 + 100 entries: the same coefficient strings, and the same
+    floats, as computing each entry on its own."""
+    n = table.dim
+    for i in range(1, n + 1):
+        closed = la.adjoint_closed_form(table, i)
+        assert len(closed) == n
+        for j in range(1, n + 1):
+            assert la.format_combination(closed[j - 1], table.names) == (
+                la.format_combination(_closed_form_entry(table, i, j), table.names)
+            ), (i, j)
+        for eps in (0.0, 0.7, -3.0):
+            numeric = la.adjoint_numeric(table, i, eps)
+            assert numeric == [_numeric_entry(table, i, j, eps)
+                               for j in range(1, n + 1)], (i, eps)
+
+
 def test_adjoint_numeric_identity_at_zero():
     for i in range(1, 8):
-        for j in range(1, 8):
-            vec = la.adjoint_numeric(T7, i, j, 0.0)
-            want = np.eye(7)[j - 1]
-            assert np.allclose(vec, want, atol=1e-12)
+        assert np.allclose(la.adjoint_numeric(T7, i, 0.0), np.eye(7), atol=1e-12)
 
 
 def test_adjoint_numeric_fixed_point_on_own_generator():
     for i in range(1, 8):
-        vec = la.adjoint_numeric(T7, i, i, 0.83)
+        vec = la.adjoint_numeric(T7, i, 0.83)[i - 1]
         assert np.allclose(vec, np.eye(7)[i - 1], atol=1e-12)
 
 
@@ -118,10 +167,10 @@ def test_adjoint_numeric_group_property():
         for e1 in (0.1, 0.3):
             for e2 in (0.1, 0.3):
                 a = np.array(la.ad_matrix(T7, i))
-                lhs = la.adjoint_numeric(T7, i, 2, e1 + e2)
+                lhs = la.adjoint_numeric(T7, i, e1 + e2)[1]
                 from scipy.linalg import expm
 
-                rhs = expm(-e1 * a) @ la.adjoint_numeric(T7, i, 2, e2)
+                rhs = expm(-e1 * a) @ la.adjoint_numeric(T7, i, e2)[1]
                 assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -137,26 +186,26 @@ def test_expm_matches_scipy(i):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _entry_string(table, i, j):
+    return la.format_combination(la.adjoint_closed_form(table, i)[j - 1], table.names)
+
+
 def test_adjoint_closed_form_samples():
-    names = T7.names
-    assert la.adjoint_closed_form(T7, 1, 2).to_string(names) == (
-        "cos(eps)*X2 - sin(eps)*X3"
-    )
-    assert la.adjoint_closed_form(T7, 7, 4).to_string(names) == "exp(eps)*X4"
-    assert la.adjoint_closed_form(T7, 1, 4).to_string(names) == (
-        "cos(eps)*X4 + sin(eps)*X5"
-    )
-    assert la.adjoint_closed_form(T7, 7, 1).to_string(names) == "X1"
+    assert _entry_string(T7, 1, 2) == "cos(eps)*X2 - sin(eps)*X3"
+    assert _entry_string(T7, 7, 4) == "exp(eps)*X4"
+    assert _entry_string(T7, 1, 4) == "cos(eps)*X4 + sin(eps)*X5"
+    assert _entry_string(T7, 7, 1) == "X1"
 
 
 def test_adjoint_closed_form_matches_reference_everywhere():
     ref = fx.load_adjoint_table()
+    rows = {i: la.adjoint_closed_form(T7, i) for i in range(1, 8)}
     for (i, j), combo in sorted(ref.items()):
-        entry = la.adjoint_closed_form(T7, i, j)
-        assert la.adjoint_entry_matches(entry, combo.coordinate_functions(7)), (
+        coeffs = rows[i][j - 1]
+        assert la.adjoint_entry_matches(coeffs, combo.coordinate_functions(7)), (
             i,
             j,
-            entry.to_string(T7.names),
+            la.format_combination(coeffs, T7.names),
         )
 
 
@@ -164,10 +213,10 @@ def test_adjoint_closed_form_agrees_with_numeric_on_fresh_samples():
     rng = np.random.default_rng(3)
     pairs = [(1, 2), (4, 7), (7, 5), (3, 6), (2, 2)]
     for i, j in pairs:
-        entry = la.adjoint_closed_form(T7, i, j)
-        fns = [compile_numeric(c, [S.eps]) for c in entry.coefficients]
+        coeffs = la.adjoint_closed_form(T7, i)[j - 1]
+        fns = [compile_numeric(c, [S.eps]) for c in coeffs]
         for t in rng.uniform(0.05, 2.6, size=20):
-            numeric = la.adjoint_numeric(T7, i, j, float(t))
+            numeric = la.adjoint_numeric(T7, i, float(t))[j - 1]
             for fn, want in zip(fns, numeric):
                 assert abs(fn(float(t)) - want) < 1e-9
 
@@ -186,20 +235,31 @@ def _table_from_brackets(dim, brackets):
 
 def test_adjoint_closed_form_keeps_exact_rational_constants():
     heisenberg = _table_from_brackets(3, {(1, 2): {3: Fraction(1, 1000003)}})
-    entry = la.adjoint_closed_form(heisenberg, 1, 2)
-    assert entry.to_string(heisenberg.names) == "X2 - eps/1000003*X3"
+    assert _entry_string(heisenberg, 1, 2) == "X2 - eps/1000003*X3"
 
 
 def test_adjoint_rejects_entries_outside_the_dictionary():
     scaled = [B7[3], B7[6].scale(parse("2"))]
     t = la.structure_constants(scaled)  # bracket gives -2 * first element
-    with pytest.raises(la.NoClosedForm):
-        la.adjoint_closed_form(t, 2, 1)  # entry would be exp(2*eps)
+    with pytest.raises(la.NoClosedForm, match=r"\(2,1\)"):
+        la.adjoint_closed_form(t, 2)  # entry would be exp(2*eps)
     filiform = _table_from_brackets(
         5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}}
     )
-    with pytest.raises(la.NoClosedForm):
-        la.adjoint_closed_form(filiform, 1, 2)  # entry would need eps^3
+    with pytest.raises(la.NoClosedForm, match=r"\(1,2\)"):
+        la.adjoint_closed_form(filiform, 1)  # entry would need eps^3
+
+
+def test_adjoint_names_the_first_entry_outside_the_dictionary():
+    """[X1, X2] = 2*X2 makes Ad(exp(eps*X1)) X2 = exp(-2*eps)*X2, while
+    Ad(exp(eps*X1)) X1 = X1 is fine: both routes refuse entry (1,2)."""
+    table = _table_from_brackets(2, {(1, 2): {2: 2}})
+    with pytest.raises(la.NoClosedForm, match=r"\(1,2\)") as ref:
+        _closed_form_entry(table, 1, 2)
+    with pytest.raises(la.NoClosedForm) as got:
+        la.adjoint_closed_form(table, 1)
+    assert str(got.value) == str(ref.value)
+    assert la.format_combination(_closed_form_entry(table, 1, 1), table.names) == "X1"
 
 
 # --- subalgebras ---------------------------------------------------------------
@@ -237,14 +297,14 @@ def test_adjoint_entry_roundtrips_through_fixture_parser():
     entry Ad(exp(eps*X1)) X2 is (1 - exp(-eps))*X1 + exp(-eps)*X2."""
     table = _table_from_brackets(2, {(1, 2): {1: -1, 2: 1}})
     assert table.entry_string(1, 2) == "-X1 + X2"
-    entry = la.adjoint_closed_form(table, 1, 2)
-    text = entry.to_string(table.names)
+    coeffs = la.adjoint_closed_form(table, 1)[1]
+    text = la.format_combination(coeffs, table.names)
     back = fx.parse_combination(text).coordinate_functions(2)
-    assert la.adjoint_entry_matches(entry, back), text
+    assert la.adjoint_entry_matches(coeffs, back), text
     for i, j in ((1, 2), (2, 4), (4, 1), (7, 3)):
-        entry = la.adjoint_closed_form(T7, i, j)
-        back = fx.parse_combination(entry.to_string(T7.names))
-        assert la.adjoint_entry_matches(entry, back.coordinate_functions(7))
+        back = fx.parse_combination(_entry_string(T7, i, j))
+        coeffs = la.adjoint_closed_form(T7, i)[j - 1]
+        assert la.adjoint_entry_matches(coeffs, back.coordinate_functions(7))
 
 
 def test_grids_and_json_are_well_formed():
@@ -252,10 +312,7 @@ def test_grids_and_json_are_well_formed():
     assert len(grid.splitlines()) == 8
     data = la.table_to_json(T7)
     assert data["entries"]["X4,X7"] == "X4"
-    entries = {
-        (i, j): la.adjoint_closed_form(T7, i, j)
-        for i in range(1, 8)
-        for j in range(1, 8)
-    }
-    agrid = la.adjoint_grid(entries, T7.names)
+    rows = [la.adjoint_closed_form(T7, i) for i in range(1, 8)]
+    agrid = la.adjoint_grid(rows, T7.names)
     assert "exp(eps)*X4" in agrid
+    assert agrid.splitlines()[0].split() == ["Ad", *T7.names]
