@@ -17,7 +17,9 @@ import json
 import math
 import sys
 
-from . import fixtures, liealg, solutions, symmetry
+# `solutions` is imported inside verify-solution and reduce, the two commands
+# that use it, so no other command loads it
+from . import fixtures, liealg, symmetry
 from .expr import (
     BASE_SYMBOLS,
     ExprError,
@@ -379,6 +381,8 @@ def cmd_adjoint(args):
 
 
 def _load_solution(token: str) -> solutions.FieldSolution:
+    from . import solutions
+
     if token in solutions.BUILTIN_SOLUTIONS:
         return solutions.BUILTIN_SOLUTIONS[token]
     lines = _read_clean_lines(token)
@@ -418,6 +422,8 @@ def _parse_eps(text: str):
 
 
 def cmd_verify_solution(args):
+    from . import solutions
+
     _check_sampling(args)
     sol = _load_solution(args.sol)
     if args.transform is None and args.eps is not None:
@@ -458,6 +464,8 @@ def cmd_verify_solution(args):
 
 
 def cmd_reduce(args):
+    from . import solutions
+
     _check_sampling(args)
     ode = solutions.reduce_system(args.kind)
     if args.range is None:

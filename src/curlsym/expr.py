@@ -1332,19 +1332,23 @@ def _free(e: Expr, out: set):
 # --- numeric evaluation ------------------------------------------------------
 
 
-def compile_numeric(e: Expr, args: list) -> "callable":
+def compile_numeric(e: Expr | tuple, args: list) -> "callable":
     """Compile to a Python function of the given symbols: the one way an
-    expression becomes a float.  The body is straight-line code, one local
-    per distinct compound subexpression, so depth sets no limit and a shared
-    subtree is computed once; each node keeps its operands' left-to-right
-    order.  An R that is not an argument is sqrt(u^2 + v^2 + w^2).  Raises
-    EvalError for a free symbol that is not an argument, or a free R without
-    u, v and w; calls raise ArithmeticError or ValueError at a pole, an
-    overflow or a negative square root."""
+    expression becomes a float.  For a tuple of expressions the function
+    returns the tuple of their values.  The body is straight-line code, one
+    local per distinct compound subexpression, so depth sets no limit and a
+    subtree shared within or across components is computed once; each node
+    keeps its operands' left-to-right order, so every component gives the
+    same float as its own compile.  Components are computed in order.  An R
+    that is not an argument is sqrt(u^2 + v^2 + w^2).  Raises EvalError for
+    a free symbol that is not an argument, or a free R without u, v and w;
+    calls raise ArithmeticError or ValueError at a pole, an overflow or a
+    negative square root."""
+    roots = e if isinstance(e, tuple) else (e,)
     operand: dict = {}  # node -> literal, argument name or local
     body = []
     free = set()
-    stack = [(e, False)]
+    stack = [(r, False) for r in reversed(roots)]
     while stack:
         node, ready = stack.pop()
         if node in operand:
@@ -1371,7 +1375,9 @@ def compile_numeric(e: Expr, args: list) -> "callable":
             raise EvalError("R is unbound and u, v, w are not all arguments")
         body.insert(0, "    R = _math.sqrt(u*u + v*v + w*w)\n")
     names = ", ".join(s.name for s in args)
-    src = f"def _fn({names}):\n{''.join(body)}    return {operand[e]}\n"
+    result = (f"({''.join(operand[r] + ', ' for r in roots)})"
+              if isinstance(e, tuple) else operand[e])
+    src = f"def _fn({names}):\n{''.join(body)}    return {result}\n"
     ns = {"_math": math}
     exec(src, ns)
     return ns["_fn"]

@@ -99,22 +99,22 @@ def structure_constants(basis, names=None) -> LieAlgebraTable:
 
 
 def jacobi_check(table: LieAlgebraTable) -> bool:
-    """Exact Jacobi identity over all triples of the constants tensor."""
-    c = table.constants
+    """Exact Jacobi identity over all triples of the constants tensor:
+    for i < j < k and every l, the sum over m of c[i][j][m] c[m][k][l] and
+    its two cyclic shifts vanishes.  Only nonzero constants enter a sum."""
+    nonzero = [[[(m, v) for m, v in enumerate(vec) if v] for vec in row]
+               for row in table.constants]
     n = table.dim
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                for l in range(n):
-                    acc = Fraction(0)
-                    for m in range(n):
-                        acc += (
-                            c[i][j][m] * c[m][k][l]
-                            + c[j][k][m] * c[m][i][l]
-                            + c[k][i][m] * c[m][j][l]
-                        )
-                    if acc:
-                        return False
+                acc = {}
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in nonzero[a][b]:
+                        for l, y in nonzero[m][d]:
+                            acc[l] = acc.get(l, 0) + x * y
+                if any(acc.values()):
+                    return False
     return True
 
 

@@ -343,18 +343,31 @@ def ode_residuals(ode: ReducedOde, profile: dict) -> list:
     return out
 
 
+class _Rows(tuple):
+    """A tuple with numpy's `tolist()`, for the one caller that still
+    reads the table as arrays: `perfbench/sweep.py`.  The benchmark change
+    that makes it iterate the tuples deletes this class."""
+
+    def tolist(self) -> list:
+        return list(self)
+
+
 @dataclass(frozen=True)
 class SolutionTable:
+    """The RK4 table in plain tuples: `points` holds the node values,
+    `states` the state tuple at each node and `slopes` the right-hand
+    side's tuple there."""
+
     kind: str
     indep_name: str
     state_names: tuple
-    points: object  # numpy arrays: node values, states and RHS slopes
-    states: object
-    slopes: object
+    points: tuple
+    states: tuple
+    slopes: tuple
     blown_up: bool
 
     def final_state(self) -> tuple:
-        return tuple(float(c) for c in self.states[-1])
+        return self.states[-1]
 
 
 _BLOWUP_NORM = 1e6
@@ -375,8 +388,6 @@ def integrate_ode(
     a non-finite initial state, span or step, for more than 1,000,000
     steps, and for an arithmetic error at the initial state.
     """
-    import numpy as np
-
     t0, t1 = float(span[0]), float(span[1])
     y0 = tuple(float(c) for c in initial)
     for name, values in (("initial state", y0), ("span", (t0, t1)), ("step", (step,))):
@@ -392,11 +403,10 @@ def integrate_ode(
     if (t1 - t0) / step > _MAX_STEPS:
         raise ValueError(f"span / step needs more than {_MAX_STEPS} RK4 steps")
 
-    args = list(ode.state) + [ode.independent]
-    fns = [compile_numeric(e, args) for e in ode.rhs]
+    fn = compile_numeric(ode.rhs, list(ode.state) + [ode.independent])
 
     def rhs(t, s):
-        return tuple(fn(*s, t) for fn in fns)
+        return fn(*s, t)
 
     try:
         slope = rhs(t0, y0)
@@ -443,9 +453,9 @@ def integrate_ode(
         kind=ode.kind,
         indep_name=ode.independent.name,
         state_names=ode.state_names(),
-        points=np.asarray(ts),
-        states=np.asarray(ys),
-        slopes=np.asarray(ss),
+        points=_Rows(ts),
+        states=_Rows(ys),
+        slopes=_Rows(ss),
         blown_up=blown,
     )
 
@@ -525,19 +535,14 @@ def reconstruct_field(table: SolutionTable) -> NumericField:
     if table.kind != "rotation":
         raise ValueError("reconstruction applies to rotation-reduction tables")
     ode = reduce_system("rotation")
-    args = list(ode.state) + [ode.independent]
-    second = [
-        compile_numeric(
-            add(differentiate(f, ode.independent),
-                *(differentiate(f, s) * g for s, g in zip(ode.state, ode.rhs))),
-            args,
-        )
-        for f in ode.rhs
-    ]
-    ts = [float(t) for t in table.points]
-    states = [tuple(float(c) for c in row) for row in table.states]
-    slopes = [tuple(float(c) for c in row) for row in table.slopes]
-    curvatures = [tuple(fn(*y, t) for fn in second) for t, y in zip(ts, states)]
+    second = compile_numeric(
+        tuple(add(differentiate(f, ode.independent),
+                  *(differentiate(f, s) * g for s, g in zip(ode.state, ode.rhs)))
+              for f in ode.rhs),
+        list(ode.state) + [ode.independent],
+    )
+    ts, states, slopes = table.points, table.states, table.slopes
+    curvatures = [second(*y, t) for t, y in zip(ts, states)]
     beta, gamma = (
         _quintic_hermite(ts, [y[k] for y in states], [d[k] for d in slopes],
                          [c[k] for c in curvatures])
@@ -616,7 +621,7 @@ def solution_table_json(table: SolutionTable) -> dict:
         "kind": table.kind,
         "independent": table.indep_name,
         "state": list(table.state_names),
-        "points": [float(t) for t in table.points],
-        "states": [[float(c) for c in row] for row in table.states],
+        "points": list(table.points),
+        "states": [list(row) for row in table.states],
         "blown_up": table.blown_up,
     }

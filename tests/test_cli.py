@@ -1,18 +1,20 @@
 """End-to-end checks of the command line, driven through main(argv)."""
 
+import ast
 import json
 import os
 import runpy
 import shlex
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import curlsym
-from curlsym import cli, liealg
+from curlsym import cli, liealg, solutions
 from curlsym.expr import as_ratform, normalize, parse, poly_div_exact
 
 
@@ -913,11 +915,24 @@ def test_readme_commands_run_as_documented(capsys, monkeypatch, tmp_path):
     "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
     "except SystemExit as e:\n"
     "    assert e.code == 0, e.code",
-], ids=["import", "verify-generator", "adjoint-numeric", "verify-solution-transform"])
+    "import runpy\n"
+    "sys.argv = ['curlsym', 'reduce', '--kind', 'translation']\n"
+    "try:\n"
+    "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
+    "except SystemExit as e:\n"
+    "    assert e.code == 0, e.code",
+    "import runpy\n"
+    "sys.argv = ['curlsym', 'reduce', '--kind', 'rotation']\n"
+    "try:\n"
+    "    runpy.run_module('curlsym.cli', run_name='__main__')\n"
+    "except SystemExit as e:\n"
+    "    assert e.code == 0, e.code",
+], ids=["import", "verify-generator", "adjoint-numeric", "verify-solution-transform",
+        "reduce-translation", "reduce-rotation"])
 def test_symbolic_commands_load_no_numpy_or_scipy(run):
-    """numpy is imported only for the RK4 table of `reduce`, so a fresh
-    process that imports the CLI, runs a symbolic command or the float
-    adjoint loads neither numpy nor scipy."""
+    """curlsym has no runtime dependency: a fresh process that imports the
+    CLI, runs a symbolic command, the float adjoint or either RK4
+    reduction loads neither numpy nor scipy."""
     code = (
         f"import json, sys\n{run}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
@@ -927,6 +942,29 @@ def test_symbolic_commands_load_no_numpy_or_scipy(run):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every module of the package imports only the standard library and
+    curlsym itself, and pyproject.toml lists no runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(curlsym.__file__).resolve().parent
+    foreign = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] != "curlsym"]
+    assert foreign == []
+    pyproject = root.parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 # --- benchmark tracer ---------------------------------------------------------
@@ -947,3 +985,17 @@ def test_benchmark_tracer_finds_every_traced_function(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(spans.read_text())["calls"]) == keys
+
+
+def test_benchmark_sweep_writes_the_table_it_was_given(tmp_path):
+    """perfbench/sweep.py writes each RK4 table as float64 rows
+    (t, state0, state1) through `tolist()`, so a change to the table's
+    shape or type must fail here and not only in the solution-sweep runs."""
+    sweep = Path(__file__).resolve().parents[1] / "perfbench" / "sweep.py"
+    write_table = runpy.run_path(str(sweep))["_write_table"]
+    ode = solutions.reduce_system("translation")
+    table = solutions.integrate_ode(ode, (0.0, 1.0), (0.0, 1.0), 1e-2)
+    path = tmp_path / "translation.f64"
+    assert write_table(table, str(path)) == len(table.points) == 101
+    rows = array("d", path.read_bytes())
+    assert list(rows) == [c for t, y in zip(table.points, table.states) for c in (t, *y)]

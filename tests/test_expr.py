@@ -267,6 +267,38 @@ def test_compile_numeric_computes_a_shared_subtree_once(monkeypatch):
     assert calls == [0.3 + 0.4]
 
 
+def test_compile_numeric_tuple_matches_each_component(monkeypatch):
+    # one function for a tuple: each component is bitwise the float of its
+    # own compile, and at a pole the same exception comes first
+    speed = sqrt(S.x ** 2 + S.y ** 2)
+    args = [S.x, S.y, S.z]
+    cases = [
+        ((S.y * speed - S.x / S.z, -(S.x * speed)), [(1.0, 2.0, 0.0)]),
+        ((sqrt(S.x - S.y) * exp(S.z), sin(speed) / S.z, cos(speed)),
+         [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 1000.0)]),
+    ]
+    rng = random.Random(11)
+    for exprs, poles in cases:
+        whole = compile_numeric(exprs, args)
+        parts = [compile_numeric(e, args) for e in exprs]
+        points = [(rng.uniform(0, 2), rng.uniform(-2, 0), rng.uniform(0.1, 2))
+                  for _ in range(100)]
+        for p in points + poles:
+            try:
+                want = tuple(fn(*p) for fn in parts)
+            except (ArithmeticError, ValueError) as err:
+                with pytest.raises(type(err)):
+                    whole(*p)
+                continue
+            assert [v.hex() for v in whole(*p)] == [v.hex() for v in want]
+    # the shared |(x, y)| is computed once for the whole tuple
+    calls = []
+    real_sqrt = math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda a: calls.append(a) or real_sqrt(a))
+    compile_numeric(cases[0][0], args)(3.0, 4.0, 1.0)
+    assert calls == [25.0]
+
+
 def test_compile_numeric_raises_float_errors():
     with pytest.raises(ZeroDivisionError):
         compile_numeric(1 / S.x, [S.x])(0.0)

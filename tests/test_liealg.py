@@ -84,6 +84,35 @@ def test_jacobi_fails_on_a_tampered_tensor():
     assert not la.jacobi_check(bad)
 
 
+def _dense_jacobi(table):
+    """The reference: every index combination, zero constants included."""
+    c, n = table.constants, table.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    acc = Fraction(0)
+                    for m in range(n):
+                        acc += (c[i][j][m] * c[m][k][l]
+                                + c[j][k][m] * c[m][i][l]
+                                + c[k][i][m] * c[m][j][l])
+                    if acc:
+                        return False
+    return True
+
+
+def test_jacobi_over_nonzero_constants_matches_the_dense_loop():
+    perturbed = [list(row) for row in T7.constants]
+    vec = list(perturbed[0][1])  # [X1, X2] = X3 gains 1/3 X1
+    vec[0] += Fraction(1, 3)
+    perturbed[0][1] = tuple(vec)
+    perturbed[1][0] = tuple(-c for c in vec)
+    bad = la.LieAlgebraTable(T7.basis, T7.names, tuple(map(tuple, perturbed)))
+    for table, verdict in ((T7, True), (T10, True), (bad, False)):
+        assert _dense_jacobi(table) is verdict
+        assert la.jacobi_check(table) is verdict
+
+
 def test_bracket_table_matches_reference_except_documented_cells():
     mismatches = la.table_mismatches(T10, fx.load_bracket_table())
     corrections = fx.load_bracket_corrections()
