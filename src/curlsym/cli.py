@@ -293,12 +293,15 @@ def _classify_mismatches(table, mismatches):
 
 
 def cmd_bracket_table(args):
-    table = _algebra_table(args.basis)
+    return _bracket_report(_algebra_table(args.basis), args.basis)
+
+
+def _bracket_report(table, basis: str):
     lines = [liealg.table_grid(table)]
     jacobi = liealg.jacobi_check(table)
     lines.append(f"Jacobi identity: {'ok' if jacobi else 'VIOLATED'}")
     reference = fixtures.load_bracket_table()
-    if args.basis == "b7":
+    if basis == "b7":
         reference = {
             (i, j): combo
             for (i, j), combo in reference.items()
@@ -316,7 +319,7 @@ def cmd_bracket_table(args):
         f"{len(documented)} documented mismatches, {len(new)} new"
     )
     data = {
-        "basis": args.basis,
+        "basis": basis,
         "jacobi": jacobi,
         "table": liealg.table_to_json(table),
         "documented_mismatches": [m.describe(names) for m in documented],
@@ -334,7 +337,6 @@ def cmd_adjoint(args):
     if args.eps is not None and not args.numeric:
         raise CliInputError("--eps needs --numeric")
     table = _algebra_table("b7")
-    names = table.names
     if args.numeric:
         eps = 1.0 if args.eps is None else args.eps
         lines = [f"numeric adjoint coordinates at eps = {eps:g}"]
@@ -351,7 +353,12 @@ def cmd_adjoint(args):
                 lines.append(f"X{i},X{j}: {pretty}")
         data = {"basis": "b7", "eps": eps, "coordinates": entries}
         return lines, data, EXIT_OK
+    return _adjoint_report(table)
 
+
+def _adjoint_report(table):
+    """The closed-form adjoint table of b7 against the stored one."""
+    names = table.names
     try:
         rows = [liealg.adjoint_closed_form(table, i) for i in range(1, table.dim + 1)]
     except liealg.NoClosedForm as e:
@@ -473,6 +480,10 @@ def cmd_reduce(args):
     else:
         span = (args.range[0], args.range[1])
     try:
+        if args.kind == "rotation" and span[0] < span[1]:
+            # an empty span is integrate_ode's error; a narrow one leaves no
+            # radius for the reconstruction's residual samples
+            solutions.annulus_radii(span)
         table = solutions.integrate_ode(ode, tuple(args.ic), span, args.step)
     except ValueError as e:
         raise CliInputError(str(e)) from None
@@ -566,7 +577,10 @@ def cmd_check_f(args):
         if degree < 0:
             raise CliInputError("degree must be >= 0")
         constraints = symmetry.f_constraints_from_group(fixtures.load_basis(7))
-        family = symmetry.solve_f_family(constraints, degree=degree)
+        try:
+            family = symmetry.solve_f_family(constraints, degree=degree)
+        except ValueError as e:
+            raise CliInputError(str(e)) from None
         lines = [
             f"profiles solving all four constraints (ansatz degree {degree}): "
             + (", ".join(f"c*{to_string(e)}" for e in family) or "none")
@@ -605,8 +619,7 @@ def cmd_check_f(args):
 # --- subalgebras (exposed through `all`) --------------------------------------
 
 
-def _subalgebra_section():
-    table = _algebra_table("b7")
+def _subalgebra_section(table):
     pairs = fixtures.load_subalgebra_pairs()
     corrections = fixtures.load_subalgebra_corrections()
     lines = []
@@ -644,27 +657,30 @@ def cmd_all(args):
     parser = build_parser()
     fixture = ["--compare-fixture"] if args.compare_fixtures else []
     det_fixture = [*fixture, "determining"] if fixture else []
-    runs = [
-        ("determining (formal profile) vs fixture",
-         ["determining", "--system", "curl-f", *det_fixture]),
-        ("ansatz degree 2, magnitude profile",
-         ["solve-ansatz", "--system", "curl-absB", "--degree", "2", *fixture]),
-        ("ansatz degree 2, divergence-free",
-         ["solve-ansatz", "--system", "blair", "--degree", "2", *fixture]),
-        ("bracket table, ten generators", ["bracket-table", "--basis", "b10"]),
-        ("bracket table, seven generators", ["bracket-table", "--basis", "b7"]),
-        ("adjoint table", ["adjoint", "--basis", "b7"]),
-        ("first solution, full system",
-         ["verify-solution", "--sol", "B1", "--system", "blair"]),
-        ("second solution, curl equations",
-         ["verify-solution", "--sol", "B2", "--system", "curl-absB"]),
-        ("profile constraint check", ["check-f", "--expr", "R"]),
-    ]
-    sections = []
-    for title, argv in runs:
+
+    def run(*argv):
         ns = parser.parse_args(argv)
-        sections.append((title, *ns.func(ns)))
-    sections.append(("two-generator subalgebra candidates", *_subalgebra_section()))
+        return ns.func(ns)
+
+    # each table is built once and passed to every section that reads it
+    b10, b7 = _algebra_table("b10"), _algebra_table("b7")
+    sections = [
+        ("determining (formal profile) vs fixture",
+         *run("determining", "--system", "curl-f", *det_fixture)),
+        ("ansatz degree 2, magnitude profile",
+         *run("solve-ansatz", "--system", "curl-absB", "--degree", "2", *fixture)),
+        ("ansatz degree 2, divergence-free",
+         *run("solve-ansatz", "--system", "blair", "--degree", "2", *fixture)),
+        ("bracket table, ten generators", *_bracket_report(b10, "b10")),
+        ("bracket table, seven generators", *_bracket_report(b7, "b7")),
+        ("adjoint table", *_adjoint_report(b7)),
+        ("first solution, full system",
+         *run("verify-solution", "--sol", "B1", "--system", "blair")),
+        ("second solution, curl equations",
+         *run("verify-solution", "--sol", "B2", "--system", "curl-absB")),
+        ("profile constraint check", *run("check-f", "--expr", "R")),
+        ("two-generator subalgebra candidates", *_subalgebra_section(b7)),
+    ]
 
     codes = {code for *_, code in sections}
     if EXIT_FIXTURE in codes:

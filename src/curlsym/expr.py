@@ -435,9 +435,6 @@ class _Namespace:
 S = _Namespace()
 
 BASE_SYMBOLS = tuple(REGISTRY.by_name[n] for n in ("x", "y", "z", "u", "v", "w"))
-JET_SYMBOLS = tuple(
-    REGISTRY.by_name[f"{d}_{a}"] for d in ("u", "v", "w") for a in ("x", "y", "z")
-)
 
 
 # --- polynomial normal form -------------------------------------------------
@@ -1140,10 +1137,10 @@ def equal_exprs(e1: Expr, e2: Expr) -> bool:
     return is_zero_expr(add(e1, neg(e2)))
 
 
-def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
+def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9,
                 bindings: dict | None = None):
     """(is_zero, mode, worst): exact normal form when possible, else numeric
-    sampling at random points in [-2, 2].  mode is 'symbolic' or 'numeric';
+    sampling at random points in [-2, 2], drawn with seed 0.  mode is 'symbolic' or 'numeric';
     worst is the largest |e| sampled, None when decided symbolically.
 
     Sampling compiles e once.  A point where it raises or gives NaN is
@@ -1159,7 +1156,7 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9, seed: int = 0,
         pass
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     bound = bindings or {}
     # R is never sampled: compile_numeric ties it to (u, v, w)
     sampled = sorted(
@@ -1209,29 +1206,6 @@ def collect_poly(p: Poly, variables) -> dict:
         k: Poly({m: c for m, c in terms.items() if c})
         for k, terms in sorted(grouped.items(), key=lambda kv: _mono_sort_key(kv[0]))
     }
-
-
-def collect(e: Expr, variables) -> dict:
-    """Coefficients of e grouped by monomials in `variables`.
-
-    Returns {monomial-in-variables: coefficient Expr}; coefficients contain
-    no symbol from `variables`.  Keys are the kernel's frozen monomials;
-    build them with `monomial_key`."""
-    return {
-        k: p.to_expression() for k, p in collect_poly(normalize(e), variables).items()
-    }
-
-
-def monomial_key(*factors) -> tuple:
-    """monomial_key(u_y) or monomial_key((u_x, 2), (v_z, 1))."""
-    d: dict = {}
-    for fct in factors:
-        if isinstance(fct, tuple):
-            a, e = fct
-        else:
-            a, e = fct, 1
-        d[a] = d.get(a, 0) + e
-    return _freeze({a: e for a, e in d.items() if e})
 
 
 def monomial_expr(mono: tuple) -> Expr:

@@ -1,10 +1,10 @@
 """Reference tables shipped as auditable text files.
 
-Every table the package is expected to reproduce (generator bases, the
-commutator table, the adjoint table, the determining system, the expanded
-residual displays, the subalgebra candidates) lives under ``fixtures/`` in
-a one-entry-per-line format, so any disagreement between a recomputation
-and the reference is a reviewable diff.  Known defects of the reference
+Every table a command compares against (generator bases, the commutator
+table, the adjoint table, the determining system, the subalgebra
+candidates) lives under ``fixtures/`` in a one-entry-per-line format, so
+any disagreement between a recomputation and the reference is a
+reviewable diff.  Known defects of the reference
 tables are shipped alongside as ``*_corrections.txt`` and loaded
 separately; comparison code treats them as the documented exception list.
 """
@@ -206,21 +206,6 @@ def load_determining_fixture() -> tuple[Expr, ...]:
     if sorted(eqs) != list(range(1, 15)):
         raise FixtureError("determining_system.txt must hold equations 1..14")
     return tuple(eqs[k] for k in range(1, 15))
-
-
-@lru_cache(maxsize=None)
-def load_restricted_residuals() -> tuple[Expr, ...]:
-    """The three reference expansions of the restricted invariance residuals."""
-    eqs = _load_indexed_expressions("restricted_residuals.txt")
-    if sorted(eqs) != [1, 2, 3]:
-        raise FixtureError("restricted_residuals.txt must hold displays 1..3")
-    return tuple(eqs[k] for k in (1, 2, 3))
-
-
-@lru_cache(maxsize=None)
-def load_residual_corrections() -> dict[int, Expr]:
-    """Additive terms recomputation produces but the reference displays omit."""
-    return _load_indexed_expressions("residual_corrections.txt")
 
 
 def _parse_pair(text: str, name: str) -> tuple[int, int]:

@@ -33,7 +33,6 @@ from .expr import (
     as_ratform,
     differentiate,
     free_symbols,
-    is_zero_expr,
     mul,
     neg,
     normal_expression,
@@ -85,24 +84,6 @@ class GeneratorField:
         for c, s in zip(self.as_tuple(), (S.x, S.y, S.z, S.u, S.v, S.w)):
             out.append(mul(c, differentiate(e, s)))
         return add(*out)
-
-    def __add__(self, other: "GeneratorField") -> "GeneratorField":
-        return GeneratorField(
-            *[add(a, b) for a, b in zip(self.as_tuple(), other.as_tuple())]
-        )
-
-    def scale(self, c) -> "GeneratorField":
-        c = _as_expr(c)
-        return GeneratorField(*[mul(c, t) for t in self.as_tuple()])
-
-    def __sub__(self, other: "GeneratorField") -> "GeneratorField":
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_expr(c) for c in self.as_tuple())
-
-    def equals(self, other: "GeneratorField") -> bool:
-        return (self - other).is_zero()
 
 
 def total_derivative(e: Expr, axis: Symbol) -> Expr:

@@ -76,10 +76,11 @@ class LieAlgebraTable:
         return format_combination(self.coordinates(i, j), self.names)
 
 
-def structure_constants(basis, names=None) -> LieAlgebraTable:
+def structure_constants(basis) -> LieAlgebraTable:
+    """The closed table of basis, its elements named X1..Xn."""
     basis = tuple(basis)
     n = len(basis)
-    names = tuple(names) if names else tuple(f"X{k}" for k in range(1, n + 1))
+    names = tuple(f"X{k}" for k in range(1, n + 1))
     zero = tuple(Fraction(0) for _ in range(n))
     table = [[zero] * n for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

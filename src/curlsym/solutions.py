@@ -36,7 +36,6 @@ from .expr import (
     compile_numeric,
     decide_zero,
     differentiate,
-    equal_exprs,
     exp,
     free_symbols,
     neg,
@@ -70,9 +69,6 @@ class FieldSolution:
 
     def binding_map(self) -> dict:
         return dict(self.bindings)
-
-    def magnitude_squared(self) -> Expr:
-        return _normalized(self.u**2 + self.v**2 + self.w**2)
 
     def divergence(self) -> Expr:
         return _normalized(
@@ -253,31 +249,6 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     return FieldSolution(*map(_normalized, out), tuple(bindings), label)
 
 
-def solutions_equal(a: FieldSolution, b: FieldSolution) -> bool:
-    """Componentwise normalized identity (parameters left symbolic)."""
-    return all(equal_exprs(ca, cb) for ca, cb in zip(a.components(), b.components()))
-
-
-def solutions_close(
-    a: FieldSolution,
-    b: FieldSolution,
-    samples: int = 40,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> bool:
-    """Numeric comparison on random points, each field evaluated under its
-    own bindings (transform chains bind distinct unit pairs)."""
-    fa = numeric_field_from_solution(a)
-    fb = numeric_field_from_solution(b)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        p = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        va, vb = fa(*p), fb(*p)
-        if max(abs(x - y) for x, y in zip(va, vb)) > tol:
-            return False
-    return True
-
-
 # --- invariant reductions -------------------------------------------------
 
 
@@ -329,20 +300,6 @@ def reduce_system(kind: str) -> ReducedOde:
     raise ValueError(f"unknown reduction kind '{kind}'")
 
 
-def exact_translation_profile() -> dict:
-    return {S.g: parse("sin(z)"), S.h: parse("cos(z)")}
-
-
-def ode_residuals(ode: ReducedOde, profile: dict) -> list:
-    """profile maps each state symbol to an expression in the independent
-    variable; returns d(state)/d(indep) - rhs, normalized."""
-    out = []
-    for s, rhs in zip(ode.state, ode.rhs):
-        lhs = differentiate(profile[s], ode.independent)
-        out.append(_normalized(lhs - substitute(rhs, profile)))
-    return out
-
-
 class _Rows(tuple):
     """A tuple with numpy's `tolist()`, for the one caller that still
     reads the table as arrays: `perfbench/sweep.py`.  The benchmark change
@@ -383,8 +340,9 @@ def integrate_ode(
     """Classical fixed-step RK4 over span = (t0, t1).
 
     Stores the RHS slope at every node for reconstruction.  A state norm
-    above 1e6, a NaN state, or an arithmetic error (overflow) in a step
-    truncates the table and raises the blow-up flag.  Raises ValueError for
+    above 1e6 ends the table after that node; a non-finite state or an
+    arithmetic error (overflow) in a step ends it before, at the last
+    finite node.  Either raises the blow-up flag.  Raises ValueError for
     a non-finite initial state, span or step, for more than 1,000,000
     steps, and for an arithmetic error at the initial state.
     """
@@ -440,11 +398,13 @@ def integrate_ode(
         except ArithmeticError:
             blown = True
             break
+        if not all(math.isfinite(c) for c in y):
+            blown = True
+            break
         t = tn
         ts.append(t)
         ys.append(y)
         ss.append(slope)
-        # written so that a NaN component also counts as blown up
         if not all(abs(c) <= _BLOWUP_NORM for c in y):
             blown = True
             break
@@ -478,30 +438,14 @@ def translation_convergence_ratio(step: float = 2e-3, z_end: float = 1.0) -> flo
 
 @dataclass(frozen=True)
 class NumericField:
-    """Float evaluator (x, y, z) -> (u, v, w); a reconstruction also
-    carries its radial range and table."""
+    """Float evaluator (x, y, z) -> (u, v, w) on the radial range r_range
+    of a reconstruction."""
 
     evaluator: object
-    r_range: tuple | None = None
-    table: SolutionTable | None = None
+    r_range: tuple
 
     def __call__(self, x: float, y: float, z: float) -> tuple:
         return self.evaluator(x, y, z)
-
-
-def numeric_field_from_solution(sol: FieldSolution) -> NumericField:
-    """Float evaluator of the exact field; compile_numeric raises EvalError
-    for a free symbol other than x, y, z and the bound parameters."""
-    bindings = sol.binding_map()
-    params = sorted(bindings, key=lambda s: s.order)
-    args = [S.x, S.y, S.z] + params
-    fns = [compile_numeric(c, args) for c in sol.components()]
-    vals = [bindings[p] for p in params]
-
-    def evaluator(x, y, z):
-        return tuple(fn(x, y, z, *vals) for fn in fns)
-
-    return NumericField(evaluator)
 
 
 def _quintic_hermite(ts, ys, d1, d2):
@@ -559,16 +503,34 @@ def reconstruct_field(table: SolutionTable) -> NumericField:
         b = beta(r)
         return (-y / r * b, x / r * b, gamma(r))
 
-    return NumericField(evaluator, (r_lo, r_hi), table)
+    return NumericField(evaluator, (r_lo, r_hi))
+
+
+# distance of every sampled radius from both ends of a reconstruction,
+# far wider than the 1e-5 central-difference step of `numeric_residuals`
+_SAMPLE_MARGIN = 1e-3
+
+
+def annulus_radii(r_range) -> tuple:
+    """The radii `annulus_sample_points` draws from: r_range shrunk by
+    _SAMPLE_MARGIN at both ends.  ValueError for a range narrower than
+    2 * _SAMPLE_MARGIN, where no radius keeps that margin; a range typed
+    as exactly that wide may round a few ulps narrower, and passes."""
+    lo, hi = r_range[0] + _SAMPLE_MARGIN, r_range[1] - _SAMPLE_MARGIN
+    if lo > hi and not math.isclose(lo, hi):
+        raise ValueError(
+            f"radial range [{r_range[0]:g}, {r_range[1]:g}] is narrower than "
+            f"{2 * _SAMPLE_MARGIN:g}, twice the margin kept by the residual samples"
+        )
+    return lo, hi
 
 
 def annulus_sample_points(n: int, r_range, seed: int = 0):
-    """Random points with |z| <= 1 whose cylindrical radius stays inside
-    r_range with a margin of 1e-3, wide enough for finite-difference
-    stencils."""
+    """Random points with |z| <= 1 whose cylindrical radius lies in
+    `annulus_radii(r_range)`, so a finite-difference stencil around each
+    stays inside r_range."""
     rng = random.Random(seed)
-    lo = r_range[0] + 1e-3
-    hi = r_range[1] - 1e-3
+    lo, hi = annulus_radii(r_range)
     pts = []
     for _ in range(n):
         r = rng.uniform(lo, hi)
@@ -577,8 +539,9 @@ def annulus_sample_points(n: int, r_range, seed: int = 0):
     return pts
 
 
-def numeric_residuals(field: NumericField, points, h: float = 1e-5) -> dict:
+def numeric_residuals(field: NumericField, points) -> dict:
     """Max curl and divergence residuals by central differences."""
+    h = 1e-5
     worst_curl = 0.0
     worst_div = 0.0
     for x, y, z in points:

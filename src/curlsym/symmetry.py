@@ -32,7 +32,6 @@ brings in.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +42,6 @@ from .expr import (
     BASE_SYMBOLS,
     Expr,
     ExprError,
-    JET_SYMBOLS,
-    Num,
     Poly,
     REGISTRY,
     S,
@@ -131,55 +128,6 @@ def invariance_residuals(system: PdeSystem, gen: GeneratorField) -> list:
     return [substitute(pr.apply(d), system.eliminate) for d in system.residuals]
 
 
-def _pythagorean_point(rng):
-    """Rational (u, v, w) with rational R = |(u, v, w)|: a scaled
-    Pythagorean quadruple (m^2+n^2-p^2-q^2, 2(mq+np), 2(nq-mp)) of length
-    m^2+n^2+p^2+q^2."""
-    while True:
-        m, n, p, q = (rng.randint(-3, 3) for _ in range(4))
-        s = m * m + n * n + p * p + q * q
-        if s:
-            break
-    t = Fraction(rng.randint(1, 4), s)
-    comps = (m * m + n * n - p * p - q * q, 2 * (m * q + n * p), 2 * (n * q - m * p))
-    return [t * c for c in comps], t * s
-
-
-def maximal_rank_check(system: PdeSystem, samples: int = 1) -> int:
-    """Minimum exact rank, over random rational on-manifold points, of the
-    residual Jacobian with respect to all base and jet symbols.
-
-    (u, v, w) is a scaled Pythagorean quadruple, so R = |(u, v, w)| is
-    rational; the free jets, x, y, z and, when the system sets no profile,
-    the formal profile symbols are small random fractions.  The
-    eliminated jets are solved from the residuals, so every sample point
-    satisfies the system exactly, and `ratlin.rank` takes the rank.  A set
-    profile is put into the residuals and the elimination map first."""
-    residuals, eliminate = system.residuals, system.eliminate
-    if system.f_value is not None:
-        residuals = [resolve_f(d, system.f_value) for d in residuals]
-        eliminate = {j: resolve_f(e, system.f_value) for j, e in eliminate.items()}
-    variables = (S.x, S.y, S.z, S.u, S.v, S.w) + JET_SYMBOLS
-    jacobian = [[differentiate(d, v) for v in variables] for d in residuals]
-    rng = random.Random(1234)
-    randomized = [S.x, S.y, S.z] + list(system.free_jets)
-    if system.f_value is None:
-        randomized += list(F_SYMBOLS)
-    best = None
-    for _ in range(max(1, samples)):
-        env = {s: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-               for s in randomized}
-        (env[S.u], env[S.v], env[S.w]), env[S.R] = _pythagorean_point(rng)
-        env = {s: Num(c) for s, c in env.items()}
-        for jet, rhs in eliminate.items():
-            env[jet] = Num(normalize(substitute(rhs, env)).constant_value())
-        rows = [[normalize(substitute(e, env)).constant_value() for e in row]
-                for row in jacobian]
-        rank = ratlin.rank(rows)
-        best = rank if best is None else min(best, rank)
-    return best
-
-
 def _numerator(e: Expr) -> Poly:
     return as_ratform(e).num
 
@@ -223,31 +171,7 @@ class VerificationReport:
 
 # --- comparison against a reference determining system ------------------------
 
-# The three bare gradient identities shared by every variant of the system.
-GRADIENT_IDENTITIES = (
-    S.eta_u - S.zeta_v,
-    S.theta_v - S.eta_w,
-    S.zeta_w - S.theta_u,
-)
 _GRADIENT_SUBS = {S.eta_u: S.zeta_v, S.theta_v: S.eta_w, S.zeta_w: S.theta_u}
-
-
-def formal_substitution(gen: GeneratorField, f_value: Expr | None = None) -> dict:
-    """Map the formal coefficient symbols (and their partials, and the
-    formal profile if `f_value` is given) to a concrete generator."""
-    coeffs = gen.as_tuple()
-    out = {sym: coeffs[idx] if var is None else differentiate(coeffs[idx], var)
-           for sym, (idx, var) in _SLOT_MAP.items()}
-    if f_value is not None:
-        out |= _profile_values(f_value)
-    return out
-
-
-def annihilates(equations, gen: GeneratorField, f_value: Expr | None = None) -> bool:
-    """Whether every equation vanishes identically under the substitution of
-    a concrete generator (and optionally a concrete profile)."""
-    sub = formal_substitution(gen, f_value)
-    return all(is_zero_expr(substitute(e, sub)) for e in equations)
 
 
 def _is_bare_identity(p: Poly) -> bool:
@@ -393,16 +317,6 @@ def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:
     return _ansatz_from_polys(determining_polys(system), degree)
 
 
-def solve_ansatz_from_equations(
-    equations, degree: int, f_value: Expr | None = None
-) -> AnsatzResult:
-    """The nullspace construction over an explicit list of formal
-    determining equations, such as the reference fixture, resolved to
-    `f_value` as `determining_polys` resolves its own."""
-    return _ansatz_from_polys(
-        _conditions((_numerator(e) for e in equations), f_value), degree)
-
-
 def _slot_nullspace(conditions, nslots: int):
     """Exact nullspace of linear conditions on `nslots` unknown slots.
 
@@ -529,9 +443,22 @@ def verify_f(constraints, f_value: Expr) -> bool:
     return all(is_zero_expr(resolve_f(c, f_value)) for c in constraints)
 
 
+# C(d+3, 3) + C(d+2, 3) slots at degree d >= 1.  As a fresh `check-f
+# --solve-family` process on 2 shared vCPUs, degree 9 (385 slots) takes
+# 2.0-2.3 s and 31 MB; degree 10 (506) takes 2.7-2.8 s and 35 MB, and
+# degree 11 (650) 3.8-4.1 s and 41 MB
+MAX_FAMILY_SLOTS = 400
+
+
 def solve_f_family(constraints, degree: int = 2):
     """Profiles f = p(u, v, w) + q(u, v, w) R with deg p <= degree and
-    deg q <= degree - 1 satisfying every constraint; exact nullspace basis."""
+    deg q <= degree - 1 satisfying every constraint; exact nullspace basis.
+    ValueError for more than MAX_FAMILY_SLOTS coefficient slots."""
+    # counted before any monomial is built
+    nslots = math.comb(degree + 3, 3) + math.comb(max(degree - 1, 0) + 3, 3)
+    if nslots > MAX_FAMILY_SLOTS:
+        raise ValueError(f"profile family degree {degree} needs {nslots} "
+                         f"coefficient slots, more than {MAX_FAMILY_SLOTS}")
     comps = (S.u, S.v, S.w)
     slots = ([(0, m) for m in monomials_up_to(degree, comps)]
              + [(1, m) for m in monomials_up_to(max(degree - 1, 0), comps)])

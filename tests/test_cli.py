@@ -694,6 +694,47 @@ def test_reduce_rotation_rejects_singular_start(capsys):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_reduce_rotation_refuses_a_span_narrower_than_the_sample_margin(
+        capsys, monkeypatch, json_flag):
+    # the residual samples keep 1e-3 from both ends of the table; a span
+    # under 2e-3 used to draw radii whose stencil left it (a traceback)
+    def unintegrated(*args):
+        raise AssertionError("integrated a span that is refused")
+
+    monkeypatch.setattr(solutions, "integrate_ode", unintegrated)
+    code, out, err = run(capsys, "reduce", "--kind", "rotation", "--range", "1",
+                         "1.001", "--step", "1e-4", *json_flag)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == ("error: radial range [1, 1.001] is narrower than 0.002, "
+                   "twice the margin kept by the residual samples\n")
+
+
+@pytest.mark.parametrize("hi", ["1.002", "1.0025"])
+def test_reduce_rotation_samples_a_span_of_twice_the_margin(capsys, hi):
+    code, out, err = run(capsys, "reduce", "--kind", "rotation", "--range", "1",
+                         hi, "--step", "1e-4")
+    assert code == cli.EXIT_OK and err == ""
+    assert "reconstruction residuals over 100 points" in out
+
+
+def test_reduce_blow_up_json_has_no_nan(capsys):
+    # 1e154^2 + 1e154^2 overflows to inf in the first step, which turns the
+    # state NaN; the table ends at the last finite node
+    code, out, err = run(capsys, "reduce", "--kind", "translation", "--ic",
+                         "1e154", "1e154", "--step", "1e-2", "--json")
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == cli.EXIT_VERIFY and err == ""
+    assert doc["data"]["blown_up"] is True
+    assert doc["data"]["rows"] == 1
+    assert doc["data"]["final_state"] == [1e154, 1e154]
+
+
 # --- check-f -----------------------------------------------------------------
 
 
@@ -755,6 +796,24 @@ def test_check_f_solve_family_negative_degree(capsys):
     assert out == "" and "degree" in err
 
 
+def test_check_f_refuses_a_family_degree_past_the_slot_bound(capsys, monkeypatch):
+    # degree 10 has 286 + 220 slots; the refusal must come before any
+    # monomial is built, so even a huge degree returns at once
+    def unbuilt(*args):
+        raise AssertionError("monomials built for an oversized family")
+
+    monkeypatch.setattr(cli.symmetry, "monomials_up_to", unbuilt)
+    code, out, err = run(capsys, "check-f", "--solve-family", "--degree", "10")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == ("error: profile family degree 10 needs 506 coefficient "
+                   "slots, more than 400\n")
+    code, out, err = run(capsys, "check-f", "--solve-family", "--degree",
+                         str(10**9))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert err.startswith("error: profile family degree 1000000000 needs ")
+
+
 def test_check_f_requires_some_input(capsys):
     code, _, err = run(capsys, "check-f")
     assert code == cli.EXIT_INPUT
@@ -786,6 +845,22 @@ def test_all_documented_only_and_deterministic(capsys):
     assert "pair X2,X5: does NOT close (documented" in out1
     assert "pair X3,X4: does NOT close (documented" in out1
     assert "NEW" not in out1
+
+
+def test_all_builds_each_bracket_table_once(capsys, monkeypatch):
+    # b10 for its bracket section, b7 for the bracket, adjoint and
+    # subalgebra sections
+    built = []
+    inner = liealg.structure_constants
+
+    def counting(basis):
+        built.append(len(basis))
+        return inner(basis)
+
+    monkeypatch.setattr(liealg, "structure_constants", counting)
+    code, _, _ = run(capsys, "all", "--compare-fixtures")
+    assert code == cli.EXIT_DOCUMENTED
+    assert sorted(built) == [7, 10]
 
 
 def test_all_json(capsys):

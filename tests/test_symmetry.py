@@ -1,8 +1,9 @@
 """Determining systems, exact ansatz solutions, and profile constraints.
 
 The reference tables shipped under curlsym/fixtures are the comparison
-targets throughout: the fourteen-equation determining system, the expanded
-residual displays, and the generator bases of sizes 10 and 7.
+targets throughout: the fourteen-equation determining system and the
+generator bases of sizes 10 and 7.  The expanded residual displays, which
+no command reads, sit next to this file.
 """
 
 import random
@@ -10,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,6 @@ from curlsym import symmetry as sy
 from curlsym.expr import (
     BASE_SYMBOLS,
     ExprError,
-    JET_SYMBOLS,
     Poly,
     S,
     as_ratform,
@@ -36,6 +37,15 @@ from curlsym.expr import (
     _poly_key,
 )
 from curlsym.jet import GeneratorField
+
+from reference import (
+    JET_SYMBOLS,
+    add_fields,
+    annihilates,
+    formal_substitution,
+    scale_field,
+)
+from test_acceptance import maximal_rank_check
 
 
 def _curl_formal():
@@ -111,8 +121,20 @@ def test_equivalence_rejects_a_tampered_reference():
 
 def test_gradient_identities_are_among_the_equations():
     keys = {_poly_key(p) for p in sy.determining_polys(_curl_formal())}
-    for ident in sy.GRADIENT_IDENTITIES:
-        assert _poly_key(as_ratform(ident).num.monic()) in keys
+    for lhs, rhs in sy._GRADIENT_SUBS.items():
+        assert _poly_key(as_ratform(lhs - rhs).num.monic()) in keys
+
+
+def _indexed_expressions(name: str) -> dict:
+    """{k: expression} from the lines `k: expression` of a file next to
+    this one, each index once."""
+    out = {}
+    text = (Path(__file__).parent / name).read_text(encoding="utf-8")
+    for line in fx.content_lines(text):
+        head, colon, rest = line.partition(":")
+        assert colon and int(head) not in out, line
+        out[int(head)] = parse(rest.strip())
+    return out
 
 
 def test_restricted_residuals_match_reference_displays():
@@ -120,11 +142,12 @@ def test_restricted_residuals_match_reference_displays():
         as_ratform(r).num
         for r in sy.invariance_residuals(_curl_formal(), sy.generic_generator())
     ]
-    refs = fx.load_restricted_residuals()
-    corr = fx.load_residual_corrections()
+    refs = _indexed_expressions("restricted_residuals.txt")
+    corr = _indexed_expressions("residual_corrections.txt")
+    assert sorted(refs) == [1, 2, 3]
     assert set(corr) == {1}  # exactly one documented omission
     for k in range(3):
-        ref_poly = as_ratform(refs[k]).num
+        ref_poly = as_ratform(refs[k + 1]).num
         if (k + 1) in corr:
             ref_poly = ref_poly + as_ratform(corr[k + 1]).num
         assert _poly_key(computed[k]) == _poly_key(ref_poly)
@@ -134,14 +157,14 @@ def test_both_systems_annihilate_every_reference_generator():
     computed = sy.determining_system(_curl_formal())
     ref = fx.load_determining_fixture()
     for gen in fx.load_basis(10):
-        assert sy.annihilates(computed, gen, S.R)
-        assert sy.annihilates(ref, gen, S.R)
+        assert annihilates(computed, gen, S.R)
+        assert annihilates(ref, gen, S.R)
 
 
 def test_annihilation_fails_for_a_non_symmetry():
     bad = GeneratorField(parse("1"), parse("0"), parse("0"),
                          parse("0"), parse("0"), parse("u"))
-    assert not sy.annihilates(fx.load_determining_fixture(), bad, S.R)
+    assert not annihilates(fx.load_determining_fixture(), bad, S.R)
 
 
 def _random_combination(rng, basis):
@@ -150,8 +173,8 @@ def _random_combination(rng, basis):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         if c == 0:
             continue
-        term = gen.scale(parse(str(c)))
-        combo = term if combo is None else combo + term
+        term = scale_field(gen, parse(str(c)))
+        combo = term if combo is None else add_fields(combo, term)
     return combo
 
 
@@ -163,11 +186,11 @@ def test_random_rational_combinations_annihilate_both_systems():
     for _ in range(25):
         combo = _random_combination(rng, b10)
         assert combo is not None
-        assert sy.annihilates(formal, combo, S.R)
+        assert annihilates(formal, combo, S.R)
     for _ in range(25):
         combo = _random_combination(rng, b7)
         assert combo is not None
-        assert sy.annihilates(solenoidal, combo)
+        assert annihilates(solenoidal, combo)
 
 
 def test_random_fields_outside_the_span_fail_annihilation():
@@ -188,7 +211,7 @@ def test_random_fields_outside_the_span_fail_annihilation():
         gen = GeneratorField(*coeffs)
         if sy.coordinates_in_basis(b10, gen) is not None:
             continue  # rare span hit (includes the all-zero draw)
-        assert not sy.annihilates(formal, gen, S.R)
+        assert not annihilates(formal, gen, S.R)
         rejected += 1
 
 
@@ -202,9 +225,11 @@ def test_ansatz_dimension_ten_and_span():
 
 
 def test_ansatz_from_reference_equations_agrees():
-    res = sy.solve_ansatz_from_equations(
-        fx.load_determining_fixture(), 2, f_value=S.R
-    )
+    # the nullspace construction over the reference equations, resolved to
+    # f = R as `determining_polys` resolves its own
+    conditions = sy._conditions(
+        (sy._numerator(e) for e in fx.load_determining_fixture()), S.R)
+    res = sy._ansatz_from_polys(conditions, 2)
     assert len(res.generators) == 10
     assert sy.generator_spans_equal(res.generators, fx.load_basis(10))
 
@@ -379,7 +404,8 @@ def test_ansatz_slot_bound(monkeypatch):
 
 def test_coordinates_in_basis_roundtrip():
     b10 = fx.load_basis(10)
-    combo = b10[0].scale(parse("3")) + b10[7].scale(parse("-1/2"))
+    combo = add_fields(scale_field(b10[0], parse("3")),
+                       scale_field(b10[7], parse("-1/2")))
     coords = sy.coordinates_in_basis(b10, combo)
     assert coords is not None
     want = [Fraction(0)] * 10
@@ -420,7 +446,7 @@ def test_nullspace_dimension_matches_an_independent_elimination():
         for ci, mono in slots:
             coeffs = [parse("0")] * 6
             coeffs[ci] = monomial_expr(mono)
-            sub = sy.formal_substitution(GeneratorField(*coeffs))
+            sub = formal_substitution(GeneratorField(*coeffs))
             cells = {}
             for ei, eq in enumerate(equations):
                 p = normalize(substitute(eq, sub))
@@ -479,9 +505,9 @@ def test_verify_generator_rejects_non_symmetry():
 
 
 def test_maximal_rank():
-    assert sy.maximal_rank_check(sy.curl_system(S.R), 10) == 3
-    assert sy.maximal_rank_check(sy.blair_system(S.R), 10) == 4
-    assert sy.maximal_rank_check(_curl_formal(), 10) == 3
+    assert maximal_rank_check(sy.curl_system(S.R), 10) == 3
+    assert maximal_rank_check(sy.blair_system(S.R), 10) == 4
+    assert maximal_rank_check(_curl_formal(), 10) == 3
 
 
 def test_maximal_rank_single_equation():
@@ -492,7 +518,7 @@ def test_maximal_rank_single_equation():
         free_jets=tuple(j for j in JET_SYMBOLS if j is not S.u_x),
         f_value=parse("0"),
     )
-    assert sy.maximal_rank_check(system, 5) == 1
+    assert maximal_rank_check(system, 5) == 1
 
 
 # --- profile constraints ------------------------------------------------------
