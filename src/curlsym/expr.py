@@ -524,11 +524,8 @@ class Poly:
         return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def leading(self):
-        """The first term in graded order, found without a sort.
-
-        Distinct monomials have distinct keys, so this is always
-        `sorted_terms()[0]`: a loop over leading terms sees the same
-        sequence as with a full sort."""
+        """The first term in graded order, found without a sort: distinct
+        monomials have distinct keys, so this is `sorted_terms()[0]`."""
         m = min(self.terms, key=_mono_sort_key)
         return m, self.terms[m]
 
@@ -621,16 +618,7 @@ class Poly:
         return f"<Poly {to_string(self.to_expression())}>"
 
     def to_expression(self) -> Expr:
-        terms = []
-        for m, c in self.sorted_terms():
-            factors = [Num(c)] if c != 1 or not m else ([Num(c)] if not m else [])
-            for a, e in m:
-                base = a if isinstance(a, Symbol) else func(a.fn, a.arg)
-                factors.append(pow_(base, e))
-            if not factors:
-                factors = [ONE]
-            terms.append(mul(*factors))
-        return add(*terms) if terms else ZERO
+        return add(*(mul(Num(c), monomial_expr(m)) for m, c in self.sorted_terms()))
 
 
 def poly_const(c: Fraction) -> Poly:
@@ -934,7 +922,10 @@ def poly_sqrt(p: Poly) -> Poly | None:
     2 Newt(q), so each exp-argument coefficient of a root term lies within
     half the range of that coefficient over p's terms.  A term outside it
     means p has no root; without the check 1 + exp(u) would loop on
-    exp(-u/2), exp(-3u/2), ... up to the guard."""
+    exp(-u/2), exp(-3u/2), ... up to the guard.  That guard stays, as q^2
+    meets the R, unit-pair and sin rewrites and `poly_div_exact`'s proof
+    does not carry over; it took at most 9 steps on the README commands
+    and 19 on `verify-solution --sol B2 --transform 4|5|6 --eps eps`."""
     if p.is_zero():
         return Poly({})
     box = {
@@ -978,59 +969,67 @@ def rat_sqrt(rf: RatForm, origin: Expr) -> RatForm:
     return ratform(num, den)
 
 
+def _div_key(args: list):
+    """Key of `poly_div_exact`'s monomial order: graded lex on the atoms
+    other than mergeable exp atoms, then lex, larger first, on the exp
+    argument's coefficients over `args`, which products add."""
+    if not args:
+        return _mono_sort_key
+
+    def key(mono):
+        rest = tuple(ae for ae in mono if not _is_mergeable_exp(ae[0]))
+        arg = _exp_arg(mono)
+        return _mono_sort_key(rest), tuple(-arg.get(k, 0) for k in args)
+
+    return key
+
+
 def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
     """Exact quotient p / d, or None when d does not divide p.
 
-    The remainder is a dict updated in place; a heap of graded-order keys
-    yields its leading term, and entries whose monomial has cancelled are
-    popped when they reach the top.  The leading terms therefore come out
-    in the same sequence as a full sort of the remainder at every step, so
-    the quotient, the None cases and the 4000-step guard's count are those
-    of the sorted loop.
+    Precondition, checked: d has no R, unit-pair partner or sin atom, as
+    holds for every `ratform` denominator and for u^2 + v^2 + w^2.  Then
+    t*d meets no rewrite for a normal-form monomial t, and lead(t*d) =
+    t*lead(d) in the order of `_div_key`.  A step cancels the remainder's
+    leading term and adds only smaller ones; for p = q*d, it takes the
+    next term of q.  By Ostrowski, Newt(p) = Newt(q) + Newt(d), so a
+    quotient term's exp-argument coefficients lie in [min_p - min_d,
+    max_p - max_d]; the first term outside returns None, so 1 / (1 +
+    exp(x)) stops at exp(-x).  The loop ends: the leading monomials
+    strictly decrease, the exp arguments of the quotient terms lie in
+    that box among p's plus integer combinations of d's (finitely many),
+    and the other atoms are p's and d's, where graded lex is a well-order.
 
-    An exp atom divides every monomial (its inverse is another exp atom),
-    so the leading monomial need not reach an end: 1 / (1 + exp(x)) would
-    expand into exp(-x) - exp(-2*x) + ... forever.  For p = q d, Newt(p) =
-    Newt(q) + Newt(d) in the exp-argument coordinates, so each quotient
-    term's coefficient lies in [min_p - min_d, max_p - max_d]; the first
-    term outside that range returns None, and 1 / (1 + exp(x)) stops after
-    one step.  The guard stays: the range bounds only the exp arguments,
-    and the graded order the loop follows is not a monomial order once exp
-    atoms and the quadratic rewrites take part (exp(x)^2 = exp(2*x) counts
-    1 in the degree, R^2 becomes u^2 + v^2 + w^2), so nothing else proves
-    that the loop ends."""
+    A heap of order keys yields the leading term of the remainder, a dict
+    updated in place; entries of cancelled monomials are popped at the top."""
+    if any(_reducible(a, 2) is not None for a in d.atoms()):
+        raise ExprError("divisor carries an R, unit-pair or sin atom")
     if d.is_zero():
         return None
-    if p.is_zero():
-        return Poly({})
     rp, rd = _exp_range(p), _exp_range(d)
     box = {}
     for k in rp.keys() | rd.keys():
         (p_lo, p_hi), (d_lo, d_hi) = rp.get(k, (0, 0)), rd.get(k, (0, 0))
         box[k] = (p_lo - d_lo, p_hi - d_hi)
-    dm, dc = d.leading()
+    key = _div_key(sorted(box, key=_mono_sort_key))
+    dm, dc = min(d.terms.items(), key=lambda kv: key(kv[0]))
     q: dict = {}
     r = dict(p.terms)
-    heap = [(_mono_sort_key(m), m) for m in r]
+    heap = [(key(m), m) for m in r]
     heapq.heapify(heap)
-    guard = 0
     while r:
-        guard += 1
-        if guard > 4000:
-            return None
         while heap[0][1] not in r:
             heapq.heappop(heap)
         rm = heap[0][1]
         t_mono = _mono_div(rm, dm)
         if t_mono is None or not _in_range(t_mono, box):
             return None
-        c = r[rm] / dc
-        q[t_mono] = q.get(t_mono, Fraction(0)) + c
+        c = q[t_mono] = r[rm] / dc
         for m, v in (Poly({t_mono: c}) * d).terms.items():
             nc = r.get(m, Fraction(0)) - v
             if nc:
                 if m not in r:
-                    heapq.heappush(heap, (_mono_sort_key(m), m))
+                    heapq.heappush(heap, (key(m), m))
                 r[m] = nc
             else:
                 del r[m]
