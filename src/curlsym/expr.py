@@ -11,8 +11,9 @@ calculus on three base coordinates (x, y, z) and three field components
   insertion time and d R / d u = u / R etc.
 * parameters (group parameter eps, the unit circle pair a, b with
   a^2 + b^2 -> 1, integration constants C1..C10, the formal function symbols
-  f, f_u, f_v, f_w, and the formal generator coefficients zeta ... psi with
-  their first partials zeta_x ... psi_w)
+  f, f_u, f_v, f_w, the formal generator coefficients zeta ... psi with
+  their first partials zeta_x ... psi_w, and the generator names X1..X10
+  that the reference tables combine)
 
 Everything downstream (prolongation, determining systems, brackets) runs on
 `normalize`, which maps an expression to a polynomial normal form: a map
@@ -418,6 +419,9 @@ def _build_registry() -> SymbolRegistry:
     # reduced-profile symbols for the group-invariant reductions
     for n in ("g", "h", "beta", "gamma", "r"):
         reg.register(n, "parameter")
+    # the generator names of the reference tables, read as coordinates
+    for i in range(1, 11):
+        reg.register(f"X{i}", "parameter")
     return reg
 
 

@@ -11,13 +11,13 @@ separately; comparison code treats them as the documented exception list.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib.resources import files
 
-from .expr import Expr, normalize, parse
+from .expr import (
+    ZERO, Expr, ExprError, Num, S, collect_poly, free_symbols, monomial_expr, mul,
+    normalize, parse, to_string,
+)
 from .jet import GeneratorField, generator_from_strings
 
 
@@ -45,87 +45,25 @@ def _lines(name: str) -> list[str]:
 
 # --- linear combinations of named generators --------------------------------
 
-_TERM_RE = re.compile(r"^(?:(?P<coeff>.+)\*)?X(?P<idx>\d+)$")
+_GENERATORS = tuple(getattr(S, f"X{k}") for k in range(1, 11))
 
 
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split on top-level + and - (parenthesis aware), keeping signs."""
-    terms: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    buf: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and buf and any(c.strip() for c in buf):
-            terms.append((sign, "".join(buf).strip()))
-            sign = 1 if ch == "+" else -1
-            buf = []
-            continue
-        if depth == 0 and ch in "+-" and not any(c.strip() for c in buf):
-            # leading sign of the first term
-            sign = sign * (1 if ch == "+" else -1)
-            continue
-        buf.append(ch)
-    last = "".join(buf).strip()
-    if last:
-        terms.append((sign, last))
-    return terms
-
-
-@dataclass(frozen=True)
-class Combination:
-    """A finite linear combination of basis generators X1..Xn.
-
-    Coefficients are expressions; for commutator-table entries they are
-    rational constants, for adjoint entries they may involve eps."""
-
-    coeffs: tuple[tuple[int, Expr], ...]
-
-    @staticmethod
-    def from_pairs(pairs) -> "Combination":
-        return Combination(tuple(sorted(pairs, key=lambda kv: kv[0])))
-
-    def coordinate_functions(self, dim: int) -> tuple[Expr, ...]:
-        from .expr import Num
-
-        out: list[Expr] = [Num(Fraction(0))] * dim
-        for k, c in self.coeffs:
-            if not 1 <= k <= dim:
-                raise FixtureError(f"generator index X{k} outside basis of size {dim}")
-            out[k - 1] = c
-        return tuple(out)
-
-    def constant_coordinates(self, dim: int) -> tuple[Fraction, ...]:
-        vec: list[Fraction] = [Fraction(0)] * dim
-        for k, c in self.coeffs:
-            if not 1 <= k <= dim:
-                raise FixtureError(f"generator index X{k} outside basis of size {dim}")
-            p = normalize(c)
-            if not p.is_constant():
-                raise FixtureError(f"coefficient of X{k} is not a constant: {c!r}")
-            vec[k - 1] = p.constant_value()
-        return tuple(vec)
-
-
-def parse_combination(text: str) -> Combination:
-    text = text.strip()
-    if text == "0":
-        return Combination(())
-    acc: dict[int, Expr] = {}
-    for sign, term in _split_terms(text):
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise FixtureError(f"cannot read combination term {term!r}")
-        idx = int(m.group("idx"))
-        coeff_src = m.group("coeff") or "1"
-        coeff = parse(coeff_src)
-        if sign < 0:
-            coeff = -coeff
-        acc[idx] = acc[idx] + coeff if idx in acc else coeff
-    return Combination.from_pairs(acc.items())
+def parse_combination(text: str, dim: int, param=None) -> tuple[Expr, ...]:
+    """Coordinates over X1..Xdim of a linear combination such as
+    `cos(eps)*X2 - sin(eps)*X3`, read by the expression parser: one
+    normal-form coefficient per generator, each a function of the symbol
+    `param`, or with no `param` a rational number."""
+    coords = [ZERO] * dim
+    for key, coeff in collect_poly(normalize(parse(text)), _GENERATORS).items():
+        coeff = coeff.to_expression()
+        gen = key[0][0] if len(key) == 1 and key[0][1] == 1 else None
+        ok = isinstance(coeff, Num) if param is None else free_symbols(coeff) <= {param}
+        if gen not in _GENERATORS[:dim] or not ok:
+            term = to_string(mul(coeff, monomial_expr(key)))
+            raise ExprError(f"term {term} is not one of X1..X{dim} times a " + (
+                "rational" if param is None else f"function of {to_string(param)}"))
+        coords[_GENERATORS.index(gen)] = coeff
+    return tuple(coords)
 
 
 # --- loaders -----------------------------------------------------------------
@@ -150,40 +88,49 @@ def load_basis(n: int) -> tuple[GeneratorField, ...]:
     return tuple(gens)
 
 
-def _load_table(name: str, size: int | None) -> dict[tuple[int, int], Combination]:
-    table: dict[tuple[int, int], Combination] = {}
+def _load_table(name: str, read) -> dict[tuple[int, int], tuple]:
+    """The entries of a `Xi,Xj -> value` file keyed by index pair, each
+    value read by `read`."""
+    table: dict[tuple[int, int], tuple] = {}
     for line in _lines(name):
         head, arrow, rhs = line.partition("->")
         if not arrow:
             raise FixtureError(f"{name}: missing '->' in {line!r}")
-        pair = [p.strip() for p in head.split(",")]
-        if len(pair) != 2 or not all(p.startswith("X") for p in pair):
-            raise FixtureError(f"{name}: bad entry key {head!r}")
-        key = (int(pair[0][1:]), int(pair[1][1:]))
+        key = _parse_pair(head, name)
         if key in table:
             raise FixtureError(f"{name}: duplicate entry {key}")
-        table[key] = parse_combination(rhs)
-    if size is not None and len(table) != size * size:
-        raise FixtureError(f"{name}: expected {size * size} entries, got {len(table)}")
+        try:
+            table[key] = read(rhs)
+        except ExprError as e:
+            raise FixtureError(f"{name}: {e} in {line!r}") from None
+    return table
+
+
+def _load_combinations(name: str, dim: int, full: bool, param=None) -> dict:
+    """Combinations over X1..Xdim keyed by pairs of X1..Xdim, all if full."""
+    table = _load_table(name, lambda rhs: parse_combination(rhs, dim, param))
+    cells = {(i, j) for i in range(1, dim + 1) for j in range(1, dim + 1)}
+    if not (table.keys() == cells if full else table.keys() <= cells):
+        raise FixtureError(f"{name}: the keys do not fit the pairs of X1..X{dim}")
     return table
 
 
 @lru_cache(maxsize=None)
-def load_bracket_table() -> dict[tuple[int, int], Combination]:
+def load_bracket_table() -> dict[tuple[int, int], tuple[Expr, ...]]:
     """Reference commutator table over basis_10; (i,j) -> [Xi,Xj]."""
-    return _load_table("brackets_10.txt", 10)
+    return _load_combinations("brackets_10.txt", 10, True)
 
 
 @lru_cache(maxsize=None)
-def load_bracket_corrections() -> dict[tuple[int, int], Combination]:
+def load_bracket_corrections() -> dict[tuple[int, int], tuple[Expr, ...]]:
     """Recomputed values for the reference-table entries known to be wrong."""
-    return _load_table("bracket_corrections.txt", None)
+    return _load_combinations("bracket_corrections.txt", 10, False)
 
 
 @lru_cache(maxsize=None)
-def load_adjoint_table() -> dict[tuple[int, int], Combination]:
+def load_adjoint_table() -> dict[tuple[int, int], tuple[Expr, ...]]:
     """Reference adjoint table over basis_7; (i,j) -> Ad(exp(eps Xi)) Xj."""
-    return _load_table("adjoint_7.txt", 7)
+    return _load_combinations("adjoint_7.txt", 7, True, S.eps)
 
 
 def _load_indexed_expressions(name: str) -> dict[int, Expr]:
@@ -192,6 +139,8 @@ def _load_indexed_expressions(name: str) -> dict[int, Expr]:
         head, colon, rest = line.partition(":")
         if not colon:
             raise FixtureError(f"{name}: missing ':' in {line!r}")
+        if not head.strip().isdecimal():
+            raise FixtureError(f"{name}: bad index in {line!r}")
         k = int(head)
         if k in out:
             raise FixtureError(f"{name}: duplicate index {k}")
@@ -210,8 +159,8 @@ def load_determining_fixture() -> tuple[Expr, ...]:
 
 def _parse_pair(text: str, name: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or not all(p.startswith("X") for p in parts):
-        raise FixtureError(f"{name}: bad pair {text!r}")
+    if len(parts) != 2 or not all(p[:1] == "X" and p[1:].isdecimal() for p in parts):
+        raise FixtureError(f"{name}: bad pair {text.strip()!r}")
     return (int(parts[0][1:]), int(parts[1][1:]))
 
 
@@ -228,13 +177,5 @@ def load_subalgebra_pairs() -> tuple[tuple[int, int], ...]:
 def load_subalgebra_corrections() -> dict[tuple[int, int], tuple[int, int]]:
     """Candidate pairs known not to close, mapped to the aligned pair
     (same translation, commuting rotation) that does."""
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for line in _lines("subalgebra_corrections.txt"):
-        head, arrow, rhs = line.partition("->")
-        if not arrow:
-            raise FixtureError(f"subalgebra_corrections.txt: missing '->' in {line!r}")
-        key = _parse_pair(head, "subalgebra_corrections.txt")
-        if key in out:
-            raise FixtureError(f"subalgebra_corrections.txt: duplicate {key}")
-        out[key] = _parse_pair(rhs, "subalgebra_corrections.txt")
-    return out
+    name = "subalgebra_corrections.txt"
+    return _load_table(name, lambda rhs: _parse_pair(rhs, name))

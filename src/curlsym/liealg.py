@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, frexp, isfinite
 
 from .expr import (
-    Add, Expr, Num, S, cos, equal_exprs, exp, normal_expression, sin, to_string,
+    ZERO, Add, Expr, Num, S, cos, exp, normal_expression, sin, to_string,
 )
 from .jet import GeneratorField
 from .ratlin import rref
@@ -122,7 +122,7 @@ def jacobi_check(table: LieAlgebraTable) -> bool:
 def format_combination(coeffs, names) -> str:
     """Human form of sum_k coeffs[k]*names[k], with rational or Expr
     coefficients: '0', 'X3', '-1/2*X8 + X1', '(-exp(-eps) + 1)*X1', ...;
-    a sum coefficient is parenthesized, so the fixture parser reads it back."""
+    a sum coefficient is parenthesized, so `parse` reads it back."""
     parts = []
     for c, name in zip(coeffs, names):
         if not isinstance(c, Expr):
@@ -242,14 +242,6 @@ def adjoint_closed_form(table: LieAlgebraTable, i: int) -> tuple:
     return tuple(tuple(combine(7 + j * n + m) for m in range(n)) for j in range(n))
 
 
-def adjoint_entry_matches(coeffs, reference_coeffs) -> bool:
-    """Exact comparison of an entry's coefficient functions against
-    reference ones."""
-    if len(coeffs) != len(reference_coeffs):
-        return False
-    return all(equal_exprs(a, b) for a, b in zip(coeffs, reference_coeffs))
-
-
 # --- subalgebras and fixture diffs --------------------------------------------
 
 
@@ -270,14 +262,17 @@ def is_subalgebra(table: LieAlgebraTable, subset) -> bool:
 
 @dataclass(frozen=True)
 class TableMismatch:
+    """A cell whose coordinates over the reference's X1..Xn disagree."""
+
     pair: tuple
     computed: tuple
     reference: tuple
 
-    def describe(self, names) -> str:
+    def describe(self) -> str:
         i, j = self.pair
+        names = [f"X{k}" for k in range(1, len(self.reference) + 1)]
         return (
-            f"[{names[i - 1]},{names[j - 1]}]: computed "
+            f"[X{i},X{j}]: computed "
             f"{format_combination(self.computed, names)}, reference "
             f"{format_combination(self.reference, names)}"
         )
@@ -285,13 +280,15 @@ class TableMismatch:
 
 def table_mismatches(table: LieAlgebraTable, reference) -> list:
     """Cells where the computed table disagrees with a reference mapping
-    {(i, j): Combination}; sorted by (i, j)."""
+    {(i, j): coordinates as Num}; sorted by (i, j).  The reference may span
+    more generators than the table: a cell of the table matches only if its
+    reference coordinates past the table's dimension are 0."""
     out = []
-    for (i, j), combo in sorted(reference.items()):
-        ref_vec = combo.constant_coordinates(table.dim)
-        got = table.coordinates(i, j)
-        if tuple(got) != tuple(ref_vec):
-            out.append(TableMismatch((i, j), tuple(got), tuple(ref_vec)))
+    for (i, j), ref in sorted(reference.items()):
+        got = tuple(Num(c) for c in table.coordinates(i, j))
+        got += (ZERO,) * (len(ref) - len(got))
+        if got != ref:
+            out.append(TableMismatch((i, j), got, ref))
     return out
 
 

@@ -129,7 +129,7 @@ def test_criterion_04_structure_constants(table10, table7):
     corrections = fixtures.load_bracket_corrections()
     pairs = sorted(m.pair for m in mismatches)
     documented_only = pairs == sorted(corrections) and all(
-        m.computed == tuple(corrections[m.pair].constant_coordinates(10))
+        m.computed == corrections[m.pair]
         for m in mismatches
     )
     _check(
@@ -147,8 +147,10 @@ def test_criterion_05_adjoint_tables(table7):
     closed_ok = True
     for i in range(1, 8):
         for j in range(1, 8):
-            ref = reference[(i, j)].coordinate_functions(7)
-            closed_ok = closed_ok and liealg.adjoint_entry_matches(rows[i][j - 1], ref)
+            ref = reference[(i, j)]
+            entry = rows[i][j - 1]
+            closed_ok = closed_ok and len(entry) == len(ref) and all(
+                map(equal_exprs, entry, ref))
     worst = 0.0
     for i, row in rows.items():
         fns = [[compile_numeric(c, [S.eps]) for c in coeffs] for coeffs in row]

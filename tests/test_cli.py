@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import curlsym
-from curlsym import cli, liealg, solutions
+from curlsym import cli, fixtures, liealg, solutions
 from curlsym.expr import as_ratform, normalize, parse, poly_div_exact
 
 
@@ -192,6 +192,21 @@ def test_verify_generator_expr_file_pipe_form(capsys, tmp_path):
     )
     assert code == cli.EXIT_OK
     assert "symmetry = True" in out
+
+
+def test_generator_names_are_constant_parameters_in_user_files(capsys, tmp_path):
+    """X1..X10 read as constant parameters, like C1..C10: a translation
+    along x by X1 is a symmetry, and a profile may not name X1."""
+    path = tmp_path / "gen.txt"
+    outputs = []
+    for c in ("C1", "X1"):
+        path.write_text(f"{c}\n0\n0\n0\n0\n0\n")
+        outputs.append(run(capsys, "verify-generator", "--expr-file", str(path)))
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0] == cli.EXIT_OK and "symmetry = True" in outputs[1][1]
+    code, _, err = run(capsys, "check-f", "--expr", "X1")
+    assert code == cli.EXIT_INPUT
+    assert err == "error: a profile may name only u, v, w and R, not X1\n"
 
 
 def test_verify_generator_expr_file_wrong_count(capsys, tmp_path):
@@ -403,6 +418,46 @@ def test_bracket_table_json(capsys):
     assert doc["data"]["new_mismatches"] == []
 
 
+@pytest.fixture
+def fixture_copy(tmp_path, monkeypatch):
+    """A writable copy of the reference tables, read by every loader."""
+    for path in (Path(fixtures.__file__).parent / "fixtures").iterdir():
+        (tmp_path / path.name).write_text(path.read_text())
+    monkeypatch.setattr(fixtures, "_data_dir", lambda: tmp_path)
+    cached = [f for f in vars(fixtures).values() if hasattr(f, "cache_clear")]
+    for f in cached:
+        f.cache_clear()
+    yield tmp_path
+    for f in cached:
+        f.cache_clear()
+
+
+@pytest.mark.parametrize("name, old, new, command", [
+    ("brackets_10.txt", "X1,X2 -> X3", "Xa,X2 -> X3", "bracket-table"),
+    ("brackets_10.txt", "X1,X2 -> X3", "X1,X2 -> X1*X2", "bracket-table"),
+    ("brackets_10.txt", "X1,X2 -> X3", "X1,X2 -> X3 + 1", "bracket-table"),
+    ("adjoint_7.txt", "X1,X1 -> X1", "X1,X1 -> X8", "adjoint"),
+    ("brackets_10.txt", "X1,X2 -> X3", "X1,X2 -> x*X3", "bracket-table"),
+    ("brackets_10.txt", "X1,X2 -> X3", "X1,X2 -> sin(X1)*X3", "bracket-table"),
+    ("adjoint_7.txt", "X1,X1 -> X1", "X1,X1 -> exp(X2)*X1", "adjoint"),
+    ("brackets_10.txt", "X1,X2 -> X3", "X1,X2 -> X3 + X8",
+     "bracket-table --basis b7"),
+], ids=["bad-key", "product", "constant-term", "past-the-basis", "non-constant",
+        "generator-in-coefficient", "generator-in-adjoint-coefficient",
+        "b7-cell-past-X7"])
+def test_malformed_fixture_entry_is_bad_input(capsys, fixture_copy, name, old,
+                                              new, command):
+    path = fixture_copy / name
+    text = path.read_text()
+    assert f"\n{old}\n" in text
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    code, out, err = run(capsys, *command.split())
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and name in err
+
+
 # --- adjoint -----------------------------------------------------------------
 
 
@@ -438,9 +493,10 @@ def test_adjoint_numeric_rejects_non_finite_coordinates(capsys, eps):
 
 
 def test_adjoint_rejects_b10(capsys):
-    code, _, err = run(capsys, "adjoint", "--basis", "b10")
-    assert code == cli.EXIT_INPUT
-    assert "b7" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adjoint", "--basis", "b10"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "b7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, counted", [

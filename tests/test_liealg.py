@@ -10,7 +10,7 @@ import pytest
 
 from curlsym import fixtures as fx
 from curlsym import liealg as la
-from curlsym.expr import Num, S, compile_numeric, normal_expression, parse
+from curlsym.expr import Num, S, compile_numeric, equal_exprs, normal_expression, parse
 from curlsym.jet import GeneratorField
 from curlsym.ratlin import rref
 
@@ -120,7 +120,7 @@ def test_bracket_table_matches_reference_except_documented_cells():
     corrections = fx.load_bracket_corrections()
     assert {m.pair for m in mismatches} == set(corrections)
     for m in mismatches:
-        assert m.computed == corrections[m.pair].constant_coordinates(10)
+        assert m.computed == corrections[m.pair]
 
 
 def test_documented_bracket_cells():
@@ -228,12 +228,17 @@ def test_adjoint_closed_form_samples():
     assert _entry_string(T7, 7, 1) == "X1"
 
 
+def _same_coordinates(coeffs, reference) -> bool:
+    """Equal length and exactly equal coefficient functions."""
+    return len(coeffs) == len(reference) and all(map(equal_exprs, coeffs, reference))
+
+
 def test_adjoint_closed_form_matches_reference_everywhere():
     ref = fx.load_adjoint_table()
     rows = {i: la.adjoint_closed_form(T7, i) for i in range(1, 8)}
-    for (i, j), combo in sorted(ref.items()):
+    for (i, j), coords in sorted(ref.items()):
         coeffs = rows[i][j - 1]
-        assert la.adjoint_entry_matches(coeffs, combo.coordinate_functions(7)), (
+        assert _same_coordinates(coeffs, coords), (
             i,
             j,
             la.format_combination(coeffs, T7.names),
@@ -319,8 +324,8 @@ def test_whole_basis_is_a_subalgebra():
 def test_format_combination_roundtrips_through_fixture_parser():
     for (i, j) in ((1, 2), (2, 9), (9, 2), (4, 10), (7, 8)):
         s = T10.entry_string(i, j)
-        got = fx.parse_combination(s).constant_coordinates(10)
-        assert got == T10.coordinates(i, j)
+        got = fx.parse_combination(s, 10)
+        assert got == tuple(Num(c) for c in T10.coordinates(i, j))
 
 
 def test_adjoint_entry_roundtrips_through_fixture_parser():
@@ -330,12 +335,12 @@ def test_adjoint_entry_roundtrips_through_fixture_parser():
     assert table.entry_string(1, 2) == "-X1 + X2"
     coeffs = la.adjoint_closed_form(table, 1)[1]
     text = la.format_combination(coeffs, table.names)
-    back = fx.parse_combination(text).coordinate_functions(2)
-    assert la.adjoint_entry_matches(coeffs, back), text
+    back = fx.parse_combination(text, 2, S.eps)
+    assert _same_coordinates(coeffs, back), text
     for i, j in ((1, 2), (2, 4), (4, 1), (7, 3)):
-        back = fx.parse_combination(_entry_string(T7, i, j))
+        back = fx.parse_combination(_entry_string(T7, i, j), 7, S.eps)
         coeffs = la.adjoint_closed_form(T7, i)[j - 1]
-        assert la.adjoint_entry_matches(coeffs, back.coordinate_functions(7))
+        assert _same_coordinates(coeffs, back)
 
 
 def test_grids_and_json_are_well_formed():
