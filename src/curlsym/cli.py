@@ -23,6 +23,8 @@ from . import fixtures, liealg, symmetry
 from .expr import (
     BASE_SYMBOLS,
     ExprError,
+    FORMAL_COEFFS,
+    REGISTRY,
     S,
     _poly_key,
     as_ratform,
@@ -220,6 +222,13 @@ def _read_clean_lines(path: str):
     return fixtures.content_lines(raw)
 
 
+def _reject_symbols(what: str, names, exprs, banned, rule: str):
+    """Bad input naming the first of `banned` that an expression names."""
+    for name, e in zip(names, exprs):
+        if found := free_symbols(e) & banned:
+            raise CliInputError(f"{what} {name} {rule} '{min(s.name for s in found)}'")
+
+
 def _load_generator(args):
     if args.gen and args.expr_file:
         raise CliInputError("give either --gen or --expr-file, not both")
@@ -241,12 +250,8 @@ def _load_generator(args):
             )
         gen = generator_from_strings(parts)
         # like a jet, a formal symbol would be taken for an unknown function
-        for name, c in zip(symmetry.FORMAL_COEFFS, gen.as_tuple()):
-            formal = free_symbols(c) & symmetry.FORMAL_SYMBOLS
-            if formal:
-                raise CliInputError(
-                    f"generator coefficient {name} may not depend on formal "
-                    f"symbol '{min(s.name for s in formal)}'")
+        _reject_symbols("generator coefficient", FORMAL_COEFFS, gen.as_tuple(),
+                        symmetry.FORMAL_SYMBOLS, "may not depend on formal symbol")
         return gen, args.expr_file
     raise CliInputError("give --gen NAME or --expr-file FILE")
 
@@ -384,7 +389,14 @@ def _load_solution(token: str) -> solutions.FieldSolution:
             f"'{token}' is not a built-in solution name and not a file with "
             "three component expressions (u, v, w)"
         )
-    return solutions.FieldSolution(*(parse(ln) for ln in lines), label=token)
+    comps = [parse(ln) for ln in lines]
+    # a field is B(x, y, z): components, jets, R and formal symbols are no
+    # coordinates of it
+    banned = symmetry.FORMAL_SYMBOLS | {s for s in REGISTRY.by_name.values()
+                                        if s.kind in ("dependent", "jet", "radical")}
+    _reject_symbols("solution component", "uvw", comps, banned,
+                    "may name only x, y, z and constant parameters, not")
+    return solutions.FieldSolution(*comps, label=token)
 
 
 def _parse_eps(text: str):
@@ -668,16 +680,8 @@ def cmd_all(args):
         ("two-generator subalgebra candidates", *_subalgebra_section(b7)),
     ]
 
-    codes = {code for *_, code in sections}
-    if EXIT_FIXTURE in codes:
-        overall = EXIT_FIXTURE
-    elif EXIT_VERIFY in codes:
-        overall = EXIT_VERIFY
-    elif EXIT_DOCUMENTED in codes:
-        overall = EXIT_DOCUMENTED
-    else:
-        overall = EXIT_OK
-
+    # the codes rank 0 < 1 < 2 < 3 by severity, and no section gives 4
+    overall = max(code for *_, code in sections)
     lines = []
     data = {"sections": {}}
     for title, body, section_data, code in sections:
@@ -777,6 +781,9 @@ def build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact arithmetic prints every digit (the int <-> str cap is 3.11+)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         lines, data, code = args.func(args)

@@ -344,6 +344,8 @@ def sqrt(a):
 # --- symbol registry --------------------------------------------------------
 
 KINDS = ("independent", "dependent", "jet", "radical", "parameter")
+# the slots of a point generator, also the formal coefficients' names
+FORMAL_COEFFS = ("zeta", "eta", "theta", "phi", "lam", "psi")
 
 
 class SymbolRegistry:
@@ -411,7 +413,7 @@ def _build_registry() -> SymbolRegistry:
     # formal generator coefficients and their first partials; the first
     # prolongation differentiates a coefficient at most once, so no rules
     # are needed on the partials themselves
-    for g in ("zeta", "eta", "theta", "phi", "lam", "psi"):
+    for g in FORMAL_COEFFS:
         gs = reg.register(g, "parameter")
         for n in ("x", "y", "z", "u", "v", "w"):
             gd = reg.register(f"{g}_{n}", "parameter")
@@ -571,10 +573,10 @@ class Poly:
     def power(self, n: int) -> "Poly":
         if n < 0:
             raise ExprError("negative power on a polynomial")
-        acc = poly_const(Fraction(1))
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        if n < 2:
+            return poly_const(Fraction(1)) * self if n else poly_const(Fraction(1))
+        half = self.power(n // 2)  # repeated squaring: O(log n) products
+        return half * half * self if n % 2 else half * half
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -1484,7 +1486,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, text, off = self.next()
         if kind == "num":
-            return Num(Fraction(int(text)))
+            try:
+                return Num(Fraction(int(text)))
+            except ValueError:  # more than sys.get_int_max_str_digits()
+                raise ParseError(f"{len(text)}-digit literal is too long", off) from None
         if kind == "(":
             e = self.parse_sum()
             t = self.next()

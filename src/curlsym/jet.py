@@ -16,6 +16,9 @@ eta u_yi + theta u_zi for the characteristic Q = phi - zeta u_x - eta u_y -
 theta u_z with the second-order jets cancelled by hand, so only total
 derivatives of point functions are taken.  The tests compare it with the
 nine expanded coefficient formulas, quadratic in jets.
+
+X, pr X and the total derivatives D_i are derivations sum c d/ds, given as
+(symbol s, coefficient c) pairs; `derivation` applies each of them.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
+    BASE_SYMBOLS,
     Expr,
     ExprError,
+    FORMAL_COEFFS,
     REGISTRY,
-    S,
     Symbol,
     _as_expr,
     add,
@@ -37,10 +41,6 @@ from .expr import (
     neg,
     normal_expression,
 )
-
-
-class OrderOverflow(ExprError):
-    """Total derivative would need jets beyond first order."""
 
 
 AXES = ("x", "y", "z")
@@ -57,6 +57,11 @@ def _no_jets(e: Expr, what: str):
             raise ExprError(f"{what} may not depend on jet symbol '{s.name}'")
 
 
+def derivation(field, e: Expr) -> Expr:
+    """sum c de/ds over the (symbol s, coefficient c) pairs of `field`."""
+    return add(*(mul(c, differentiate(e, s)) for s, c in field))
+
+
 @dataclass(frozen=True)
 class GeneratorField:
     """Coefficients of a point generator, in the fixed slot order
@@ -70,7 +75,7 @@ class GeneratorField:
     psi: Expr
 
     def __post_init__(self):
-        for name in ("zeta", "eta", "theta", "phi", "lam", "psi"):
+        for name in FORMAL_COEFFS:
             val = _as_expr(getattr(self, name))
             _no_jets(val, f"generator coefficient {name}")
             object.__setattr__(self, name, val)
@@ -78,45 +83,22 @@ class GeneratorField:
     def as_tuple(self) -> tuple:
         return (self.zeta, self.eta, self.theta, self.phi, self.lam, self.psi)
 
-    def apply(self, e: Expr) -> Expr:
-        """X acting as a derivation on a point function."""
-        out = []
-        for c, s in zip(self.as_tuple(), (S.x, S.y, S.z, S.u, S.v, S.w)):
-            out.append(mul(c, differentiate(e, s)))
-        return add(*out)
+    def field(self) -> tuple:
+        """X as (symbol, coefficient) pairs over x, y, z, u, v, w."""
+        return tuple(zip(BASE_SYMBOLS, self.as_tuple()))
 
 
 def total_derivative(e: Expr, axis: Symbol) -> Expr:
-    """D_axis on a function of base coordinates and components.
-
-    First jets in `e` would require second-order jets, which the symbol
-    universe does not carry: OrderOverflow."""
-    for s in free_symbols(e):
-        if s.kind == "jet":
-            raise OrderOverflow(
-                f"total derivative of '{s.name}' needs second-order jets"
-            )
-    out = [differentiate(e, axis)]
-    for dep in DEPS:
-        d = differentiate(e, REGISTRY.by_name[dep])
-        out.append(mul(jet_symbol(dep, axis.name), d))
-    return add(*out)
+    """D_axis on a function of base coordinates and components: the
+    derivation d/d(axis) + u_axis d/du + v_axis d/dv + w_axis d/dw."""
+    field = ((axis, 1),) + tuple(
+        (REGISTRY.by_name[dep], jet_symbol(dep, axis.name)) for dep in DEPS)
+    return derivation(field, e)
 
 
-@dataclass(frozen=True)
-class ProlongedGenerator:
-    base: GeneratorField
-    jet_coefficients: dict  # jet Symbol -> Expr
-
-    def apply(self, e: Expr) -> Expr:
-        out = [self.base.apply(e)]
-        for j, c in self.jet_coefficients.items():
-            d = differentiate(e, j)
-            out.append(mul(c, d))
-        return add(*out)
-
-
-def first_prolongation(gen: GeneratorField) -> ProlongedGenerator:
+def first_prolongation(gen: GeneratorField) -> tuple:
+    """pr X as (symbol, coefficient) pairs: X's six, then the nine first
+    jets u_x, u_y, ..., w_z."""
     base = (gen.zeta, gen.eta, gen.theta)
     comps = {"u": gen.phi, "v": gen.lam, "w": gen.psi}
     # axis -> (D_axis zeta, D_axis eta, D_axis theta)
@@ -124,15 +106,15 @@ def first_prolongation(gen: GeneratorField) -> ProlongedGenerator:
         ax: [total_derivative(c, REGISTRY.by_name[ax]) for c in base]
         for ax in AXES
     }
-    coefs = {}
+    jets = []
     for dep in DEPS:
         for ax in AXES:
             axis = REGISTRY.by_name[ax]
             terms = [total_derivative(comps[dep], axis)]
             for ax2, d in zip(AXES, d_base[ax]):
                 terms.append(neg(mul(jet_symbol(dep, ax2), d)))
-            coefs[jet_symbol(dep, ax)] = normal_expression(add(*terms))
-    return ProlongedGenerator(base=gen, jet_coefficients=coefs)
+            jets.append((jet_symbol(dep, ax), normal_expression(add(*terms))))
+    return gen.field() + tuple(jets)
 
 
 def generator_from_strings(parts) -> GeneratorField:

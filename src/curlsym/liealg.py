@@ -23,7 +23,7 @@ from math import factorial, frexp, isfinite
 from .expr import (
     ZERO, Add, Expr, Num, S, cos, exp, normal_expression, sin, to_string,
 )
-from .jet import GeneratorField
+from .jet import GeneratorField, derivation
 from .ratlin import rref
 from .symmetry import basis_coordinates
 
@@ -45,8 +45,9 @@ class NoClosedForm(ValueError):
 def bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
     """Commutator of vector fields on (x,y,z,u,v,w)-space, componentwise
     a(b's coefficients) minus b(a's coefficients)."""
+    fa, fb = a.field(), b.field()
     coeffs = [
-        normal_expression(a.apply(cb) - b.apply(ca))
+        normal_expression(derivation(fa, cb) - derivation(fb, ca))
         for ca, cb in zip(a.as_tuple(), b.as_tuple())
     ]
     return GeneratorField(*coeffs)

@@ -42,6 +42,7 @@ from .expr import (
     BASE_SYMBOLS,
     Expr,
     ExprError,
+    FORMAL_COEFFS,
     Poly,
     REGISTRY,
     S,
@@ -59,10 +60,9 @@ from .expr import (
     _freeze,
     _poly_key,
 )
-from .jet import GeneratorField, first_prolongation
+from .jet import GeneratorField, derivation, first_prolongation
 
 
-FORMAL_COEFFS = ("zeta", "eta", "theta", "phi", "lam", "psi")
 F_SYMBOLS = (S.f, S.f_u, S.f_v, S.f_w)
 _PROFILE_SYMBOLS = frozenset((S.u, S.v, S.w, S.R))
 
@@ -125,7 +125,7 @@ def invariance_residuals(system: PdeSystem, gen: GeneratorField) -> list:
     """pr X applied to each residual, restricted to the solution manifold,
     with f formal."""
     pr = first_prolongation(gen)
-    return [substitute(pr.apply(d), system.eliminate) for d in system.residuals]
+    return [substitute(derivation(pr, d), system.eliminate) for d in system.residuals]
 
 
 def _numerator(e: Expr) -> Poly:
@@ -256,11 +256,10 @@ def verify_generator(system: PdeSystem, gen: GeneratorField) -> VerificationRepo
 def _formal_slot_map() -> dict:
     """formal symbol -> (coefficient index, differentiation variable)."""
     out = {}
-    axes = {"x": S.x, "y": S.y, "z": S.z, "u": S.u, "v": S.v, "w": S.w}
     for idx, name in enumerate(FORMAL_COEFFS):
         out[REGISTRY.by_name[name]] = (idx, None)
-        for ax, sym in axes.items():
-            out[REGISTRY.by_name[f"{name}_{ax}"]] = (idx, sym)
+        for sym in BASE_SYMBOLS:
+            out[REGISTRY.by_name[f"{name}_{sym.name}"]] = (idx, sym)
     return out
 
 

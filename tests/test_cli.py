@@ -323,6 +323,68 @@ def test_verify_solution_nested_too_deeply(capsys, tmp_path):
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+@pytest.fixture
+def int_digit_cap():
+    """The interpreter's default 4,300-digit cap on int <-> str, restored
+    afterwards: main must lift it by itself."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter has no int <-> str digit cap")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("profile, digits", [
+    ("1" * 5000 + "*u", "1" * 5000),
+    ("10^5000*u", "1" + "0" * 5000),
+], ids=["typed", "computed"])
+def test_check_f_prints_big_integers_in_full(capsys, int_digit_cap, profile, digits):
+    code, out, err = run(capsys, "check-f", "--expr", profile)
+    assert err == ""
+    assert code == cli.EXIT_VERIFY
+    assert out.splitlines()[0] == f"profile f = {digits}*u"
+
+
+def test_verify_solution_with_a_big_integer(capsys, tmp_path, int_digit_cap):
+    path = tmp_path / "field.txt"
+    path.write_text("x*10^5000\n0\n0\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path),
+                         "--system", "curl")
+    assert err == ""
+    assert code == cli.EXIT_VERIFY
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("text, symbol", [
+    ("u_x\n0\n0", "u_x"),
+    ("x*v\n0\n0", "v"),
+    ("0\n0\nR", "R"),
+    ("f*x\n0\n0", "f"),
+    ("x\nzeta\n0", "zeta"),
+    ("x\neps*zeta_u\n0", "zeta_u"),
+], ids=["jet", "component", "radical", "profile", "coefficient", "partial"])
+def test_verify_solution_rejects_non_coordinate_symbols(capsys, tmp_path, text, symbol):
+    # a field is B(x, y, z); any other symbol but a constant parameter
+    # would be differentiated as a constant and mislead the verdict
+    path = tmp_path / "field.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"not '{symbol}'" in err
+
+
+def test_verify_solution_accepts_constant_parameters(capsys, tmp_path):
+    path = tmp_path / "field.txt"
+    path.write_text("a*sin(z)\na*cos(z)\n0\n")
+    code, out, _ = run(capsys, "verify-solution", "--sol", str(path),
+                       "--system", "curl")
+    assert code == cli.EXIT_VERIFY
+    assert "verdict: FAIL" in out
+
+
 def test_check_f_trig_of_zero_argument(capsys):
     # sin(u - u) is 0, so this is the radial profile R
     code, out, _ = run(capsys, "check-f", "--expr", "R + sin(u-u)")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -660,3 +661,31 @@ def test_registry_fresh_symbols():
     assert a2.name not in before and b2.name not in before
     p = REGISTRY.fresh_parameter()
     assert p.name not in before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_strategy(max_terms=3), st.integers(0, 6))
+def test_power_matches_repeated_multiplication(p, n):
+    # repeated squaring groups the factors differently; the R^2, b^2 and
+    # exp rewrites must still give the same set of terms
+    acc = _ONE
+    for _ in range(n):
+        acc = acc * p
+    assert p.power(n) == acc
+
+
+def test_huge_power_is_one_monomial():
+    p = normalize(parse("u^1000000"))
+    assert p.terms == {E._freeze({S.u: 1000000}): Fraction(1)}
+
+
+def test_parse_literal_past_the_digit_cap_is_a_parse_error():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("the interpreter has no int <-> str digit cap")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match="5000-digit literal"):
+            parse("1" * 5000)
+    finally:
+        sys.set_int_max_str_digits(before)

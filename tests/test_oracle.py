@@ -1,0 +1,162 @@
+"""An independent oracle for the bracket tables and the two solutions.
+
+The sympy side reads the reference bases and tables from the fixture text
+itself and computes with sympy alone; nothing of curlsym takes part in it.
+Only the values it checks come from curlsym: the structure constants, and
+the built-in fields as printed expressions.  Each basis costs one exact
+solve: the polynomial coefficients of all its brackets against those of its
+elements."""
+
+from pathlib import Path
+
+import pytest
+import sympy as sp
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+
+import curlsym
+from curlsym import fixtures as fx
+from curlsym import liealg as la
+from curlsym import solutions
+from curlsym.expr import to_string
+
+FIXTURES = Path(curlsym.__file__).parent / "fixtures"
+COORDS = sp.symbols("x y z u v w", real=True)
+x, y, z, u, v, w = COORDS
+GENS = sp.symbols("X1:11")
+_NAMES = {str(s): s for s in (*COORDS, *GENS)}
+_TRANSFORMS = standard_transformations + (convert_xor,)
+
+
+def _sym(text: str) -> sp.Expr:
+    return parse_expr(text, local_dict=_NAMES, transformations=_TRANSFORMS)
+
+
+def _content(name: str) -> list:
+    lines = (FIXTURES / name).read_text(encoding="utf-8").splitlines()
+    return [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def _basis(name: str) -> list:
+    """[(zeta, ..., psi)] in file order; each line is `Xk: c1 | ... | c6`."""
+    out = []
+    for k, line in enumerate(_content(name), start=1):
+        label, coeffs = line.split(":", 1)
+        assert label.strip() == f"X{k}"
+        out.append(tuple(_sym(c) for c in coeffs.split("|")))
+    return out
+
+
+def _combinations(name: str, dim: int) -> dict:
+    """{(i, j): coordinates} of the lines `Xi,Xj -> combination`."""
+    out = {}
+    for line in _content(name):
+        key, rhs = line.split("->")
+        i, j = (int(t.strip()[1:]) for t in key.split(","))
+        combo = sp.expand(_sym(rhs))
+        coords = tuple(combo.coeff(g) for g in GENS[:dim])
+        assert sp.expand(combo - sum(c * g for c, g in zip(coords, GENS))) == 0
+        out[(i, j)] = coords
+    return out
+
+
+def _bracket(a: tuple, b: tuple) -> tuple:
+    """[A, B]: A applied to B's coefficients minus B applied to A's."""
+    return tuple(
+        sp.expand(sum(ca * sp.diff(cb_k, s) - cb * sp.diff(ca_k, s)
+                      for ca, cb, s in zip(a, b, COORDS)))
+        for ca_k, cb_k in zip(a, b)
+    )
+
+
+def _coefficient_matrix(fields: list) -> sp.Matrix:
+    """One column per field: its polynomial coefficients, one row per
+    (slot, monomial) that any of the fields uses."""
+    dicts = [[sp.Poly(c, *COORDS).as_dict() for c in f] for f in fields]
+    keys = sorted({(k, m) for d in dicts for k, dk in enumerate(d) for m in dk})
+    return sp.Matrix([[d[k].get(m, 0) for d in dicts] for k, m in keys])
+
+
+def _table(basis: list) -> dict:
+    """{(i, j): coordinates of [Xi, Xj] in the basis}, 1-based, by one exact
+    solve of the basis columns against every bracket column at once."""
+    n = len(basis)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    brackets = [_bracket(basis[i - 1], basis[j - 1]) for i, j in pairs]
+    stacked = _coefficient_matrix(basis + brackets)
+    a, b = stacked[:, :n], stacked[:, n:]
+    assert a.rank() == n, "the basis is linearly dependent"
+    coords = (a.T * a).solve(a.T * b)
+    assert a * coords == b, "a bracket leaves the span of the basis"
+    return {p: tuple(coords[:, col]) for col, p in enumerate(pairs)}
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return {10: _table(_basis("basis_10.txt")), 7: _table(_basis("basis_7.txt"))}
+
+
+@pytest.mark.parametrize("dim", [10, 7])
+def test_structure_constants_match_sympy_cell_by_cell(oracle, dim):
+    table = la.structure_constants(fx.load_basis(dim))
+    for (i, j), want in oracle[dim].items():
+        got = tuple(sp.Rational(c.numerator, c.denominator)
+                    for c in table.coordinates(i, j))
+        assert got == want, f"[X{i}, X{j}]"
+
+
+def test_reference_table_differs_from_sympy_exactly_at_the_corrections(oracle):
+    reference = _combinations("brackets_10.txt", 10)
+    corrections = _combinations("bracket_corrections.txt", 10)
+    assert set(reference) == set(oracle[10])
+    for cell, coords in corrections.items():
+        assert coords == oracle[10][cell], f"correction {cell}"
+    wrong = {cell for cell, coords in reference.items() if coords != oracle[10][cell]}
+    assert wrong == set(corrections)
+
+
+@pytest.mark.parametrize("dim", [10, 7])
+def test_candidate_pairs_bracket_to_minus_x6(oracle, dim):
+    minus_x6 = tuple(-1 if k == 6 else 0 for k in range(1, dim + 1))
+    assert oracle[dim][(2, 5)] == minus_x6
+    assert oracle[dim][(3, 4)] == minus_x6
+
+
+def _curl(b: tuple) -> tuple:
+    bu, bv, bw = b
+    return (sp.diff(bw, y) - sp.diff(bv, z), sp.diff(bu, z) - sp.diff(bw, x),
+            sp.diff(bv, x) - sp.diff(bu, y))
+
+
+def _div(b: tuple) -> sp.Expr:
+    return sum(sp.diff(c, s) for c, s in zip(b, (x, y, z)))
+
+
+R2 = x**2 + y**2 + z**2
+B1 = (sp.sin(z), sp.cos(z), sp.Integer(0))
+B2 = (8 * (x*z - y) / (1 + R2)**2, 8 * (x + y*z) / (1 + R2)**2,
+      4 * (1 + z**2 - x**2 - y**2) / (1 + R2)**2)
+
+
+@pytest.mark.parametrize("field, builtin", [(B1, solutions.B1), (B2, solutions.B2)],
+                         ids=["B1", "B2"])
+def test_builtin_solutions_are_the_oracle_fields(field, builtin):
+    for ours, theirs in zip(field, (builtin.u, builtin.v, builtin.w)):
+        assert sp.simplify(ours - _sym(to_string(theirs))) == 0
+
+
+def _solves_curl_with_magnitude(b: tuple, magnitude: sp.Expr) -> bool:
+    """curl B = |B| B, given a magnitude that is positive and whose square
+    is |B|^2."""
+    if sp.simplify(sum(c**2 for c in b) - magnitude**2) != 0:
+        return False
+    return all(sp.simplify(c - magnitude * bc) == 0 for c, bc in zip(_curl(b), b))
+
+
+def test_b1_solves_the_blair_system():
+    assert _solves_curl_with_magnitude(B1, sp.Integer(1))
+    assert sp.simplify(_div(B1)) == 0
+
+
+def test_b2_solves_the_curl_system_but_not_div_free():
+    assert _solves_curl_with_magnitude(B2, 4 / (1 + R2))
+    assert sp.simplify(_div(B2) - 8 * z / (1 + R2)**2) == 0
