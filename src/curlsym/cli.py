@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 # `solutions` is imported inside verify-solution and reduce, the two commands
@@ -22,6 +23,7 @@ import sys
 from . import fixtures, liealg, symmetry
 from .expr import (
     BASE_SYMBOLS,
+    EvalError,
     ExprError,
     FORMAL_COEFFS,
     REGISTRY,
@@ -74,17 +76,24 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit(args, lines, data, code):
-    if args.json:
-        doc = {
-            "command": args.command,
-            "exit_code": code,
-            "ok": code in (EXIT_OK, EXIT_DOCUMENTED),
-            "data": data,
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for ln in lines:
-            print(ln)
+    try:
+        if args.json:
+            doc = {
+                "command": args.command,
+                "exit_code": code,
+                "ok": code in (EXIT_OK, EXIT_DOCUMENTED),
+                "data": data,
+            }
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            for ln in lines:
+                print(ln)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): its choice, not a failure
+        # of the command; stdout goes to devnull so that the interpreter's
+        # final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
@@ -456,11 +465,15 @@ def cmd_verify_solution(args):
         "ok": check.ok,
     }
     if check.system == "curl":
-        div_zero, div_mode, _ = decide_zero(
-            sol.divergence(), samples=args.samples, tol=args.tol,
-            bindings=sol.binding_map() or None,
-        )
-        lines.append(f"divergence: {'0' if div_zero else 'nonzero'} ({div_mode})")
+        try:
+            div_zero, div_mode, _ = decide_zero(
+                sol.divergence(), samples=args.samples, tol=args.tol,
+                bindings=sol.binding_map() or None,
+            )
+            verdict = "0" if div_zero else "nonzero"
+        except EvalError:  # too few finite samples, as in the residuals
+            div_zero, div_mode, verdict = None, "numeric", "undecided"
+        lines.append(f"divergence: {verdict} ({div_mode})")
         data["divergence_zero"] = div_zero
     return lines, data, EXIT_OK if check.ok else EXIT_VERIFY
 

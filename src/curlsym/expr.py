@@ -20,18 +20,19 @@ Everything downstream (prolongation, determining systems, brackets) runs on
 from monomials to rationals under graded lexicographic order with
 x < y < z < u < v < w < jets < R < parameters.  sin/cos/exp of compound
 arguments stay opaque; they enter the normal form as atoms keyed by the
-canonical form of their argument, with three insertion-time reductions that
-keep the form canonical without doing general trig simplification:
+canonical form of their argument.  `_emit` applies three quadratic
+rewrites at insertion time, which keep the form canonical without doing
+general trig simplification:
 
 * R^2        -> u^2 + v^2 + w^2
 * b^2        -> 1 - a^2           (for every registered unit pair)
 * sin(A)^2   -> 1 - cos(A)^2      (same canonical argument A)
-* exp(p) * exp(q) -> exp(p + q)   (exp arguments add; exp(0) drops)
 
-The leading monomials of the three quadratic rules are pairwise coprime, so
-the rewrite system is confluent and terminating.  No floats ever enter a
-tree; numeric work goes through `compile_numeric`, which `decide_zero`
-samples through as well.
+Their leading monomials are pairwise coprime, so the rewrite system is
+confluent and terminating.  An exp atom of a polynomial argument is a unit
+of the monomial product `_mono_mul`: exp(p) * exp(q) = exp(p + q), and
+exp(0) drops.  No floats ever enter a tree; numeric work goes through
+`compile_numeric`, which `decide_zero` samples through as well.
 """
 
 from __future__ import annotations
@@ -564,10 +565,7 @@ class Poly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                merged = dict(m1)
-                for a, e in m2:
-                    merged[a] = merged.get(a, 0) + e
-                _emit(out, merged, c1 * c2)
+                _emit(out, _mono_mul(m1, m2), c1 * c2)
         return Poly(out)
 
     def power(self, n: int) -> "Poly":
@@ -585,12 +583,12 @@ class Poly:
         return self.scale(Fraction(1) / lc)
 
     def content_monomial(self) -> tuple:
-        """Largest monomial dividing every term (exp atoms excluded)."""
+        """The atoms every term carries, each at its least exponent."""
         if self.is_zero():
             return ()
         common: dict | None = None
         for m in self.terms:
-            md = {a: e for a, e in m if not isinstance(a, OpaqueAtom) or a.fn != "exp"}
+            md = dict(m)
             if common is None:
                 common = md
             else:
@@ -604,14 +602,10 @@ class Poly:
     def divide_monomial(self, mono: tuple) -> "Poly":
         out = {}
         for m, c in self.terms.items():
-            md = dict(m)
-            for a, e in mono:
-                md[a] = md.get(a, 0) - e
-                if md[a] < 0:
-                    raise ExprError("monomial does not divide polynomial")
-                if md[a] == 0:
-                    del md[a]
-            out[_freeze(md)] = c
+            q = _mono_div(m, mono)
+            if q is None:
+                raise ExprError("monomial does not divide polynomial")
+            out[q] = c
         return Poly(out)
 
     def __eq__(self, other):
@@ -684,38 +678,48 @@ def _is_mergeable_exp(a) -> bool:
     return isinstance(a, OpaqueAtom) and a.fn == "exp" and a.arg_poly is not None
 
 
+def _mono_mul(a, b: tuple, k: int = 1) -> dict | None:
+    """a * b^k for k = 1 or -1 as a dict, or None when k = -1 and b does
+    not divide a.  a and b are monomials, as tuples or dicts of (atom,
+    exponent).  An exp atom of a polynomial argument is a unit, exponent 1
+    in every normal-form monomial: k times its argument adds to the one a
+    carries, and exp(0) drops."""
+    out = dict(a)
+    for atom, e in b:
+        if not _is_mergeable_exp(atom):
+            n = out.get(atom, 0) + k * e
+            if n > 0:
+                out[atom] = n
+            elif n == 0:
+                del out[atom]
+            else:
+                return None
+            continue
+        have = next((x for x in out if _is_mergeable_exp(x)), None)
+        if have is None and k == 1:
+            out[atom] = 1  # reused: a new atom rebuilds its key and argument
+            continue
+        arg = atom.arg_poly.scale(Fraction(k))
+        if have is not None:
+            del out[have]
+            arg = have.arg_poly + arg
+        if not arg.is_zero():
+            out[_exp_atom(arg)] = 1
+    return out
+
+
 def _emit(acc: dict, mono: dict, coeff: Fraction):
-    """Insert coeff * mono into acc, applying the insertion-time rewrites."""
+    """Insert coeff * mono into acc, applying the quadratic rewrites."""
     if coeff == 0:
         return
-    # fold exp atoms: arguments add, exponents fold into the argument
-    exps = [a for a in mono if _is_mergeable_exp(a)]
-    if len(exps) == 1 and mono[exps[0]] == 1:
-        exps = []
-    if exps:
-        total: Poly | None = None
-        for a in exps:
-            contrib = a.arg_poly.scale(Fraction(mono[a]))
-            total = contrib if total is None else total + contrib
-            del mono[a]
-        if total is not None and not total.is_zero():
-            mono[_exp_atom(total)] = 1
     for a, e in mono.items():
-        if e == 0:
-            continue
         rep = _reducible(a, e)
         if rep is not None:
-            rest = dict(mono)
-            rest[a] = e - 2
-            if rest[a] == 0:
-                del rest[a]
+            rest = _mono_mul(mono, ((a, 2),), -1)
             for rm, rc in rep.terms.items():
-                merged = dict(rest)
-                for ra, re in rm:
-                    merged[ra] = merged.get(ra, 0) + re
-                _emit(acc, merged, coeff * rc)
+                _emit(acc, _mono_mul(rest, rm), coeff * rc)
             return
-    frozen = _freeze({a: e for a, e in mono.items() if e != 0})
+    frozen = _freeze(mono)
     nc = acc.get(frozen, Fraction(0)) + coeff
     if nc:
         acc[frozen] = nc
@@ -723,8 +727,14 @@ def _emit(acc: dict, mono: dict, coeff: Fraction):
         acc.pop(frozen, None)
 
 
+# the key of the constant denominator 1: an exp atom is keyed as its argument
+# over 1, the key shape of every other opaque atom, so that atoms of both
+# kinds in one monomial compare
+_ONE_KEY = (((), (1, 1)),)
+
+
 def _exp_atom(arg_poly: Poly) -> OpaqueAtom:
-    atom = OpaqueAtom("exp", _poly_key(arg_poly), arg_poly.to_expression())
+    atom = OpaqueAtom("exp", (_poly_key(arg_poly), _ONE_KEY), arg_poly.to_expression())
     atom.arg_poly = arg_poly
     return atom
 
@@ -764,52 +774,22 @@ def ratform(num: Poly, den: Poly) -> RatForm:
                 break
         if target is None:
             break
-        p_terms, q_terms = {}, {}
-        for m, c in den.terms.items():
-            md = dict(m)
-            if target in md:
-                del md[target]
-                q_terms[_freeze(md)] = c
-            else:
-                p_terms[m] = c
-        p, q = Poly(p_terms), Poly(q_terms)
-        # (p + A q)(p - A q) = p^2 - A^2 q^2, A^2 rewriting away
-        conj_terms: dict = {}
-        for m, c in p.terms.items():
-            conj_terms[m] = c
-        for m, c in q.terms.items():
-            md = dict(m)
-            md[target] = md.get(target, 0) + 1
-            _emit(conj_terms, md, -c)
-        conj = Poly(conj_terms)
+        # den = p + A q; (p + A q)(p - A q) = p^2 - A^2 q^2, A^2 rewriting away
+        conj = Poly({m: -c if target in dict(m) else c for m, c in den.terms.items()})
         num = num * conj
         den = den * conj
-    # cancel a common monomial factor (cheap gcd; no full polynomial gcd);
-    # the numerator's content matters only if the denominator has one
+    # cancel a common monomial factor (cheap gcd; no full polynomial gcd):
+    # the denominator's shared exp unit always, any other atom of its
+    # content as far as the numerator's content holds it
     c_den = den.content_monomial()
     if c_den:
         dn = dict(num.content_monomial())
-        common = {a: min(e, dn[a]) for a, e in c_den if a in dn}
+        common = {a: min(e, dn.get(a, e)) for a, e in c_den
+                  if a in dn or _is_mergeable_exp(a)}
         if common:
             frozen = _freeze(common)
             num = num.divide_monomial(frozen)
             den = den.divide_monomial(frozen)
-    # clear a pure exp factor of the denominator if every monomial shares it
-    args = set()
-    for m in den.terms:
-        found = None
-        for a, _ in m:
-            if _is_mergeable_exp(a):
-                found = a
-        args.add(None if found is None else found.key)
-    if len(args) == 1 and None not in args:
-        some = next(iter(den.terms))
-        for a, _ in some:
-            if _is_mergeable_exp(a):
-                shift = poly_atom(_exp_atom(a.arg_poly.scale(Fraction(-1))))
-                num = num * shift
-                den = den * shift
-                break
     if not den.is_constant():
         q = poly_div_exact(num, den)
         if q is not None:
@@ -872,27 +852,8 @@ def _mono_sqrt(m: tuple):
 
 
 def _mono_div(a: tuple, b: tuple):
-    out = dict(a)
-    for atom, e in b:
-        if _is_mergeable_exp(atom):
-            # exp atoms always divide: arguments subtract
-            have = None
-            for oa in list(out):
-                if _is_mergeable_exp(oa):
-                    have = oa
-            arg = atom.arg_poly.scale(Fraction(-1))
-            if have is not None:
-                arg = arg + have.arg_poly
-                del out[have]
-            if not arg.is_zero():
-                out[_exp_atom(arg)] = 1
-            continue
-        out[atom] = out.get(atom, 0) - e
-        if out[atom] < 0:
-            return None
-        if out[atom] == 0:
-            del out[atom]
-    return _freeze(out)
+    q = _mono_mul(a, b, -1)
+    return None if q is None else _freeze(q)
 
 
 def _exp_arg(mono: tuple) -> dict:

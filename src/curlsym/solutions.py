@@ -26,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .expr import (
+    EvalError,
     Expr,
     NotPolynomial,
     Num,
@@ -155,16 +156,25 @@ def verify_solution_residuals(
     tol: float = 1e-10,
 ) -> ResidualCheck:
     """Zero-test each residual, symbolically when normalization succeeds,
-    otherwise by sampling `samples` points at tolerance `tol`."""
+    otherwise by sampling `samples` points at tolerance `tol`.  A residual
+    with too few finite samples is displayed as "undecided" and fails."""
     kind = _system_kind(system)
     bindings = sol.binding_map()
     modes = []
     displays = []
     all_ok = True
     for e in residual_expressions(sol, kind):
-        ok, mode, worst = decide_zero(
-            e, samples=samples, tol=tol, bindings=bindings or None
-        )
+        try:
+            ok, mode, worst = decide_zero(
+                e, samples=samples, tol=tol, bindings=bindings or None
+            )
+        except EvalError:
+            # too few finite samples, as when every float overflows: the
+            # field is well formed, and the check fails undecided
+            modes.append("numeric")
+            displays.append("undecided")
+            all_ok = False
+            continue
         modes.append(mode)
         if mode == "symbolic":
             if ok:

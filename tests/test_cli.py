@@ -443,6 +443,59 @@ def test_check_f_sqrt_of_exp_gives_up_fast():
     )
 
 
+def test_output_to_a_closed_pipe_keeps_the_exit_code():
+    # 100,001 digits outrun the pipe buffer, so the writer is still
+    # printing when the reader closes: the reader's choice, not an error
+    for argv in (("check-f", "--expr", "10^100000*u"),
+                 ("check-f", "--expr", "10^100000*u", "--json")):
+        proc = subprocess.Popen([sys.executable, "-m", "curlsym.cli", *argv],
+                                env=fresh_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+        assert code == cli.EXIT_VERIFY
+
+
+def test_verify_solution_overflowing_everywhere_is_undecided(capsys, tmp_path):
+    # well-formed fields whose floats overflow at every sample point: the
+    # residuals, and the divergence of the second, cannot be sampled
+    path = tmp_path / "field.txt"
+    path.write_text("10^5000*y\nsqrt(x^2+1)\n0\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path),
+                         "--system", "curl-absB")
+    assert (code, err) == (cli.EXIT_VERIFY, "")
+    assert "residuals: undecided undecided undecided\n" in out
+    assert "modes: numeric numeric numeric\n" in out
+    assert "verdict: FAIL\ndivergence: 0 (symbolic)\n" in out
+    path.write_text("10^5000*x*sqrt(y^2+1)\n0\n0\n")
+    code, out, err = run(capsys, "verify-solution", "--sol", str(path),
+                         "--system", "curl-absB")
+    assert (code, err) == (cli.EXIT_VERIFY, "")
+    assert "residuals: undecided 0 undecided\n" in out
+    assert out.endswith("verdict: FAIL\ndivergence: undecided (numeric)\n")
+    code, doc = run_json(capsys, "verify-solution", "--sol", str(path),
+                         "--system", "curl-absB")
+    assert code == cli.EXIT_VERIFY
+    assert doc["data"]["residuals"] == ["undecided", "0", "undecided"]
+    assert doc["data"]["modes"] == ["numeric", "symbolic", "numeric"]
+    assert doc["data"]["ok"] is False
+    assert doc["data"]["divergence_zero"] is None
+
+
+def test_check_f_with_both_kinds_of_exp_atom(capsys):
+    # exp(u) (a unit) and exp(u/v) (an opaque atom) in one monomial
+    code, out, err = run(capsys, "check-f", "--expr", "exp(u)*exp(u/v)")
+    assert (code, err) == (cli.EXIT_VERIFY, "")
+    assert out.startswith("profile f = exp(u)*exp(u/v)\n")
+
+
 def test_verify_generator_source_conflicts(capsys, tmp_path):
     path = tmp_path / "gen.txt"
     path.write_text("1\n0\n0\n0\n0\n0\n")

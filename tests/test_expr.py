@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +39,7 @@ from curlsym.expr import (
     to_string,
     Num,
 )
+from curlsym.fixtures import content_lines
 
 
 # --- tree construction -------------------------------------------------------
@@ -104,6 +106,31 @@ def test_exp_product_merges():
     assert is_zero_expr(exp(S.x) * exp(S.y) - exp(S.x + S.y))
     assert is_zero_expr(exp(S.x) * exp(neg(S.x)) - 1)
     assert is_zero_expr(exp(2 * S.x) - exp(S.x) ** 2)
+
+
+# more shared exp units, and cos(x/y) cancelling, are in normal_forms.txt
+@pytest.mark.parametrize("text, want", [
+    # every denominator term carries the unit exp(x): it leaves, whatever
+    # the numerator holds
+    ("exp(-x)/(exp(x)*z + exp(x))", "exp(-2*x)/(z + 1)"),
+    # an exp of a non-polynomial argument is no unit; as a common factor of
+    # numerator and denominator it cancels, like cos
+    ("exp(x/y)*x/(exp(x/y)*y)", "x/y"),
+    # both kinds of exp atom in one monomial
+    ("exp(x)*exp(x/y)/(exp(x)*exp(x/y)*u + exp(x)*exp(x/y))", "1/(u + 1)"),
+])
+def test_common_factors_leave_the_denominator(text, want):
+    assert to_string(E.normal_expression(parse(text))) == want
+
+
+def _golden_normal_forms():
+    text = (Path(__file__).parent / "normal_forms.txt").read_text(encoding="utf-8")
+    return [tuple(line.split(" => ")) for line in content_lines(text)]
+
+
+@pytest.mark.parametrize("text, want", _golden_normal_forms())
+def test_printed_normal_forms_match_the_golden_file(text, want):
+    assert to_string(E.normal_expression(parse(text))) == want
 
 
 def test_r_denominator_cleared_by_conjugation():
@@ -448,6 +475,8 @@ def test_print_parse_round_trip(e):
 @given(_expr_strategy())
 # sin(x - x) normalizes to 0, not to an atom sin(0) that rebuilds as 0
 @example(sin(sin(S.x - S.x)))
+# a unit exp atom beside an opaque one, in one monomial
+@example(mul(exp(S.x), exp(S.x / S.y)))
 def test_normalize_is_idempotent_where_defined(e):
     try:
         p1 = normalize(e)
@@ -561,6 +590,19 @@ def _steps(div, p, d):
         return div(p, d), count[0]
     finally:
         E._mono_div = mono_div
+
+
+def _monomial_strategy():
+    """Normal-form monomials: the terms of small polynomials over _POLY_ATOMS."""
+    return _poly_strategy().filter(lambda p: not p.is_zero()).flatmap(
+        lambda p: st.sampled_from(sorted(p.terms, key=E._mono_sort_key)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_strategy(), _monomial_strategy())
+def test_mono_div_undoes_mono_mul(a, b):
+    assert E._mono_div(E._mono_mul(a, b), b) == a
+    assert E._mono_div(a, a) == ()
 
 
 @settings(max_examples=150, deadline=None)
