@@ -496,6 +496,8 @@ def cmd_reduce(args):
             # radius for the reconstruction's residual samples
             solutions.annulus_radii(span)
         table = solutions.integrate_ode(ode, tuple(args.ic), span, args.step)
+        field = (solutions.reconstruct_field(table)
+                 if args.kind == "rotation" and not table.blown_up else None)
     except ValueError as e:
         raise CliInputError(str(e)) from None
 
@@ -523,8 +525,7 @@ def cmd_reduce(args):
         lines.append(f"table written to {args.out}")
         data["out"] = args.out
 
-    if args.kind == "rotation" and not table.blown_up:
-        field = solutions.reconstruct_field(table)
+    if field is not None:
         pts = solutions.annulus_sample_points(
             args.samples, field.r_range, seed=args.seed
         )

@@ -320,9 +320,9 @@ def func(fn: str, arg: Expr) -> Expr:
         if arg.val == 0:
             return {"sin": ZERO, "cos": ONE, "exp": ONE, "sqrt": ZERO}[fn]
         if fn == "sqrt":
-            r = _frac_sqrt(arg.val)
+            r = _term_sqrt((), arg.val)
             if r is not None:
-                return Num(r)
+                return Num(r[1])
     return Func(fn, arg)
 
 
@@ -830,16 +830,12 @@ def _rat_pow(a: RatForm, n: int) -> RatForm:
 # --- square roots of polynomial forms ---------------------------------------
 
 
-def _frac_sqrt(c: Fraction) -> Fraction | None:
-    if c < 0:
+def _term_sqrt(m: tuple, c: Fraction):
+    """sqrt(c*m) as (monomial, positive coefficient), or None: exp
+    arguments halve, other exponents must be even, c a rational square."""
+    rn, rd = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
+    if rn * rn != c.numerator or rd * rd != c.denominator:
         return None
-    rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
-    if rn * rn == c.numerator and rd * rd == c.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _mono_sqrt(m: tuple):
     out = {}
     for a, e in m:
         if _is_mergeable_exp(a):
@@ -848,7 +844,7 @@ def _mono_sqrt(m: tuple):
             out[a] = e // 2
         else:
             return None
-    return _freeze(out)
+    return _freeze(out), Fraction(rn, rd)
 
 
 def _mono_div(a: tuple, b: tuple):
@@ -881,44 +877,34 @@ def _in_range(mono: tuple, box: dict) -> bool:
 
 
 def poly_sqrt(p: Poly) -> Poly | None:
-    """Exact square root of a polynomial normal form, or None.
+    """Exact square root of a polynomial normal form, or None; its
+    `leading()` coefficient is positive.
 
-    Positive branch: the leading coefficient of the root is positive.
-
-    exp atoms grade the product by their arguments, and Newt(q^2) =
-    2 Newt(q), so each exp-argument coefficient of a root term lies within
-    half the range of that coefficient over p's terms.  A term outside it
-    means p has no root; without the check 1 + exp(u) would loop on
-    exp(-u/2), exp(-3u/2), ... up to the guard.  That guard stays, as q^2
-    meets the R, unit-pair and sin rewrites and `poly_div_exact`'s proof
-    does not carry over; it took at most 9 steps on the README commands
-    and 19 on `verify-solution --sol B2 --transform 4|5|6 --eps eps`."""
+    `_lead_reduce` starts from the root of p's leading term and subtracts
+    t*(2q + t) = (q + t)^2 - q^2 over the divisor 2*lead(q); as Newt(q^2) =
+    2 Newt(q), the box is half of p's exp range.  Case A, p has no R,
+    unit-pair partner or sin atom: nor has q, so q*q meets no rewrite,
+    lead(q^2) = lead(q)^2, a step cancels the leading term t*lead(q) and
+    adds only smaller ones, and for p = s^2 the loop takes the terms of s in
+    turn.  Case B, p has such an atom: the rewrite images (u, v, w; a; cos)
+    rewrite no further and raise no degree, so a root term has a degree, exp
+    units left out, at most half that of lead(p), atoms among p's and their
+    images, and an exp argument in the box on the lattice of half p's
+    arguments.  That set is finite and no term repeats, so the loop ends; a
+    root may be missed, never wrong."""
     if p.is_zero():
         return Poly({})
-    box = {
-        k: (Fraction(lo, 2), Fraction(hi, 2)) for k, (lo, hi) in _exp_range(p).items()
-    }
-    lm, lc = p.leading()
-    ms, cs = _mono_sqrt(lm), _frac_sqrt(lc)
-    if ms is None or cs is None:
+    box = {k: (Fraction(lo, 2), Fraction(hi, 2))
+           for k, (lo, hi) in _exp_range(p).items()}
+    key = _div_key(box)
+    root = _term_sqrt(*min(p.terms.items(), key=lambda kv: key(kv[0])))
+    if root is None:
         return None
-    q = Poly({ms: cs})
-    r = p - q * q
-    guard = 0
-    while not r.is_zero():
-        guard += 1
-        if guard > 4000:
-            return None
-        rm, rc = r.leading()
-        t_mono = _mono_div(rm, ms)
-        if t_mono is None:
-            return None
-        if not _in_range(t_mono, box):
-            return None
-        t = Poly({t_mono: rc / (2 * cs)})
-        q = q + t
-        r = p - q * q
-    return q
+    ms, cs = root
+    q0 = Poly({ms: cs})
+    q = _lead_reduce((p - q0 * q0).terms, dict(q0.terms), (ms, 2 * cs),
+                     lambda t, q: t * (q.scale(Fraction(2)) + t), box, key)
+    return q if q is None or q.leading()[1] > 0 else q.scale(Fraction(-1))
 
 
 def rat_sqrt(rf: RatForm, origin: Expr) -> RatForm:
@@ -936,12 +922,13 @@ def rat_sqrt(rf: RatForm, origin: Expr) -> RatForm:
     return ratform(num, den)
 
 
-def _div_key(args: list):
-    """Key of `poly_div_exact`'s monomial order: graded lex on the atoms
-    other than mergeable exp atoms, then lex, larger first, on the exp
-    argument's coefficients over `args`, which products add."""
-    if not args:
+def _div_key(box: dict):
+    """Key of `_lead_reduce`'s monomial order: graded lex on the atoms but
+    mergeable exp atoms, then lex, larger first, on the exp argument's
+    coefficients over the monomials of `box`, which products add."""
+    if not box:
         return _mono_sort_key
+    args = sorted(box, key=_mono_sort_key)
 
     def key(mono):
         rest = tuple(ae for ae in mono if not _is_mergeable_exp(ae[0]))
@@ -951,24 +938,49 @@ def _div_key(args: list):
     return key
 
 
+def _lead_reduce(r: dict, q: dict, lead: tuple, times, box: dict, key) -> Poly | None:
+    """Leading-term reduction (Cox, Little and O'Shea, Ideals, Varieties,
+    and Algorithms, 2.3), the loop of `poly_div_exact` and `poly_sqrt`: a
+    step divides the remainder r's leading term in the order `key`, kept by
+    a heap, by `lead` = (monomial, coefficient) to the next term t of q and
+    subtracts times(t, q) from r, a dict updated in place.  None when t
+    does not exist, leaves the exp-argument box or was taken before."""
+    lm, lc = lead
+    heap = [(key(m), m) for m in r]
+    heapq.heapify(heap)
+    while r:
+        while heap[0][1] not in r:
+            heapq.heappop(heap)
+        rm = heap[0][1]
+        t_mono = _mono_div(rm, lm)
+        if t_mono is None or t_mono in q or not _in_range(t_mono, box):
+            return None
+        t = Poly({t_mono: r[rm] / lc})
+        for m, v in times(t, Poly(q)).terms.items():
+            nc = r.get(m, Fraction(0)) - v
+            if nc:
+                if m not in r:
+                    heapq.heappush(heap, (key(m), m))
+                r[m] = nc
+            else:
+                del r[m]
+        q[t_mono] = t.terms[t_mono]
+    return Poly(q)
+
+
 def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
     """Exact quotient p / d, or None when d does not divide p.
 
     Precondition, checked: d has no R, unit-pair partner or sin atom, as
     holds for every `ratform` denominator and for u^2 + v^2 + w^2.  Then
-    t*d meets no rewrite for a normal-form monomial t, and lead(t*d) =
-    t*lead(d) in the order of `_div_key`.  A step cancels the remainder's
-    leading term and adds only smaller ones; for p = q*d, it takes the
-    next term of q.  By Ostrowski, Newt(p) = Newt(q) + Newt(d), so a
-    quotient term's exp-argument coefficients lie in [min_p - min_d,
-    max_p - max_d]; the first term outside returns None, so 1 / (1 +
-    exp(x)) stops at exp(-x).  The loop ends: the leading monomials
-    strictly decrease, the exp arguments of the quotient terms lie in
-    that box among p's plus integer combinations of d's (finitely many),
-    and the other atoms are p's and d's, where graded lex is a well-order.
-
-    A heap of order keys yields the leading term of the remainder, a dict
-    updated in place; entries of cancelled monomials are popped at the top."""
+    t*d meets no rewrite, lead(t*d) = t*lead(d), and `_lead_reduce`,
+    subtracting t*d, takes the terms of q in turn for p = q*d.  By
+    Ostrowski, Newt(p) = Newt(q) + Newt(d), so the box is [min_p - min_d,
+    max_p - max_d]: 1 / (1 + exp(x)) stops at exp(-x).  The loop ends: the
+    leading monomials strictly decrease, so none repeats, the quotient's
+    exp arguments lie in the box among p's plus integer combinations of
+    d's, and its other atoms are p's and d's, where graded lex is a
+    well-order."""
     if any(_reducible(a, 2) is not None for a in d.atoms()):
         raise ExprError("divisor carries an R, unit-pair or sin atom")
     if d.is_zero():
@@ -978,29 +990,9 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
     for k in rp.keys() | rd.keys():
         (p_lo, p_hi), (d_lo, d_hi) = rp.get(k, (0, 0)), rd.get(k, (0, 0))
         box[k] = (p_lo - d_lo, p_hi - d_hi)
-    key = _div_key(sorted(box, key=_mono_sort_key))
-    dm, dc = min(d.terms.items(), key=lambda kv: key(kv[0]))
-    q: dict = {}
-    r = dict(p.terms)
-    heap = [(key(m), m) for m in r]
-    heapq.heapify(heap)
-    while r:
-        while heap[0][1] not in r:
-            heapq.heappop(heap)
-        rm = heap[0][1]
-        t_mono = _mono_div(rm, dm)
-        if t_mono is None or not _in_range(t_mono, box):
-            return None
-        c = q[t_mono] = r[rm] / dc
-        for m, v in (Poly({t_mono: c}) * d).terms.items():
-            nc = r.get(m, Fraction(0)) - v
-            if nc:
-                if m not in r:
-                    heapq.heappush(heap, (key(m), m))
-                r[m] = nc
-            else:
-                del r[m]
-    return Poly(q)
+    key = _div_key(box)
+    lead = min(d.terms.items(), key=lambda kv: key(kv[0]))
+    return _lead_reduce(dict(p.terms), {}, lead, lambda t, q: t * d, box, key)
 
 
 # --- normalization ----------------------------------------------------------

@@ -496,7 +496,13 @@ def reconstruct_field(table: SolutionTable) -> NumericField:
         list(ode.state) + [ode.independent],
     )
     ts, states, slopes = table.points, table.states, table.slopes
-    curvatures = [second(*y, t) for t, y in zip(ts, states)]
+    curvatures = []
+    for t, y in zip(ts, states):
+        try:  # terms like beta^3/(r*s), s = |(beta, gamma)|, are 0/0 at s = 0
+            curvatures.append(second(*y, t))
+        except ArithmeticError as e:
+            raise ValueError(f"reconstruction fails at radius {t:g} "
+                             f"({type(e).__name__})") from None
     beta, gamma = (
         _quintic_hermite(ts, [y[k] for y in states], [d[k] for d in slopes],
                          [c[k] for c in curvatures])

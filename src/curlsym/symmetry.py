@@ -442,7 +442,7 @@ def verify_f(constraints, f_value: Expr) -> bool:
     return all(is_zero_expr(resolve_f(c, f_value)) for c in constraints)
 
 
-# C(d+3, 3) + C(d+2, 3) slots at degree d >= 1.  As a fresh `check-f
+# C(d+3, 3) + C(d+2, 3) slots at degree d >= 0.  As a fresh `check-f
 # --solve-family` process on 2 shared vCPUs, degree 9 (385 slots) takes
 # 2.0-2.3 s and 31 MB; degree 10 (506) takes 2.7-2.8 s and 35 MB, and
 # degree 11 (650) 3.8-4.1 s and 41 MB
@@ -454,13 +454,13 @@ def solve_f_family(constraints, degree: int = 2):
     deg q <= degree - 1 satisfying every constraint; exact nullspace basis.
     ValueError for more than MAX_FAMILY_SLOTS coefficient slots."""
     # counted before any monomial is built
-    nslots = math.comb(degree + 3, 3) + math.comb(max(degree - 1, 0) + 3, 3)
+    nslots = math.comb(degree + 3, 3) + math.comb(degree + 2, 3)
     if nslots > MAX_FAMILY_SLOTS:
         raise ValueError(f"profile family degree {degree} needs {nslots} "
                          f"coefficient slots, more than {MAX_FAMILY_SLOTS}")
     comps = (S.u, S.v, S.w)
     slots = ([(0, m) for m in monomials_up_to(degree, comps)]
-             + [(1, m) for m in monomials_up_to(max(degree - 1, 0), comps)])
+             + [(1, m) for m in monomials_up_to(degree - 1, comps)])
 
     def slot_values(part, m):
         me = monomial_expr(m)

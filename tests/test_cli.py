@@ -443,6 +443,23 @@ def test_check_f_sqrt_of_exp_gives_up_fast():
     )
 
 
+def test_check_f_sqrt_of_an_r_square_gives_up_fast():
+    # R^2 rewrites, so the root search misses (3*R - 4*u - 1)^2; once it
+    # ran for minutes before its step guard ended it
+    proc = run_fresh("check-f", "--expr", "sqrt((3*R - 4*u - 1)^2)", timeout=10)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: square root has no exact polynomial form")
+
+
+def test_check_f_takes_the_root_of_an_exp_square(capsys):
+    # (exp(u) + 1)^2: graded lex led with 2*exp(u), no square
+    code, out, err = run(capsys, "check-f", "--expr", "sqrt(exp(2*u) + 2*exp(u) + 1)")
+    assert code == cli.EXIT_VERIFY and err == ""
+    assert out.startswith("profile f = sqrt(exp(2*u) + 2*exp(u) + 1)\n")
+    assert "PASS: yz rotation-moment constraint" in out
+
+
 def test_output_to_a_closed_pipe_keeps_the_exit_code():
     # 100,001 digits outrun the pipe buffer, so the writer is still
     # printing when the reader closes: the reader's choice, not an error
@@ -866,6 +883,19 @@ def test_reduce_rotation_rejects_singular_start(capsys):
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("ic", ["0", "1e-200"])
+def test_reduce_rotation_refuses_a_zero_field(capsys, ic, json_flag):
+    # beta = gamma = 0 makes the reconstruction's curvature terms
+    # gamma*beta^2/(r*s) and beta^3/(r*s), s = |(beta, gamma)|, 0/0; the
+    # square of 1e-200 underflows to the same state
+    code, out, err = run(capsys, "reduce", "--kind", "rotation", "--ic", ic, "0",
+                         *json_flag)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: reconstruction fails at radius 0.01 (ZeroDivisionError)\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_reduce_rotation_refuses_a_span_narrower_than_the_sample_margin(
         capsys, monkeypatch, json_flag):
     # the residual samples keep 1e-3 from both ends of the table; a span
@@ -965,6 +995,14 @@ def test_check_f_solve_family_negative_degree(capsys):
     code, out, err = run(capsys, "check-f", "--solve-family", "--degree", "-1")
     assert code == cli.EXIT_INPUT
     assert out == "" and "degree" in err
+
+
+def test_check_f_solve_family_degree_zero_has_only_constant_slots(capsys):
+    # deg q <= degree - 1 leaves no slot for c*R, and no constant solves
+    # the homogeneity constraint
+    code, out, err = run(capsys, "check-f", "--solve-family", "--degree", "0")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == "profiles solving all four constraints (ansatz degree 0): none\n"
 
 
 def test_check_f_refuses_a_family_degree_past_the_slot_bound(capsys, monkeypatch):

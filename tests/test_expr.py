@@ -663,6 +663,68 @@ def test_div_exact_stops_outside_the_exp_argument_range():
     assert _steps(_sorted_div_exact, p, d) == (None, 1)
 
 
+def _guarded_sqrt(p):
+    """The root loop that walks graded lex (`Poly.leading()`), recomputes
+    p - q*q at every step and gives up after 4000 steps: the reference for
+    `poly_sqrt`.  Graded lex is no monomial order once exp atoms are
+    units, so it misses (exp(u) + 1)^2."""
+    if p.is_zero():
+        return E.Poly({})
+    box = {k: (Fraction(lo, 2), Fraction(hi, 2))
+           for k, (lo, hi) in E._exp_range(p).items()}
+    root = E._term_sqrt(*p.leading())
+    if root is None:
+        return None
+    ms, cs = root
+    q = E.Poly({ms: cs})
+    r = p - q * q
+    for _ in range(4000):
+        if r.is_zero():
+            return q
+        rm, rc = r.leading()
+        t_mono = E._mono_div(rm, ms)
+        if t_mono is None or not E._in_range(t_mono, box):
+            return None
+        q = q + E.Poly({t_mono: rc / (2 * cs)})
+        r = p - q * q
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_strategy(atoms=_DEN_ATOMS))
+@example(_EXP_XU + _ONE)
+@example(_ONE - _EXP_XU)
+@example(normalize(S.x * (exp(S.x) + 1)))
+def test_poly_sqrt_finds_every_root_without_rewrite_atoms(q):
+    # case A: q*q meets no rewrite, so the loop takes the terms of q in turn
+    assert E.poly_sqrt(q * q) in (q, q.scale(Fraction(-1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_strategy(), _poly_strategy(max_terms=2))
+def test_poly_sqrt_is_sound_and_keeps_the_guarded_roots(q, r):
+    p = q * q + r
+    got = E.poly_sqrt(p)
+    if got is not None:
+        assert got * got == p
+        assert got.is_zero() or got.leading()[1] > 0
+    # with an R, b or sin atom (case B) the guarded loop may spin to its
+    # guard for minutes
+    if not any(E._reducible(a, 2) is not None for a in p.atoms()):
+        want = _guarded_sqrt(p)
+        if want is not None:
+            assert got == want
+
+
+def test_poly_sqrt_of_a_case_b_square_gives_up_fast():
+    # R^2 rewrites, so lead(p) = 25*u^2 is not lead(q)^2 and the root is
+    # missed: after 5*u - 12/5*R the remainder leads with u^2 again, and
+    # the loop refuses to take u twice; the guarded loop keeps adding to
+    # the terms it took and runs for minutes
+    p = normalize((3 * S.R - 4 * S.u - 1) ** 2)
+    assert _steps(lambda p, _: E.poly_sqrt(p), p, None) == (None, 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_poly_strategy(), _poly_strategy(),
        _poly_strategy(atoms=_DEN_ATOMS), _poly_strategy(atoms=_DEN_ATOMS))
