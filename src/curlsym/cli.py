@@ -13,14 +13,16 @@ to exit 4.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 
 # `solutions` is imported inside verify-solution and reduce, the two commands
-# that use it, so no other command loads it
-from . import fixtures, liealg, symmetry
+# that use it, and `liealg` inside the functions that build or read a bracket
+# table (bracket-table, adjoint and `all`), so no other command loads either
+from . import fixtures, symmetry
 from .expr import (
     BASE_SYMBOLS,
     EvalError,
@@ -75,6 +77,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+# chunks joined per write: few writes when stdout is unbuffered
+# (PYTHONUNBUFFERED), and never the whole output in memory as one string
+_WRITE_BATCH = 4096
+
+
+def _write_batched(chunks):
+    chunks = iter(chunks)
+    while batch := list(itertools.islice(chunks, _WRITE_BATCH)):
+        sys.stdout.write("".join(batch))
+
+
 def _emit(args, lines, data, code):
     try:
         if args.json:
@@ -84,10 +97,12 @@ def _emit(args, lines, data, code):
                 "ok": code in (EXIT_OK, EXIT_DOCUMENTED),
                 "data": data,
             }
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            # the bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n",
+            # encoded piece by piece
+            encoder = json.JSONEncoder(sort_keys=True, indent=2)
+            _write_batched(itertools.chain(encoder.iterencode(doc), ("\n",)))
         else:
-            for ln in lines:
-                print(ln)
+            _write_batched(ln + "\n" for ln in lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (`| head`): its choice, not a failure
@@ -116,6 +131,8 @@ def _fixture_basis(token: str):
 
 
 def _algebra_table(token: str) -> liealg.LieAlgebraTable:
+    from . import liealg
+
     return liealg.structure_constants(_fixture_basis(token))
 
 
@@ -300,6 +317,8 @@ def cmd_bracket_table(args):
 
 
 def _bracket_report(table, basis: str):
+    from . import liealg
+
     lines = [liealg.table_grid(table)]
     jacobi = liealg.jacobi_check(table)
     lines.append(f"Jacobi identity: {'ok' if jacobi else 'VIOLATED'}")
@@ -333,6 +352,8 @@ def _bracket_report(table, basis: str):
 
 
 def cmd_adjoint(args):
+    from . import liealg
+
     if args.eps is not None and not args.numeric:
         raise CliInputError("--eps needs --numeric")
     table = _algebra_table("b7")
@@ -357,6 +378,8 @@ def cmd_adjoint(args):
 
 def _adjoint_report(table):
     """The closed-form adjoint table of b7 against the stored one."""
+    from . import liealg
+
     names = table.names
     try:
         rows = [liealg.adjoint_closed_form(table, i) for i in range(1, table.dim + 1)]
@@ -550,7 +573,8 @@ def cmd_reduce(args):
             lines.append(f"max deviation from exact profile: {worst:.3e}")
             data["max_deviation"] = worst
 
-    if not args.out:
+    # the rows are text only: an envelope carries the table in `data`
+    if not args.out and not args.json:
         lines.append("-- table (csv) --")
         lines += [",".join(row) for row in solutions.solution_table_rows(table)]
     return lines, data, code
@@ -632,6 +656,8 @@ def cmd_check_f(args):
 
 
 def _subalgebra_section(table):
+    from . import liealg
+
     pairs = fixtures.load_subalgebra_pairs()
     corrections = fixtures.load_subalgebra_corrections()
     lines = []

@@ -596,11 +596,13 @@ def solution_table_csv(table: SolutionTable, path: str) -> None:
 
 
 def solution_table_json(table: SolutionTable) -> dict:
+    """The table for a JSON envelope.  The tuples go in as they are: the
+    encoder writes a tuple exactly as a list, so the table is not copied."""
     return {
         "kind": table.kind,
         "independent": table.indep_name,
-        "state": list(table.state_names),
-        "points": list(table.points),
-        "states": [list(row) for row in table.states],
+        "state": table.state_names,
+        "points": table.points,
+        "states": table.states,
         "blown_up": table.blown_up,
     }

@@ -1,12 +1,14 @@
 """End-to-end checks of the command line, driven through main(argv)."""
 
 import ast
+import contextlib
 import json
 import os
 import runpy
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -461,10 +463,15 @@ def test_check_f_takes_the_root_of_an_exp_square(capsys):
 
 
 def test_output_to_a_closed_pipe_keeps_the_exit_code():
-    # 100,001 digits outrun the pipe buffer, so the writer is still
-    # printing when the reader closes: the reader's choice, not an error
-    for argv in (("check-f", "--expr", "10^100000*u"),
-                 ("check-f", "--expr", "10^100000*u", "--json")):
+    # 100,001 digits, and the 62,833 rows of the table, outrun the pipe
+    # buffer, so the writer is still writing when the reader closes: the
+    # reader's choice, not an error
+    for argv, expected in (
+        (("check-f", "--expr", "10^100000*u"), cli.EXIT_VERIFY),
+        (("check-f", "--expr", "10^100000*u", "--json"), cli.EXIT_VERIFY),
+        (("reduce", "--kind", "translation", "--step", "1e-4"), cli.EXIT_OK),
+        (("reduce", "--kind", "translation", "--step", "1e-4", "--json"), cli.EXIT_OK),
+    ):
         proc = subprocess.Popen([sys.executable, "-m", "curlsym.cli", *argv],
                                 env=fresh_env(), stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE)
@@ -477,7 +484,7 @@ def test_output_to_a_closed_pipe_keeps_the_exit_code():
             proc.kill()
             proc.stderr.close()
         assert err == b""
-        assert code == cli.EXIT_VERIFY
+        assert code == expected, argv
 
 
 def test_verify_solution_overflowing_everywhere_is_undecided(capsys, tmp_path):
@@ -1129,6 +1136,38 @@ def test_json_envelope_everywhere(capsys, argv):
     assert code in (cli.EXIT_OK, cli.EXIT_DOCUMENTED)
 
 
+def _reduce_translation(*extra):
+    args = cli.build_parser().parse_args(
+        ["reduce", "--kind", "translation", "--step", "1e-3", *extra])
+    return args, *args.func(args)
+
+
+def test_json_envelope_is_written_in_batches(capsys):
+    # the 6,285-row table goes out as json.dumps prints it, but the envelope
+    # is never held whole: the encoder's chunks go out a batch at a time
+    args, lines, data, code = _reduce_translation("--json")
+    assert "-- table (csv) --" not in lines
+    assert cli._emit(args, lines, data, code) == cli.EXIT_OK
+    doc = {"command": "reduce", "exit_code": code, "ok": True, "data": data}
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            cli._emit(args, lines, data, code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_text_output_is_the_lines(capsys):
+    args, lines, data, code = _reduce_translation()
+    # the marker, the header and 6,285 rows close the text
+    assert lines[-6287] == "-- table (csv) --"
+    assert cli._emit(args, lines, data, code) == cli.EXIT_OK
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_unknown_subcommand_exits_4(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -1226,6 +1265,25 @@ def test_symbolic_commands_load_no_numpy_or_scipy(run):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "solve-ansatz --system curl-absB --degree 2",
+    "check-f --expr R",
+    "verify-solution --sol B1 --system blair",
+    "reduce --kind translation",
+])
+def test_commands_without_a_bracket_table_load_no_liealg(argv):
+    code = (
+        "import sys\n"
+        "from curlsym import cli\n"
+        f"assert cli.main({argv.split()!r}) == 0\n"
+        "print('curlsym.liealg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_runtime_imports_only_the_standard_library():
