@@ -362,12 +362,16 @@ def cmd_adjoint(args):
         lines = [f"numeric adjoint coordinates at eps = {eps:g}"]
         entries = {}
         for i in range(1, table.dim + 1):
-            for j, vec in enumerate(liealg.adjoint_numeric(table, i, eps), 1):
-                if not all(math.isfinite(c) for c in vec):
-                    raise CliInputError(
-                        f"--eps {eps:g} gives non-finite coordinates for "
-                        f"Ad(exp(eps*X{i})) X{j}; give a finite eps of smaller size"
-                    )
+            try:
+                columns = liealg.adjoint_numeric(table, i, eps)
+            except (ArithmeticError, ValueError):  # overflow, or sin(inf)
+                columns = None
+            if columns is None or not all(math.isfinite(c) for v in columns for c in v):
+                raise CliInputError(
+                    f"--eps {eps:g} gives non-finite coordinates for "
+                    f"Ad(exp(eps*X{i})); give a finite eps of smaller size"
+                )
+            for j, vec in enumerate(columns, 1):
                 entries[f"X{i},X{j}"] = vec
                 pretty = " ".join(f"{c: .9f}" for c in vec)
                 lines.append(f"X{i},X{j}: {pretty}")

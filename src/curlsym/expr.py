@@ -907,15 +907,34 @@ def poly_sqrt(p: Poly) -> Poly | None:
     return q if q is None or q.leading()[1] > 0 else q.scale(Fraction(-1))
 
 
+def _sqrt_in_r(p: Poly) -> Poly | None:
+    """Square root a + b*R of p = A + B*R, all four free of R, or None; its
+    `leading()` coefficient is positive.  With rho = u^2 + v^2 + w^2,
+    p = a^2 + b^2*rho + 2ab*R, so s = +-(a^2 - b^2*rho) is a root of
+    A^2 - B^2*rho (it is +-A if B = 0), a^2 = (A + s)/2, b^2 = (A - s)/(2*rho)
+    and the sign of b makes 2ab = B.  A root is kept only if it squares to p."""
+    rho = _rsq_poly()
+    with_r = Poly({m: c for m, c in p.terms.items() if any(a is S.R for a, _ in m)})
+    big_a, big_b = p - with_r, with_r.divide_monomial(_freeze({S.R: 1}))
+    s = big_a if big_b.is_zero() else poly_sqrt(big_a * big_a - big_b * big_b * rho)
+    for s in [] if s is None else [s, s.scale(Fraction(-1))]:
+        a = poly_sqrt((big_a + s).scale(Fraction(1, 2)))
+        quot = poly_div_exact((big_a - s).scale(Fraction(1, 2)), rho)
+        b = None if quot is None else poly_sqrt(quot)
+        if a is None or b is None:
+            continue
+        if (a * b).scale(Fraction(2)) != big_b:
+            b = b.scale(Fraction(-1))
+        root = a + b * poly_atom(S.R)
+        if root * root == p:
+            return root if root.leading()[1] > 0 else root.scale(Fraction(-1))
+    return None
+
+
 def rat_sqrt(rf: RatForm, origin: Expr) -> RatForm:
     num = poly_sqrt(rf.num)
     if num is None:
-        # try factoring out u^2+v^2+w^2 = R^2
-        quot = poly_div_exact(rf.num, _rsq_poly())
-        if quot is not None:
-            part = poly_sqrt(quot)
-            if part is not None:
-                num = part * poly_atom(S.R)
+        num = _sqrt_in_r(rf.num)
     den = poly_sqrt(rf.den)
     if num is None or den is None:
         raise NotPolynomial("square root has no exact polynomial form", origin)

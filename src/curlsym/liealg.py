@@ -5,26 +5,27 @@ Brackets are computed exactly on the generator coefficients; a basis is
 closed when every bracket decomposes over the basis with rational
 coordinates, and the resulting constants tensor is the single source for
 everything else here.  The adjoint representation Ad(exp(eps*Xi)) acts on
-coordinates as exp(-eps * ad_i) (so the eps-linear term of Ad applied to
-Xj is -eps*[Xi, Xj]).  The numeric route evaluates the matrix exponential.
-The closed-form route is exact: the Taylor coefficients of
-exp(-eps * ad_i) e_j are rational powers of ad_i, the entry lies in the
-span of the dictionary {1, eps, eps^2, cos eps, sin eps, e^eps, e^-eps}
-exactly when those powers satisfy the dictionary's equation y^(7) = y^(3),
-and the dictionary coefficients then follow from one rational 7x7 solve.
+coordinates as exp(-eps * ad_i) (Olver, Applications of Lie Groups to
+Differential Equations, 3.3), so the entry for Xj is sum_k eps^k/k! v_k
+with v_k = (-ad_i)^k e_j, exact rational vectors.  When v_7 = v_3, every
+v_{k+4} = v_k for k >= 3, and the terms k >= 3 group by k mod 4 into
+v_0 + eps v_1 + eps^2/2 v_2 + c_0 v_3 + c_1 v_4 + c_2 v_5 + c_3 v_6 with
+c_0, c_2 = sinh(eps)/2 -+ sin(eps)/2 - (0, eps) and
+c_1, c_3 = cosh(eps)/2 +- cos(eps)/2 - (1, eps^2/2).  The numeric route
+evaluates that closed form at a float eps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, frexp, isfinite
+from math import frexp, isfinite
 
 from .expr import (
-    ZERO, Add, Expr, Num, S, cos, exp, normal_expression, sin, to_string,
+    ZERO, Add, Expr, Num, S, add, compile_numeric, cos, exp, normal_expression,
+    sin, to_string,
 )
 from .jet import GeneratorField, derivation
-from .ratlin import rref
 from .symmetry import basis_coordinates
 
 
@@ -148,14 +149,6 @@ def format_combination(coeffs, names) -> str:
 # --- adjoint representation ---------------------------------------------------
 
 
-def ad_matrix(table: LieAlgebraTable, i: int) -> list:
-    """Float matrix of ad(Xi) on coordinates, as rows: column l holds
-    [Xi, Xl]; 1-based i."""
-    c = table.constants[i - 1]
-    n = table.dim
-    return [[float(c[l][k]) for l in range(n)] for k in range(n)]
-
-
 def _matmul(a: list, b: list) -> list:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
@@ -186,61 +179,46 @@ def expm(a: list) -> list:
     return p
 
 
-def adjoint_numeric(table: LieAlgebraTable, i: int, eps: float) -> list:
-    """Coordinates of Ad(exp(eps*Xi)) applied to each Xj, as float lists in
-    the order of j: the columns of exp(-eps*ad_i)."""
-    m = expm([[-eps * v for v in row] for row in ad_matrix(table, i)])
-    return [list(col) for col in zip(*m)]
-
-
-# dictionary of eps-functions an adjoint entry may be built from: the
-# solutions of y^(7) = y^(3), characteristic polynomial t^3 (t^2+1) (t^2-1)
-_DICTIONARY = (
-    Num(Fraction(1)), S.eps, S.eps**2,
-    cos(S.eps), sin(S.eps), exp(S.eps), exp(-S.eps),
+# the coefficient functions 1, eps, eps^2/2, c_0 .. c_3 of v_0 .. v_6
+_PHI = (
+    Num(Fraction(1)), S.eps, S.eps**2 / 2,
+    (exp(S.eps) - exp(-S.eps)) / 4 - sin(S.eps) / 2,
+    (exp(S.eps) + exp(-S.eps)) / 4 + cos(S.eps) / 2 - 1,
+    (exp(S.eps) - exp(-S.eps)) / 4 + sin(S.eps) / 2 - S.eps,
+    (exp(S.eps) + exp(-S.eps)) / 4 - cos(S.eps) / 2 - S.eps**2 / 2,
 )
 
 
-def _taylor_row(k: int) -> list:
-    """eps^k Taylor coefficient at eps = 0 of each dictionary function."""
-    f = Fraction(1, factorial(k))
-    sign = (-1) ** (k // 2)
-    return [Fraction(k == 0), Fraction(k == 1), Fraction(k == 2),
-            sign * f * (k % 2 == 0), sign * f * (k % 2), f, (-1) ** k * f]
-
-
 def adjoint_closed_form(table: LieAlgebraTable, i: int) -> tuple:
-    """Exact closed forms of Ad(exp(eps*Xi)) Xj over the dictionary, one
-    tuple of coefficient functions of eps per j.
-
-    With v_k = (-ad_i)^k e_j the entry is sum_k v_k eps^k / k!.  It solves
-    y^(7) = y^(3), and so lies in the dictionary's span, iff v_7 = v_3; its
-    dictionary coefficients then match the Taylor coefficients k = 0..6,
-    whose table over the dictionary (the Wronskian at 0) is invertible, so
-    one solve serves every j."""
-    c = table.constants[i - 1]
-    n = table.dim
-    powers = [[[Fraction(l == j) for l in range(n)] for j in range(n)]]
-    for _ in range(7):
-        powers.append([[-sum(c[l][k] * v[l] for l in range(n)) for k in range(n)]
-                       for v in powers[-1]])
+    """Exact closed forms of Ad(exp(eps*Xi)) Xj, one tuple of coefficient
+    functions of eps per j.  With v_k = (-ad_i)^k e_j, from the nonzero
+    constants of Xi, the entry sum_k eps^k/k! v_k lies in the span of
+    1, eps, eps^2, cos, sin, exp(+-eps), the solutions of y^(7) = y^(3),
+    iff v_7 = v_3; then v_{k+4} = v_k for k >= 3, so it is
+    sum_{k<7} phi_k v_k."""
+    n, c = table.dim, table.constants[i - 1]
+    # (-ad_i v)_k = -sum_l c[l][k] v_l, over the nonzero constants only
+    into = [[(l, c[l][k]) for l in range(n) if c[l][k]] for k in range(n)]
+    out = []
     for j in range(n):
-        if powers[7][j] != powers[3][j]:
+        powers = [[Fraction(l == j) for l in range(n)]]
+        for _ in range(7):
+            powers.append([-sum(x * powers[-1][l] for l, x in into[k]) for k in range(n)])
+        if powers[7] != powers[3]:
             raise NoClosedForm(f"entry ({i},{j + 1}) is not in the dictionary span")
-    rows, _ = rref(
-        [_taylor_row(k) + [e / factorial(k) for v in powers[k] for e in v]
-         for k in range(7)],
-        cols=7,
-    )
+        terms = [[f * v[m] for f, v in zip(_PHI, powers) if v[m]] for m in range(n)]
+        out.append(tuple(normal_expression(add(*t)) for t in terms))
+    return tuple(out)
 
-    def combine(col):
-        expr: Expr = Num(Fraction(0))
-        for row, basis_expr in zip(rows, _DICTIONARY):
-            if row[col]:
-                expr = expr + Num(row[col]) * basis_expr
-        return normal_expression(expr)
 
-    return tuple(tuple(combine(7 + j * n + m) for m in range(n)) for j in range(n))
+def adjoint_numeric(table: LieAlgebraTable, i: int, eps: float) -> list:
+    """Coordinates of Ad(exp(eps*Xi)) applied to each Xj, as float lists in
+    the order of j: the exact closed forms evaluated at eps.  Raises
+    ArithmeticError or ValueError on an overflow or a domain error."""
+    n = table.dim
+    coeffs = tuple(c for entry in adjoint_closed_form(table, i) for c in entry)
+    values = compile_numeric(coeffs, [S.eps])(eps)
+    return [list(values[j * n:(j + 1) * n]) for j in range(n)]
 
 
 # --- subalgebras and fixture diffs --------------------------------------------

@@ -79,15 +79,13 @@ def _reduce(rows, ncols=inf):
     return pivots
 
 
-def rref(matrix, cols: int | None = None):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
-
-    Pivot columns ascend; `cols` limits pivoting to a left block (used when
-    rows carry bookkeeping columns on the right)."""
+def rref(matrix):
+    """Reduced row echelon form.  Returns (rows, pivot_columns), the pivot
+    columns ascending."""
     if not matrix:
         return [], []
     width = len(matrix[0])
-    pivots = _reduce(matrix, inf if cols is None else cols)
+    pivots = _reduce(matrix)
     order = sorted(pivots)
     return [[Fraction(pivots[c].get(j, 0), pivots[c][c]) for j in range(width)]
             for c in order], order

@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import curlsym
-from curlsym import cli, fixtures, liealg, solutions
+from curlsym import cli, fixtures, liealg, ratlin, solutions
 from curlsym.expr import as_ratform, normalize, parse, poly_div_exact
 
 
@@ -445,13 +445,14 @@ def test_check_f_sqrt_of_exp_gives_up_fast():
     )
 
 
-def test_check_f_sqrt_of_an_r_square_gives_up_fast():
-    # R^2 rewrites, so the root search misses (3*R - 4*u - 1)^2; once it
-    # ran for minutes before its step guard ended it
-    proc = run_fresh("check-f", "--expr", "sqrt((3*R - 4*u - 1)^2)", timeout=10)
-    assert proc.returncode == cli.EXIT_INPUT
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: square root has no exact polynomial form")
+def test_check_f_takes_the_root_of_an_r_square():
+    # R^2 rewrites, so the leading-term search alone misses these roots;
+    # once it ran for minutes before its step guard ended it
+    for radicand in ("(3*R - 4*u - 1)^2", "(R+u)^2"):
+        proc = run_fresh("check-f", "--expr", f"sqrt({radicand})", timeout=10)
+        assert proc.returncode == cli.EXIT_VERIFY and proc.stderr == ""
+        assert proc.stdout.startswith("profile f = sqrt(")
+        assert "PASS: yz rotation-moment constraint" in proc.stdout
 
 
 def test_check_f_takes_the_root_of_an_exp_square(capsys):
@@ -638,24 +639,29 @@ def test_adjoint_rejects_b10(capsys):
     assert "b7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, counted", [
-    (("adjoint", "--basis", "b7", "--numeric", "--eps", "0.5"), "expm"),
-    (("adjoint", "--basis", "b7"), "rref"),
+@pytest.mark.parametrize("counted", ["expm", "rref"])
+@pytest.mark.parametrize("argv", [
+    ("adjoint", "--basis", "b7", "--numeric", "--eps", "0.5"),
+    ("adjoint", "--basis", "b7"),
 ])
 def test_adjoint_solves_once_per_generator(capsys, monkeypatch, argv, counted):
-    """One matrix exponential, or one Wronskian solve, per generator of b7,
-    not one per table entry."""
-    calls = []
-    inner = getattr(liealg, counted)
+    """One closed form per generator of b7, not one per table entry, and
+    neither the matrix exponential nor a Wronskian solve on the way."""
+    forms = []
+    closed_form = liealg.adjoint_closed_form
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counting(*args):
+        forms.append(1)
+        return closed_form(*args)
 
-    monkeypatch.setattr(liealg, counted, counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{counted} called")
+
+    monkeypatch.setattr(liealg, "adjoint_closed_form", counting)
+    monkeypatch.setattr({"expm": liealg, "rref": ratlin}[counted], counted, refuse)
     code, _, _ = run(capsys, *argv)
     assert code == cli.EXIT_OK
-    assert len(calls) == 7
+    assert len(forms) == 7
 
 
 # --- verify-solution ---------------------------------------------------------

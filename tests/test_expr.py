@@ -701,6 +701,20 @@ def test_poly_sqrt_finds_every_root_without_rewrite_atoms(q):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_poly_strategy(atoms=_DEN_ATOMS), _poly_strategy(atoms=_DEN_ATOMS))
+@example(normalize(-4 * S.u - 1), normalize(Num(Fraction(3))))
+@example(normalize(S.u * exp(-3 * S.u) + 1), normalize(Num(Fraction(-1))))
+def test_rat_sqrt_finds_every_root_a_plus_b_r_without_rewrite_atoms(a, b):
+    # (a + b*R)^2 = a^2 + b^2*(u^2 + v^2 + w^2) + 2*a*b*R: the R^2 rewrite
+    # can hide the leading term from poly_sqrt, the A + B*R split cannot
+    root = a + b * E.poly_atom(S.R)
+    rf = E.rat_sqrt(E.RatForm(root * root, E.poly_const(Fraction(1))), S.R)
+    assert rf.den == E.poly_const(Fraction(1))
+    assert rf.num in (root, root.scale(Fraction(-1)))
+    assert rf.num.is_zero() or rf.num.leading()[1] > 0
+
+
+@settings(max_examples=150, deadline=None)
 @given(_poly_strategy(), _poly_strategy(max_terms=2))
 def test_poly_sqrt_is_sound_and_keeps_the_guarded_roots(q, r):
     p = q * q + r

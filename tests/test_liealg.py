@@ -10,7 +10,9 @@ import pytest
 
 from curlsym import fixtures as fx
 from curlsym import liealg as la
-from curlsym.expr import Num, S, compile_numeric, equal_exprs, normal_expression, parse
+from curlsym.expr import (
+    Num, S, compile_numeric, cos, equal_exprs, exp, normal_expression, parse, sin,
+)
 from curlsym.jet import GeneratorField
 from curlsym.ratlin import rref
 
@@ -132,9 +134,26 @@ def test_documented_bracket_cells():
 # --- adjoint representation ---------------------------------------------------
 
 
+# the dictionary of eps-functions a closed-form entry may be built from: the
+# solutions of y^(7) = y^(3), characteristic polynomial t^3 (t^2+1) (t^2-1)
+_DICTIONARY = (
+    Num(Fraction(1)), S.eps, S.eps**2,
+    cos(S.eps), sin(S.eps), exp(S.eps), exp(-S.eps),
+)
+
+
+def _taylor_row(k):
+    """eps^k Taylor coefficient at eps = 0 of each dictionary function."""
+    f = Fraction(1, factorial(k))
+    sign = (-1) ** (k // 2)
+    return [Fraction(k == 0), Fraction(k == 1), Fraction(k == 2),
+            sign * f * (k % 2 == 0), sign * f * (k % 2), f, (-1) ** k * f]
+
+
 def _closed_form_entry(table, i, j):
     """Reference: the closed form of the single entry Ad(exp(eps*Xi)) Xj,
-    with its own powers of ad_i and its own Wronskian solve."""
+    with its own dense powers of ad_i and its own Wronskian solve: the
+    dictionary coefficients match the Taylor coefficients k = 0..6."""
     c = table.constants[i - 1]
     n = table.dim
     powers = [[Fraction(l == j - 1) for l in range(n)]]
@@ -143,31 +162,42 @@ def _closed_form_entry(table, i, j):
         powers.append([-sum(c[l][k] * v[l] for l in range(n)) for k in range(n)])
     if powers[7] != powers[3]:
         raise la.NoClosedForm(f"entry ({i},{j}) is not in the dictionary span")
-    rows, _ = rref(
-        [la._taylor_row(k) + [e / factorial(k) for e in powers[k]]
-         for k in range(7)],
-        cols=7,
+    # the Wronskian block is invertible, so its 7 columns are the pivots
+    rows, pivots = rref(
+        [_taylor_row(k) + [e / factorial(k) for e in powers[k]] for k in range(7)]
     )
+    assert pivots == list(range(7))
     coeffs = []
     for m in range(n):
         expr = Num(Fraction(0))
-        for row, basis_expr in zip(rows, la._DICTIONARY):
+        for row, basis_expr in zip(rows, _DICTIONARY):
             if row[7 + m]:
                 expr = expr + Num(row[7 + m]) * basis_expr
         coeffs.append(normal_expression(expr))
     return tuple(coeffs)
 
 
+def _ad_matrix(table, i):
+    """Float matrix of ad(Xi) on coordinates, as rows: column l holds
+    [Xi, Xl]; 1-based i."""
+    c = table.constants[i - 1]
+    n = table.dim
+    return [[float(c[l][k]) for l in range(n)] for k in range(n)]
+
+
 def _numeric_entry(table, i, j, eps):
-    """Reference: Ad(exp(eps*Xi)) Xj from its own matrix exponential."""
-    m = la.expm([[-eps * v for v in row] for row in la.ad_matrix(table, i)])
+    """Reference: Ad(exp(eps*Xi)) Xj from the matrix exponential of
+    -eps*ad_i."""
+    m = la.expm([[-eps * v for v in row] for row in _ad_matrix(table, i)])
     return [row[j - 1] for row in m]
 
 
 @pytest.mark.parametrize("table", [T7, T10], ids=["b7", "b10"])
 def test_adjoint_per_generator_equals_the_per_entry_reference(table):
-    """All 49 + 100 entries: the same coefficient strings, and the same
-    floats, as computing each entry on its own."""
+    """All 49 + 100 entries: the same coefficient strings as the Wronskian
+    solve of each entry on its own, and floats within 1e-13 relative of its
+    matrix exponential, also at eps = 30 where the e^eps parts of the
+    rotation entries cancel."""
     n = table.dim
     for i in range(1, n + 1):
         closed = la.adjoint_closed_form(table, i)
@@ -176,10 +206,11 @@ def test_adjoint_per_generator_equals_the_per_entry_reference(table):
             assert la.format_combination(closed[j - 1], table.names) == (
                 la.format_combination(_closed_form_entry(table, i, j), table.names)
             ), (i, j)
-        for eps in (0.0, 0.7, -3.0):
+        for eps in (0.0, 0.7, -3.0, 2.6, 10.0, 30.0):
             numeric = la.adjoint_numeric(table, i, eps)
-            assert numeric == [_numeric_entry(table, i, j, eps)
-                               for j in range(1, n + 1)], (i, eps)
+            for j in range(1, n + 1):
+                for got, want in zip(numeric[j - 1], _numeric_entry(table, i, j, eps)):
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (i, j, eps)
 
 
 def test_adjoint_numeric_identity_at_zero():
@@ -197,7 +228,7 @@ def test_adjoint_numeric_group_property():
     for i in (1, 4, 7):
         for e1 in (0.1, 0.3):
             for e2 in (0.1, 0.3):
-                a = np.array(la.ad_matrix(T7, i))
+                a = np.array(_ad_matrix(T7, i))
                 lhs = la.adjoint_numeric(T7, i, e1 + e2)[1]
                 from scipy.linalg import expm
 
@@ -210,7 +241,7 @@ def test_expm_matches_scipy(i):
     """eps = 0 gives the zero matrix."""
     from scipy.linalg import expm
 
-    a = np.array(la.ad_matrix(T7, i))
+    a = np.array(_ad_matrix(T7, i))
     for eps in (0, 0.5, -3, 2.6, 30):
         got = np.array(la.expm((-eps * a).tolist()))
         want = expm(-eps * a)
@@ -252,7 +283,7 @@ def test_adjoint_closed_form_agrees_with_numeric_on_fresh_samples():
         coeffs = la.adjoint_closed_form(T7, i)[j - 1]
         fns = [compile_numeric(c, [S.eps]) for c in coeffs]
         for t in rng.uniform(0.05, 2.6, size=20):
-            numeric = la.adjoint_numeric(T7, i, float(t))[j - 1]
+            numeric = _numeric_entry(T7, i, j, float(t))
             for fn, want in zip(fns, numeric):
                 assert abs(fn(float(t)) - want) < 1e-9
 

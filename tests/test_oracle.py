@@ -1,11 +1,12 @@
-"""An independent oracle for the bracket tables and the two solutions.
+"""An independent oracle for the bracket tables, the adjoint tables and the
+two solutions.
 
 The sympy side reads the reference bases and tables from the fixture text
 itself and computes with sympy alone; nothing of curlsym takes part in it.
-Only the values it checks come from curlsym: the structure constants, and
-the built-in fields as printed expressions.  Each basis costs one exact
-solve: the polynomial coefficients of all its brackets against those of its
-elements."""
+Only the values it checks come from curlsym: the structure constants, the
+closed-form adjoint entries and the built-in fields, the latter two as
+printed expressions.  Each basis costs one exact solve: the polynomial
+coefficients of all its brackets against those of its elements."""
 
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from curlsym.expr import to_string
 FIXTURES = Path(curlsym.__file__).parent / "fixtures"
 COORDS = sp.symbols("x y z u v w", real=True)
 x, y, z, u, v, w = COORDS
+EPS = sp.Symbol("eps", real=True)
 GENS = sp.symbols("X1:11")
-_NAMES = {str(s): s for s in (*COORDS, *GENS)}
+_NAMES = {str(s): s for s in (*COORDS, EPS, *GENS)}
 _TRANSFORMS = standard_transformations + (convert_xor,)
 
 
@@ -46,16 +48,21 @@ def _basis(name: str) -> list:
     return out
 
 
+def _coordinates(text: str, dim: int) -> tuple:
+    """The coefficients of X1..Xdim in a printed combination."""
+    combo = sp.expand(_sym(text))
+    coords = tuple(combo.coeff(g) for g in GENS[:dim])
+    assert sp.expand(combo - sum(c * g for c, g in zip(coords, GENS))) == 0
+    return coords
+
+
 def _combinations(name: str, dim: int) -> dict:
     """{(i, j): coordinates} of the lines `Xi,Xj -> combination`."""
     out = {}
     for line in _content(name):
         key, rhs = line.split("->")
         i, j = (int(t.strip()[1:]) for t in key.split(","))
-        combo = sp.expand(_sym(rhs))
-        coords = tuple(combo.coeff(g) for g in GENS[:dim])
-        assert sp.expand(combo - sum(c * g for c, g in zip(coords, GENS))) == 0
-        out[(i, j)] = coords
+        out[(i, j)] = _coordinates(rhs, dim)
     return out
 
 
@@ -119,6 +126,21 @@ def test_candidate_pairs_bracket_to_minus_x6(oracle, dim):
     minus_x6 = tuple(-1 if k == 6 else 0 for k in range(1, dim + 1))
     assert oracle[dim][(2, 5)] == minus_x6
     assert oracle[dim][(3, 4)] == minus_x6
+
+
+@pytest.mark.parametrize("dim", [10, 7])
+def test_adjoint_closed_forms_solve_the_adjoint_flow(oracle, dim):
+    """Each printed y(eps) = Ad(exp(eps*Xi)) Xj starts at e_j and solves
+    y' = -ad_i y, with ad_i from the oracle's own bracket table, exactly:
+    the unique solution of that initial value problem."""
+    table = la.structure_constants(fx.load_basis(dim))
+    for i in range(1, dim + 1):
+        for j, coeffs in enumerate(la.adjoint_closed_form(table, i), start=1):
+            ys = _coordinates(la.format_combination(coeffs, table.names), dim)
+            assert [c.subs(EPS, 0) for c in ys] == [int(k == j) for k in range(1, dim + 1)]
+            for k in range(dim):
+                ad_y = sum(oracle[dim][(i, l)][k] * c for l, c in enumerate(ys, start=1))
+                assert sp.expand(sp.diff(ys[k], EPS) + ad_y) == 0, (i, j, k + 1)
 
 
 def _curl(b: tuple) -> tuple:

@@ -125,18 +125,6 @@ def test_rref_is_reduced_echelon_form_of_the_input(matrix):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sparse_matrices())
-def test_rref_bookkeeping_block_records_the_combinations(matrix):
-    n, m = len(matrix[0]), len(matrix)
-    aug = [row + [int(i == k) for k in range(m)] for i, row in enumerate(matrix)]
-    rows, pivots = rref(aug, cols=n)
-    assert pivots == rref(matrix)[1]
-    for row in rows:
-        combo = [dot(row[n:], col) for col in zip(*matrix)]
-        assert combo == row[:n]
-
-
-@settings(max_examples=80, deadline=None)
 @given(sparse_matrices(), st.data())
 def test_coordinates_in_dependent_rows_reproduce_the_target(matrix, data):
     rows = [F(*row) for row in matrix]

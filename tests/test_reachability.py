@@ -23,6 +23,9 @@ ALLOWED = {
     "__init__.__version__": "the package version",
     "symmetry.coordinates_in_basis": "traced by perfbench/tracer.py",
     "ratlin.coordinates_in_rowspan": "traced by perfbench/tracer.py",
+    "ratlin.rref": "traced by perfbench/tracer.py",
+    "liealg.expm": "traced by perfbench/tracer.py; the tests' independent "
+                   "reference for the closed-form adjoint",
     "solutions.translation_convergence_ratio": "called by perfbench/sweep.py",
     "solutions._Rows.tolist": "called by perfbench/sweep.py",
 }
