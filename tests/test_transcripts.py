@@ -1,0 +1,184 @@
+"""What the commands print, held in one committed transcript.
+
+`transcripts.txt` holds argv, exit code, stdout and stderr of 62
+invocations, 61 of them distinct, run in-process through `cli.main`:
+
+* the 17 README commands that perfbench's readme-tour runs (every
+  `curlsym` line of the README's "Command line" block but `all`, whose
+  sections are those commands' own outputs), as text and as `--json`;
+* `verify-solution --transform 1..7` on B1 against blair and on B2
+  against curl-absB, at `--eps 0.4` and at the symbolic `--eps eps`;
+  the README's own transform line is one of them.
+
+A `reduce` stdout that carries the RK4 table keeps its summary in the
+transcript, the table taken out, beside the table's row count and the
+sha256 of the whole stdout.
+
+The floats of `adjoint --numeric` and `reduce`, and so those digests,
+come from the platform's libm: they hold on the machine that runs Tier-1
+only, and may differ elsewhere in the last digits.
+
+A change that alters an output on purpose shows as a diff of the
+transcript.  To regenerate it, from the repository root:
+
+    PYTHONPATH=src python tests/test_transcripts.py --write
+"""
+
+import contextlib
+import difflib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from curlsym import cli
+
+CORPUS = Path(__file__).resolve().with_name("transcripts.txt")
+
+_README = [
+    "determining --system curl-f --compare-fixture determining",
+    "solve-ansatz --system curl-absB --degree 2 --compare-fixture",
+    "solve-ansatz --system blair --degree 2 --compare-fixture",
+    "verify-generator --gen X8 --system curl-absB",
+    "verify-generator --expr-file my_generator.txt --system blair",
+    "bracket-table --basis b10",
+    "bracket-table --basis b7",
+    "adjoint --basis b7",
+    "adjoint --basis b7 --numeric --eps 0.5",
+    "verify-solution --sol B1 --system blair",
+    "verify-solution --sol B2 --system curl-absB",
+    "verify-solution --sol B1 --system blair --transform 2 --eps 0.4",
+    "reduce --kind translation --step 1e-3 --out table.csv",
+    "reduce --kind rotation --step 1e-3",
+    "check-f --expr R",
+    "check-f --expr u",
+    "check-f --solve-family",
+]
+# the generator file of the README's --expr-file line: the rotation about z
+_GENERATOR_FILE = "-y\nx\n0\n-v\nu\n0\n"
+
+_README_RUNS = [shlex.split(c) + j for c in _README for j in ([], ["--json"])]
+_TRANSFORM_RUNS = [
+    ["verify-solution", "--sol", sol, "--system", system,
+     "--transform", str(k), "--eps", eps]
+    for sol, system in (("B1", "blair"), ("B2", "curl-absB"))
+    for eps in ("0.4", "eps") for k in range(1, 8)
+]
+INVOCATIONS = [shlex.split(line) for line in
+               dict.fromkeys(shlex.join(a) for a in _README_RUNS + _TRANSFORM_RUNS)]
+_TABLE_MARK = "-- table (csv) --"
+
+
+def _lines(tag: str, text: str) -> list:
+    """text as `|`-prefixed lines; a missing final newline is marked."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+        tail = []
+    else:
+        tail = ["\\ no newline at end"]
+    return [f"{tag}:", *("|" + ln for ln in lines), *tail]
+
+
+def _summary(argv: list, out: str):
+    """(summary, table rows) of a `reduce` stdout that carries the RK4
+    table, or None for any other stdout."""
+    if argv[0] != "reduce":
+        return None
+    if "--json" in argv:
+        doc = json.loads(out)
+        table = doc["data"].pop("table")
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n", len(table["points"])
+    head, mark, table = out.partition(_TABLE_MARK + "\n")
+    if not mark:
+        return None
+    # the csv's header line is not a row
+    return head + mark, table.count("\n") - 1
+
+
+def render(argv: list, code: int, out: str, err: str) -> str:
+    """One invocation's block of the transcript."""
+    block = [f"$ curlsym {shlex.join(argv)}", f"exit {code}"]
+    summary = _summary(argv, out)
+    if summary is None:
+        block += _lines("stdout", out)
+    else:
+        text, rows = summary
+        block += _lines("stdout, table taken out", text)
+        block += [f"table rows {rows}",
+                  f"stdout sha256 {hashlib.sha256(out.encode()).hexdigest()}"]
+    block += _lines("stderr", err)
+    return "\n".join(block) + "\n"
+
+
+def run_in(workdir: Path, argv: list) -> str:
+    """Run one invocation in-process in workdir and render it."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(here)
+    return render(argv, code, out.getvalue(), err.getvalue())
+
+
+def load_corpus() -> dict:
+    """{argv as one shell line: its stored block}."""
+    blocks = {}
+    for chunk in CORPUS.read_text().split("\n$ curlsym ")[1:]:
+        head = chunk.split("\n", 1)[0]
+        blocks[head] = "$ curlsym " + chunk.rstrip("\n") + "\n"
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("transcripts")
+    (d / "my_generator.txt").write_text(_GENERATOR_FILE)
+    return d
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return load_corpus()
+
+
+def test_corpus_holds_every_invocation_once(corpus):
+    assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(INVOCATIONS)) == (34, 28, 61)
+    assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=shlex.join)
+def test_command_prints_its_transcript(argv, workdir, corpus):
+    stored = corpus.get(shlex.join(argv))
+    assert stored is not None, "not in transcripts.txt; regenerate with --write"
+    got = run_in(workdir, argv)
+    if got != stored:
+        diff = difflib.unified_diff(stored.splitlines(), got.splitlines(),
+                                    "transcripts.txt", "this run", lineterm="")
+        pytest.fail("output differs from the transcript:\n" + "\n".join(diff),
+                    pytrace=False)
+
+
+def write_corpus():
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "my_generator.txt").write_text(_GENERATOR_FILE)
+        text = "\n".join(run_in(d, argv) for argv in INVOCATIONS)
+    CORPUS.write_text("# generated by: PYTHONPATH=src python tests/test_transcripts.py"
+                      " --write\n\n" + text)
+    print(f"wrote {len(INVOCATIONS)} invocations to {CORPUS}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_transcripts.py --write")
+    write_corpus()
