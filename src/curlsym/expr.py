@@ -73,14 +73,23 @@ class EvalError(ExprError):
 # --- expression trees -------------------------------------------------------
 
 
+def _coeff(c):
+    """A rational as a coefficient is stored: an int when it is integral,
+    else a Fraction, whose denominator then exceeds 1."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _inverse(c):
+    """1/c for a nonzero rational, with no Fraction when c is +-1."""
+    return c if c in (1, -1) else _coeff(Fraction(1, c))
+
+
 def _as_expr(v) -> "Expr":
     if isinstance(v, Expr):
         return v
     if isinstance(v, bool):
         raise TypeError("bool is not a symbolic value")
-    if isinstance(v, int):
-        return Num(Fraction(v))
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return Num(v)
     if isinstance(v, float):
         raise TypeError("floats are not allowed in symbolic expressions")
@@ -125,8 +134,8 @@ class Expr:
 class Num(Expr):
     __slots__ = ("val",)
 
-    def __init__(self, val: Fraction):
-        self.val = val
+    def __init__(self, val):
+        self.val = _coeff(val)
         self._h = None
 
     def __eq__(self, other):
@@ -228,13 +237,13 @@ class Func(Expr):
         return self._h
 
 
-ZERO = Num(Fraction(0))
-ONE = Num(Fraction(1))
+ZERO = Num(0)
+ONE = Num(1)
 
 
 def add(*terms) -> Expr:
     flat = []
-    const = Fraction(0)
+    const = 0
     for t in terms:
         t = _as_expr(t)
         if isinstance(t, Add):
@@ -261,7 +270,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     flat = []
-    const = Fraction(1)
+    const = 1
     for f in factors:
         f = _as_expr(f)
         if isinstance(f, Mul):
@@ -288,7 +297,7 @@ def mul(*factors) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(Num(Fraction(-1)), e)
+    return mul(Num(-1), e)
 
 
 def pow_(base: Expr, n) -> Expr:
@@ -306,7 +315,7 @@ def pow_(base: Expr, n) -> Expr:
     if isinstance(base, Num):
         if base.val == 0 and n < 0:
             raise ExprError("division by zero")
-        return Num(base.val ** n)
+        return Num(Fraction(base.val) ** n)
     if isinstance(base, Pow):
         return pow_(base.base, base.n * n)
     return Pow(base, n)
@@ -507,7 +516,8 @@ def _freeze(d: dict) -> tuple:
 
 
 class Poly:
-    """Polynomial normal form: monomial -> rational, monomials reduced."""
+    """Polynomial normal form: monomial -> coefficient, monomials reduced;
+    a coefficient is an int when integral, else a Fraction (`_coeff`)."""
 
     __slots__ = ("terms",)
 
@@ -520,9 +530,9 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ExprError("not a constant polynomial")
         return self.terms[()]
@@ -546,20 +556,20 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
+            nc = out.get(m, 0) + c
             if nc:
-                out[m] = nc
+                out[m] = _coeff(nc)
             else:
                 out.pop(m, None)
         return Poly(out)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c) -> "Poly":
         if c == 0:
             return Poly({})
-        return Poly({m: c * v for m, v in self.terms.items()})
+        return Poly({m: _coeff(c * v) for m, v in self.terms.items()})
 
     def __mul__(self, other):
         out: dict = {}
@@ -572,7 +582,7 @@ class Poly:
         if n < 0:
             raise ExprError("negative power on a polynomial")
         if n < 2:
-            return poly_const(Fraction(1)) * self if n else poly_const(Fraction(1))
+            return poly_const(1) * self if n else poly_const(1)
         half = self.power(n // 2)  # repeated squaring: O(log n) products
         return half * half * self if n % 2 else half * half
 
@@ -580,7 +590,7 @@ class Poly:
         if self.is_zero():
             return self
         _, lc = self.leading()
-        return self.scale(Fraction(1) / lc)
+        return self.scale(_inverse(lc))
 
     def content_monomial(self) -> tuple:
         """The atoms every term carries, each at its least exponent."""
@@ -621,13 +631,13 @@ class Poly:
         return add(*(mul(Num(c), monomial_expr(m)) for m, c in self.sorted_terms()))
 
 
-def poly_const(c: Fraction) -> Poly:
+def poly_const(c) -> Poly:
     return Poly({(): c}) if c else Poly({})
 
 
 def poly_atom(atom) -> Poly:
     out: dict = {}
-    _emit(out, {atom: 1}, Fraction(1))
+    _emit(out, {atom: 1}, 1)
     return Poly(out)
 
 
@@ -649,9 +659,9 @@ def _rsq_poly() -> Poly:
         u, v, w = S.u, S.v, S.w
         _RSQ = Poly(
             {
-                _freeze({u: 2}): Fraction(1),
-                _freeze({v: 2}): Fraction(1),
-                _freeze({w: 2}): Fraction(1),
+                _freeze({u: 2}): 1,
+                _freeze({v: 2}): 1,
+                _freeze({w: 2}): 1,
             }
         )
     return _RSQ
@@ -666,11 +676,11 @@ def _reducible(atom, e: int):
             return _rsq_poly()
         partner = REGISTRY.unit_pairs.get(atom)
         if partner is not None:
-            return Poly({(): Fraction(1), _freeze({partner: 2}): Fraction(-1)})
+            return Poly({(): 1, _freeze({partner: 2}): -1})
         return None
     if atom.fn == "sin":
         cos_atom = OpaqueAtom("cos", atom.key, atom.arg)
-        return Poly({(): Fraction(1), _freeze({cos_atom: 2}): Fraction(-1)})
+        return Poly({(): 1, _freeze({cos_atom: 2}): -1})
     return None
 
 
@@ -699,7 +709,7 @@ def _mono_mul(a, b: tuple, k: int = 1) -> dict | None:
         if have is None and k == 1:
             out[atom] = 1  # reused: a new atom rebuilds its key and argument
             continue
-        arg = atom.arg_poly.scale(Fraction(k))
+        arg = atom.arg_poly.scale(k)
         if have is not None:
             del out[have]
             arg = have.arg_poly + arg
@@ -708,7 +718,7 @@ def _mono_mul(a, b: tuple, k: int = 1) -> dict | None:
     return out
 
 
-def _emit(acc: dict, mono: dict, coeff: Fraction):
+def _emit(acc: dict, mono: dict, coeff):
     """Insert coeff * mono into acc, applying the quadratic rewrites."""
     if coeff == 0:
         return
@@ -720,9 +730,9 @@ def _emit(acc: dict, mono: dict, coeff: Fraction):
                 _emit(acc, _mono_mul(rest, rm), coeff * rc)
             return
     frozen = _freeze(mono)
-    nc = acc.get(frozen, Fraction(0)) + coeff
+    nc = acc.get(frozen, 0) + coeff
     if nc:
-        acc[frozen] = nc
+        acc[frozen] = _coeff(nc)
     else:
         acc.pop(frozen, None)
 
@@ -764,7 +774,7 @@ def ratform(num: Poly, den: Poly) -> RatForm:
     if den.is_zero():
         raise ExprError("division by zero in rational normal form")
     if num.is_zero():
-        return RatForm(Poly({}), poly_const(Fraction(1)))
+        return RatForm(Poly({}), poly_const(1))
     # conjugate away algebraic atoms (degree <= 1 per monomial by reduction)
     while True:
         target = None
@@ -793,10 +803,10 @@ def ratform(num: Poly, den: Poly) -> RatForm:
     if not den.is_constant():
         q = poly_div_exact(num, den)
         if q is not None:
-            return RatForm(q, poly_const(Fraction(1)))
+            return RatForm(q, poly_const(1))
     _, lc = den.leading()
     if lc != 1:
-        inv = Fraction(1) / lc
+        inv = _inverse(lc)
         num = num.scale(inv)
         den = den.scale(inv)
     return RatForm(num, den)
@@ -830,7 +840,7 @@ def _rat_pow(a: RatForm, n: int) -> RatForm:
 # --- square roots of polynomial forms ---------------------------------------
 
 
-def _term_sqrt(m: tuple, c: Fraction):
+def _term_sqrt(m: tuple, c):
     """sqrt(c*m) as (monomial, positive coefficient), or None: exp
     arguments halve, other exponents must be even, c a rational square."""
     rn, rd = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
@@ -844,7 +854,7 @@ def _term_sqrt(m: tuple, c: Fraction):
             out[a] = e // 2
         else:
             return None
-    return _freeze(out), Fraction(rn, rd)
+    return _freeze(out), _coeff(Fraction(rn, rd))
 
 
 def _mono_div(a: tuple, b: tuple):
@@ -903,8 +913,8 @@ def poly_sqrt(p: Poly) -> Poly | None:
     ms, cs = root
     q0 = Poly({ms: cs})
     q = _lead_reduce((p - q0 * q0).terms, dict(q0.terms), (ms, 2 * cs),
-                     lambda t, q: t * (q.scale(Fraction(2)) + t), box, key)
-    return q if q is None or q.leading()[1] > 0 else q.scale(Fraction(-1))
+                     lambda t, q: t * (q.scale(2) + t), box, key)
+    return q if q is None or q.leading()[1] > 0 else q.scale(-1)
 
 
 def _sqrt_in_r(p: Poly) -> Poly | None:
@@ -917,17 +927,17 @@ def _sqrt_in_r(p: Poly) -> Poly | None:
     with_r = Poly({m: c for m, c in p.terms.items() if any(a is S.R for a, _ in m)})
     big_a, big_b = p - with_r, with_r.divide_monomial(_freeze({S.R: 1}))
     s = big_a if big_b.is_zero() else poly_sqrt(big_a * big_a - big_b * big_b * rho)
-    for s in [] if s is None else [s, s.scale(Fraction(-1))]:
+    for s in [] if s is None else [s, s.scale(-1)]:
         a = poly_sqrt((big_a + s).scale(Fraction(1, 2)))
         quot = poly_div_exact((big_a - s).scale(Fraction(1, 2)), rho)
         b = None if quot is None else poly_sqrt(quot)
         if a is None or b is None:
             continue
-        if (a * b).scale(Fraction(2)) != big_b:
-            b = b.scale(Fraction(-1))
+        if (a * b).scale(2) != big_b:
+            b = b.scale(-1)
         root = a + b * poly_atom(S.R)
         if root * root == p:
-            return root if root.leading()[1] > 0 else root.scale(Fraction(-1))
+            return root if root.leading()[1] > 0 else root.scale(-1)
     return None
 
 
@@ -974,13 +984,13 @@ def _lead_reduce(r: dict, q: dict, lead: tuple, times, box: dict, key) -> Poly |
         t_mono = _mono_div(rm, lm)
         if t_mono is None or t_mono in q or not _in_range(t_mono, box):
             return None
-        t = Poly({t_mono: r[rm] / lc})
+        t = Poly({t_mono: r[rm] if lc == 1 else _coeff(Fraction(r[rm], lc))})
         for m, v in times(t, Poly(q)).terms.items():
-            nc = r.get(m, Fraction(0)) - v
+            nc = r.get(m, 0) - v
             if nc:
                 if m not in r:
                     heapq.heappush(heap, (key(m), m))
-                r[m] = nc
+                r[m] = _coeff(nc)
             else:
                 del r[m]
         q[t_mono] = t.terms[t_mono]
@@ -1039,7 +1049,7 @@ def as_ratform(e: Expr) -> RatForm:
 
 
 def _as_ratform(e: Expr) -> RatForm:
-    one = poly_const(Fraction(1))
+    one = poly_const(1)
     if isinstance(e, Num):
         return RatForm(poly_const(e.val), one)
     if isinstance(e, Symbol):
@@ -1060,19 +1070,19 @@ def _as_ratform(e: Expr) -> RatForm:
         arg = as_ratform(e.arg)
         if e.fn == "sqrt":
             return rat_sqrt(arg, e)
-        sign = Fraction(1)
+        sign = 1
         if e.fn in ("sin", "cos"):
             if arg.num.is_zero():
-                return RatForm(poly_const(Fraction(e.fn == "cos")), one)
+                return RatForm(poly_const(int(e.fn == "cos")), one)
             # parity: canonicalize the argument's leading sign
             _, lc = arg.num.leading()
             if lc < 0:
-                arg = RatForm(arg.num.scale(Fraction(-1)), arg.den)
+                arg = RatForm(arg.num.scale(-1), arg.den)
                 if e.fn == "sin":
-                    sign = Fraction(-1)
+                    sign = -1
         if e.fn == "exp" and arg.is_polynomial():
             c = arg.den.constant_value()
-            arg_poly = arg.num.scale(Fraction(1) / c)
+            arg_poly = arg.num.scale(_inverse(c))
             if arg_poly.is_zero():
                 return RatForm(one, one)
             return RatForm(poly_atom(_exp_atom(arg_poly)), one)
@@ -1085,7 +1095,7 @@ def _as_ratform(e: Expr) -> RatForm:
 def _rat_to_expression(rf: RatForm) -> Expr:
     if rf.is_polynomial():
         c = rf.den.constant_value()
-        return rf.num.scale(Fraction(1) / c).to_expression()
+        return rf.num.scale(_inverse(c)).to_expression()
     return mul(rf.num.to_expression(), pow_(rf.den.to_expression(), -1))
 
 
@@ -1098,7 +1108,7 @@ def normalize(e: Expr) -> Poly:
             "denominator survives normalization", rf.den.to_expression()
         )
     c = rf.den.constant_value()
-    return rf.num.scale(Fraction(1) / c)
+    return rf.num.scale(_inverse(c))
 
 
 def normal_expression(e: Expr) -> Expr:
@@ -1178,7 +1188,7 @@ def collect_poly(p: Poly, variables) -> dict:
         grouped.setdefault(key, {})
         frozen_rest = _freeze(rest)
         acc = grouped[key]
-        acc[frozen_rest] = acc.get(frozen_rest, Fraction(0)) + c
+        acc[frozen_rest] = _coeff(acc.get(frozen_rest, 0) + c)
     return {
         k: Poly({m: c for m, c in terms.items() if c})
         for k, terms in sorted(grouped.items(), key=lambda kv: _mono_sort_key(kv[0]))
@@ -1217,7 +1227,7 @@ def differentiate(e: Expr, s: Symbol) -> Expr:
         return add(*out) if out else ZERO
     if isinstance(e, Pow):
         db = differentiate(e.base, s)
-        return mul(Num(Fraction(e.n)), pow_(e.base, e.n - 1), db)
+        return mul(Num(e.n), pow_(e.base, e.n - 1), db)
     if isinstance(e, Func):
         da = differentiate(e.arg, s)
         if isinstance(da, Num) and da.val == 0:
@@ -1459,7 +1469,7 @@ class _Parser:
         kind, text, off = self.next()
         if kind == "num":
             try:
-                return Num(Fraction(int(text)))
+                return Num(int(text))
             except ValueError:  # more than sys.get_int_max_str_digits()
                 raise ParseError(f"{len(text)}-digit literal is too long", off) from None
         if kind == "(":
@@ -1497,7 +1507,7 @@ def parse(text: str) -> Expr:
 # --- printer -----------------------------------------------------------------
 
 
-def _print_frac(c: Fraction) -> str:
+def _print_frac(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -1533,9 +1543,9 @@ def to_string(e: Expr) -> str:
                 parts.append(" + " + to_string(t))
         return "".join(parts)
     if isinstance(e, Mul):
-        return _print_product(Fraction(1), list(e.factors))
+        return _print_product(1, list(e.factors))
     if isinstance(e, Pow):
-        return _print_product(Fraction(1), [e])
+        return _print_product(1, [e])
     if isinstance(e, Num):
         if e.val < 0:
             return "-" + _print_frac(-e.val)
@@ -1547,7 +1557,7 @@ def to_string(e: Expr) -> str:
     raise ExprError(f"cannot print {type(e).__name__}")
 
 
-def _print_product(coeff: Fraction, factors: list) -> str:
+def _print_product(coeff, factors: list) -> str:
     numer, denom = [], []
     for f in factors:
         if isinstance(f, Num):

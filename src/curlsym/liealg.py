@@ -18,7 +18,6 @@ evaluates that closed form at a float eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import frexp, isfinite
 
 from .expr import (
@@ -83,7 +82,7 @@ def structure_constants(basis) -> LieAlgebraTable:
     basis = tuple(basis)
     n = len(basis)
     names = tuple(f"X{k}" for k in range(1, n + 1))
-    zero = tuple(Fraction(0) for _ in range(n))
+    zero = (0,) * n
     table = [[zero] * n for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
@@ -128,7 +127,7 @@ def format_combination(coeffs, names) -> str:
     parts = []
     for c, name in zip(coeffs, names):
         if not isinstance(c, Expr):
-            c = Num(Fraction(c))
+            c = Num(c)
         if isinstance(c, Num) and abs(c.val) in (0, 1):
             if c.val:
                 parts.append(("-" if c.val < 0 else "+", name))
@@ -181,7 +180,7 @@ def expm(a: list) -> list:
 
 # the coefficient functions 1, eps, eps^2/2, c_0 .. c_3 of v_0 .. v_6
 _PHI = (
-    Num(Fraction(1)), S.eps, S.eps**2 / 2,
+    Num(1), S.eps, S.eps**2 / 2,
     (exp(S.eps) - exp(-S.eps)) / 4 - sin(S.eps) / 2,
     (exp(S.eps) + exp(-S.eps)) / 4 + cos(S.eps) / 2 - 1,
     (exp(S.eps) - exp(-S.eps)) / 4 + sin(S.eps) / 2 - S.eps,
@@ -201,7 +200,7 @@ def adjoint_closed_form(table: LieAlgebraTable, i: int) -> tuple:
     into = [[(l, c[l][k]) for l in range(n) if c[l][k]] for k in range(n)]
     out = []
     for j in range(n):
-        powers = [[Fraction(l == j) for l in range(n)]]
+        powers = [[int(l == j) for l in range(n)]]
         for _ in range(7):
             powers.append([-sum(x * powers[-1][l] for l, x in into[k]) for k in range(n)])
         if powers[7] != powers[3]:

@@ -115,7 +115,7 @@ def nullspace(matrix, ncols: int | None = None):
         g = gcd(*vec)
         if next(e for e in vec if e) < 0:
             g = -g
-        basis.append([Fraction(e // g) for e in vec])
+        basis.append([e // g for e in vec])
     return basis
 
 

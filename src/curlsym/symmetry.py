@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import ratlin
@@ -57,6 +56,7 @@ from .expr import (
     normalize,
     substitute,
     _atom_sort_key,
+    _coeff,
     _freeze,
     _poly_key,
 )
@@ -282,7 +282,7 @@ def decompose_linear(p: Poly, formal_syms) -> dict:
         sym = hits[0][0]
         rest = tuple((a, e) for a, e in mono if a is not sym)
         acc = out.setdefault(sym, {})
-        acc[rest] = acc.get(rest, Fraction(0)) + c
+        acc[rest] = _coeff(acc.get(rest, 0) + c)
     return {s: Poly(t) for s, t in out.items()}
 
 

@@ -570,7 +570,7 @@ def _sorted_div_exact(p, d):
             not lo <= arg.get(k, 0) <= hi for k, (lo, hi) in box.items()
         ):
             return None
-        c = rc / dc
+        c = Fraction(rc) / dc
         q[t_mono] = q.get(t_mono, Fraction(0)) + c
         r = r - E.Poly({t_mono: c}) * d
     return E.Poly(q)
@@ -685,7 +685,7 @@ def _guarded_sqrt(p):
         t_mono = E._mono_div(rm, ms)
         if t_mono is None or not E._in_range(t_mono, box):
             return None
-        q = q + E.Poly({t_mono: rc / (2 * cs)})
+        q = q + E.Poly({t_mono: Fraction(rc) / (2 * cs)})
         r = p - q * q
     return None
 
