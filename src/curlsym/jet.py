@@ -23,7 +23,7 @@ X, pr X and the total derivatives D_i are derivations sum c d/ds, given as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expr import (
     BASE_SYMBOLS,
@@ -62,26 +62,20 @@ def derivation(field, e: Expr) -> Expr:
     return add(*(mul(c, differentiate(e, s)) for s, c in field))
 
 
-@dataclass(frozen=True)
-class GeneratorField:
+class GeneratorField(namedtuple("GeneratorField", FORMAL_COEFFS)):
     """Coefficients of a point generator, in the fixed slot order
-    (d/dx, d/dy, d/dz, d/du, d/dv, d/dw)."""
+    (d/dx, d/dy, d/dz, d/du, d/dv, d/dw), each an expression free of jets."""
 
-    zeta: Expr
-    eta: Expr
-    theta: Expr
-    phi: Expr
-    lam: Expr
-    psi: Expr
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in FORMAL_COEFFS:
-            val = _as_expr(getattr(self, name))
+    def __new__(cls, *coeffs):
+        coeffs = [_as_expr(c) for c in coeffs]
+        for name, val in zip(FORMAL_COEFFS, coeffs):
             _no_jets(val, f"generator coefficient {name}")
-            object.__setattr__(self, name, val)
+        return super().__new__(cls, *coeffs)
 
     def as_tuple(self) -> tuple:
-        return (self.zeta, self.eta, self.theta, self.phi, self.lam, self.psi)
+        return tuple(self)
 
     def field(self) -> tuple:
         """X as (symbol, coefficient) pairs over x, y, z, u, v, w."""

@@ -17,7 +17,7 @@ evaluates that closed form at a float eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import frexp, isfinite
 
 from .expr import (
@@ -53,17 +53,14 @@ def bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
     return GeneratorField(*coeffs)
 
 
-@dataclass(frozen=True)
-class LieAlgebraTable:
+class LieAlgebraTable(namedtuple("LieAlgebraTable", "basis names constants")):
     """Closed basis with the constants tensor of all pairwise brackets.
 
     `constants[i][j][k]` is the coefficient of basis element k in the
     bracket of elements i and j (all 0-based internally; the public lookup
     helpers below speak 1-based indices to match the X1..Xn names)."""
 
-    basis: tuple
-    names: tuple
-    constants: tuple
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -238,13 +235,10 @@ def is_subalgebra(table: LieAlgebraTable, subset) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TableMismatch:
+class TableMismatch(namedtuple("TableMismatch", "pair computed reference")):
     """A cell whose coordinates over the reference's X1..Xn disagree."""
 
-    pair: tuple
-    computed: tuple
-    reference: tuple
+    __slots__ = ()
 
     def describe(self) -> str:
         i, j = self.pair

@@ -23,7 +23,7 @@ import csv
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .expr import (
     EvalError,
@@ -32,7 +32,6 @@ from .expr import (
     Num,
     REGISTRY,
     S,
-    Symbol,
     add,
     compile_numeric,
     decide_zero,
@@ -49,8 +48,8 @@ from .expr import (
 from .symmetry import blair_system, curl_system, resolve_f
 
 
-@dataclass(frozen=True)
-class FieldSolution:
+class FieldSolution(namedtuple("FieldSolution", "u v w bindings label",
+                               defaults=((), ""))):
     """A concrete vector field (u, v, w) on R^3.
 
     Components may contain parameter symbols; `bindings` carries numeric
@@ -59,11 +58,7 @@ class FieldSolution:
     while the symbolic form keeps its exact unit-pair structure.
     """
 
-    u: Expr
-    v: Expr
-    w: Expr
-    bindings: tuple = ()
-    label: str = ""
+    __slots__ = ()
 
     def components(self) -> tuple:
         return (self.u, self.v, self.w)
@@ -141,12 +136,7 @@ def residual_expressions(sol: FieldSolution, system: str = "blair") -> list:
     return [substitute(resolve_f(r, magnitude), subs) for r in formal.residuals]
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
-    system: str
-    ok: bool
-    modes: tuple
-    displays: tuple
+ResidualCheck = namedtuple("ResidualCheck", "system ok modes displays")
 
 
 def verify_solution_residuals(
@@ -262,16 +252,11 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
 # --- invariant reductions -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedOde:
+class ReducedOde(namedtuple("ReducedOde",
+                            "kind independent state rhs constraint ansatz")):
     """A two-state profile ODE produced by an invariant ansatz."""
 
-    kind: str
-    independent: Symbol
-    state: tuple
-    rhs: tuple
-    constraint: str
-    ansatz: str
+    __slots__ = ()
 
     def state_names(self) -> tuple:
         return tuple(s.name for s in self.state)
@@ -319,19 +304,13 @@ class _Rows(tuple):
         return list(self)
 
 
-@dataclass(frozen=True)
-class SolutionTable:
+class SolutionTable(namedtuple("SolutionTable", "kind indep_name state_names "
+                               "points states slopes blown_up")):
     """The RK4 table in plain tuples: `points` holds the node values,
     `states` the state tuple at each node and `slopes` the right-hand
     side's tuple there."""
 
-    kind: str
-    indep_name: str
-    state_names: tuple
-    points: tuple
-    states: tuple
-    slopes: tuple
-    blown_up: bool
+    __slots__ = ()
 
     def final_state(self) -> tuple:
         return self.states[-1]
@@ -446,13 +425,11 @@ def translation_convergence_ratio(step: float = 2e-3, z_end: float = 1.0) -> flo
 # --- reconstruction and numeric verification -------------------------------
 
 
-@dataclass(frozen=True)
-class NumericField:
+class NumericField(namedtuple("NumericField", "evaluator r_range")):
     """Float evaluator (x, y, z) -> (u, v, w) on the radial range r_range
     of a reconstruction."""
 
-    evaluator: object
-    r_range: tuple
+    __slots__ = ()
 
     def __call__(self, x: float, y: float, z: float) -> tuple:
         return self.evaluator(x, y, z)

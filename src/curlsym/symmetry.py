@@ -32,8 +32,7 @@ brings in.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations_with_replacement
 
 from . import ratlin
@@ -67,14 +66,12 @@ F_SYMBOLS = (S.f, S.f_u, S.f_v, S.f_w)
 _PROFILE_SYMBOLS = frozenset((S.u, S.v, S.w, S.R))
 
 
-@dataclass(frozen=True)
-class PdeSystem:
+class PdeSystem(namedtuple("PdeSystem", "residuals eliminate free_jets f_value",
+                           defaults=(None,))):
     """A formal system, f symbolic throughout, and the profile put in after
-    prolongation (None keeps f formal)."""
-    residuals: tuple
-    eliminate: dict  # jet Symbol -> Expr in free jets only
-    free_jets: tuple
-    f_value: Expr | None = None
+    prolongation (None keeps f formal); `eliminate` maps a jet Symbol to an
+    expression in free jets only."""
+    __slots__ = ()
 
 
 def curl_system(f_value: Expr | None = None) -> PdeSystem:
@@ -159,11 +156,10 @@ def determining_system(system: PdeSystem, gen: GeneratorField | None = None):
     return [p.to_expression() for p in determining_polys(system, gen)]
 
 
-@dataclass
-class VerificationReport:
-    ok: bool
-    per_residual: list  # (index, bool)
-    residuals: list  # the invariance residuals tested, profile put in
+class VerificationReport(namedtuple("VerificationReport", "ok per_residual residuals")):
+    """per_residual holds (index, bool) pairs; residuals are the invariance
+    residuals tested, profile put in."""
+    __slots__ = ()
 
     def failures(self):
         return [i for i, good in self.per_residual if not good]
@@ -199,12 +195,9 @@ def sparse_rows(*groups):
              for row in rows] for rows in groups]
 
 
-@dataclass
-class EquivalenceReport:
-    ok: bool
-    identity_spans_match: bool
-    reduced_spans_match: bool
-    sizes: tuple  # (len a, len b)
+# sizes is (len a, len b)
+EquivalenceReport = namedtuple(
+    "EquivalenceReport", "ok identity_spans_match reduced_spans_match sizes")
 
 
 def determining_systems_equivalent(a, b) -> EquivalenceReport:
@@ -294,11 +287,9 @@ def monomials_up_to(degree: int, variables) -> list:
         key=lambda m: [(_atom_sort_key(a), e) for a, e in m])]
 
 
-@dataclass
-class AnsatzResult:
-    generators: list  # GeneratorField
-    slots: list  # (coefficient index, monomial)
-    vectors: list  # primitive rational vectors over the slots
+# GeneratorFields, the (coefficient index, monomial) slots, and the
+# primitive integer vectors over the slots
+AnsatzResult = namedtuple("AnsatzResult", "generators slots vectors")
 
 
 def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:

@@ -1223,7 +1223,9 @@ def test_readme_commands_run_as_documented(capsys, monkeypatch, tmp_path):
 # --- start-up -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("run", [
+# fresh-process runs: the import alone, a symbolic command, the float
+# adjoint and both RK4 reductions
+_FRESH_RUNS = pytest.mark.parametrize("run", [
     "import curlsym.cli",
     "import runpy\n"
     "sys.argv = ['curlsym', 'verify-generator', '--gen', 'X8', '--system', 'curl-absB']\n"
@@ -1258,6 +1260,9 @@ def test_readme_commands_run_as_documented(capsys, monkeypatch, tmp_path):
     "    assert e.code == 0, e.code",
 ], ids=["import", "verify-generator", "adjoint-numeric", "verify-solution-transform",
         "reduce-translation", "reduce-rotation"])
+
+
+@_FRESH_RUNS
 def test_symbolic_commands_load_no_numpy_or_scipy(run):
     """curlsym has no runtime dependency: a fresh process that imports the
     CLI, runs a symbolic command, the float adjoint or either RK4
@@ -1266,6 +1271,22 @@ def test_symbolic_commands_load_no_numpy_or_scipy(run):
         f"import json, sys\n{run}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('numpy', 'scipy'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@_FRESH_RUNS
+def test_commands_load_no_dataclasses_or_inspect(run):
+    """No command needs dataclasses, nor so inspect, ast and dis, which it
+    loads: a fresh process that imports the CLI or runs one of the commands
+    above loads none of the four."""
+    code = (
+        f"import json, sys\n{run}\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m in ('dataclasses', 'inspect', 'ast', 'dis'))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
