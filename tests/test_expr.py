@@ -807,3 +807,77 @@ def test_parse_literal_past_the_digit_cap_is_a_parse_error():
             parse("1" * 5000)
     finally:
         sys.set_int_max_str_digits(before)
+
+
+# --- the coefficient rule ----------------------------------------------------
+
+
+def _breaks_rule(c) -> bool:
+    """A stored coefficient is an int, or a Fraction whose denominator
+    exceeds 1: never a float, a bool or an integral Fraction."""
+    return not (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+
+
+def _expr_breakers(e):
+    """The Num values of a tree that break the rule."""
+    if isinstance(e, Num):
+        return [e.val] if _breaks_rule(e.val) else []
+    if isinstance(e, (E.Add, E.Mul, E.Pow, E.Func)):
+        return [v for c in E._children(e) for v in _expr_breakers(c)]
+    return []
+
+
+def _poly_breakers(p):
+    """The coefficients of p, and of its atoms' arguments, that break the
+    rule."""
+    out = [c for c in p.terms.values() if _breaks_rule(c)]
+    for a in p.atoms():
+        if isinstance(a, E.OpaqueAtom):
+            out += _expr_breakers(a.arg)
+            if a.arg_poly is not None:
+                out += _poly_breakers(a.arg_poly)
+    return out
+
+
+_SCALES = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_strategy(), _poly_strategy(atoms=_DEN_ATOMS), _SCALES, st.integers(0, 3))
+def test_kernel_stores_integral_coefficients_as_ints(p, d, c, n):
+    p = p.scale(c)
+    results = [p, p + d, p - d, p * d, p.power(n), p.monic(), d.monic(),
+               E.poly_div_exact(p * d, d), poly_sqrt(p * p), poly_sqrt(d * d)]
+    for got in results:
+        assert got is None or _poly_breakers(got) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expr_strategy())
+def test_normal_forms_store_integral_coefficients_as_ints(e):
+    e = parse(to_string(e))
+    assert _expr_breakers(e) == []
+    try:
+        rf = as_ratform(e)
+        forms = [rf.num, rf.den, normalize(e)]
+    except (NotPolynomial, E.ExprError):
+        return
+    for p in forms:
+        assert _poly_breakers(p) == []
+    assert _expr_breakers(E.normal_expression(e)) == []
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2^-1", Fraction(1, 2)), ("(1/2)^-2", 4), ("sqrt(1/4)", Fraction(1, 2)),
+])
+def test_constant_probes_keep_the_coefficient_rule(text, value):
+    e = parse(text)
+    assert isinstance(e, Num) and e.val == value and not _breaks_rule(e.val)
+    assert normalize(e).terms == {(): value}
+    assert not _poly_breakers(normalize(e))
+
+
+def test_halves_that_sum_to_a_whole_give_an_int():
+    p = normalize(parse("x/2 + x/2"))
+    assert p.terms == {E._freeze({S.x: 1}): 1}
+    assert type(p.terms[E._freeze({S.x: 1})]) is int
