@@ -14,15 +14,23 @@ elimination, Bareiss, Math. Comp. 22 (1968) 565-578).
 A matrix has exactly one RREF, whose pivot columns are the leading columns
 of the row space whatever the row order, so `rref`, `rank` and the
 primitive `nullspace` vectors (coprime integers, first nonzero positive)
-do not depend on the order the rows arrive in.  Fractions appear only on
-output; no floats anywhere.  The width is taken from the rows, except that
-`nullspace` of sparse rows needs `ncols`.
+do not depend on the order the rows arrive in.  What comes out follows
+the kernel's coefficient rule: the `nullspace` vectors are ints, and an
+entry of `rref` or a coordinate is an int when it is integral, else a
+Fraction, whose denominator then exceeds 1; no floats anywhere.
+The width is taken from the rows, except that `nullspace` of sparse rows
+needs `ncols`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+
+
+def _ratio(a: int, b: int):
+    """a/b as an int when b divides a, else as a Fraction."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def _items(row):
@@ -87,7 +95,7 @@ def rref(matrix):
     width = len(matrix[0])
     pivots = _reduce(matrix)
     order = sorted(pivots)
-    return [[Fraction(pivots[c].get(j, 0), pivots[c][c]) for j in range(width)]
+    return [[_ratio(pivots[c].get(j, 0), pivots[c][c]) for j in range(width)]
             for c in order], order
 
 
@@ -145,6 +153,6 @@ def rowspan_coordinates(rows, targets):
         for c in [c for c in t if c in pivots]:
             t = _combine(t, pivots[c], c)
         inside = all(j >= n for j in t)
-        out.append([Fraction(-t.get(n + i, 0), t[scale]) for i in range(len(rows))]
+        out.append([_ratio(-t.get(n + i, 0), t[scale]) for i in range(len(rows))]
                    if inside else None)
     return out
