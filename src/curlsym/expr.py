@@ -17,12 +17,15 @@ calculus on three base coordinates (x, y, z) and three field components
 
 Everything downstream (prolongation, determining systems, brackets) runs on
 `normalize`, which maps an expression to a polynomial normal form: a map
-from monomials to rationals under graded lexicographic order with
-x < y < z < u < v < w < jets < R < parameters.  sin/cos/exp of compound
-arguments stay opaque; they enter the normal form as atoms keyed by the
-canonical form of their argument.  `_emit` applies three quadratic
-rewrites at insertion time, which keep the form canonical without doing
-general trig simplification:
+from monomials to rational coefficients under graded lexicographic order
+with x < y < z < u < v < w < jets < R < parameters.  A coefficient, a
+`Poly.terms` value or a `Num.val`, is an int whenever it is integral and
+a Fraction only when its denominator exceeds 1 (`_coeff`); a division or
+a negative power of one goes through Fraction, as int / int is a float.
+sin/cos/exp of compound arguments stay opaque; they enter the normal form
+as atoms keyed by the canonical form of their argument.  `_emit` applies
+three quadratic rewrites at insertion time, which keep the form canonical
+without doing general trig simplification:
 
 * R^2        -> u^2 + v^2 + w^2
 * b^2        -> 1 - a^2           (for every registered unit pair)
@@ -74,8 +77,8 @@ class EvalError(ExprError):
 
 
 def _coeff(c):
-    """A rational as a coefficient is stored: an int when it is integral,
-    else a Fraction, whose denominator then exceeds 1."""
+    """The stored form of a rational coefficient: an int when it is
+    integral, else the Fraction, whose denominator then exceeds 1."""
     return c.numerator if c.denominator == 1 else c
 
 

@@ -339,8 +339,8 @@ def _slot_polys(slots, vec, nparts: int) -> list:
 
 
 # 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
-# degree 6 (5,544 slots) takes 1.6-2.3 s and up to 44 MB; degree 7
-# (10,296) takes 5.6-6.8 s and 68 MB, three times as long
+# degree 6 (5,544 slots) takes 1.1-1.9 s and up to 41 MB; degree 7
+# (10,296) takes 3.9-5.4 s and 64 MB, three times as long
 MAX_ANSATZ_SLOTS = 6_000
 
 
@@ -435,8 +435,8 @@ def verify_f(constraints, f_value: Expr) -> bool:
 
 # C(d+3, 3) + C(d+2, 3) slots at degree d >= 0.  As a fresh `check-f
 # --solve-family` process on 2 shared vCPUs, degree 9 (385 slots) takes
-# 2.0-2.3 s and 31 MB; degree 10 (506) takes 2.7-2.8 s and 35 MB, and
-# degree 11 (650) 3.8-4.1 s and 41 MB
+# 0.8 s and 28 MB; degree 10 (506) takes 1.1-1.3 s and 32 MB, and
+# degree 11 (650) 1.6-2.0 s and 37 MB
 MAX_FAMILY_SLOTS = 400
 
 
