@@ -1,14 +1,17 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 62
-invocations, 61 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 66
+invocations, 65 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
   sections are those commands' own outputs), as text and as `--json`;
 * `verify-solution --transform 1..7` on B1 against blair and on B2
   against curl-absB, at `--eps 0.4` and at the symbolic `--eps eps`;
-  the README's own transform line is one of them.
+  the README's own transform line is one of them;
+* the degree-3 `solve-ansatz --compare-fixture` runs of perfbench's
+  ansatz-deg3 workload, on curl-absB and blair, as text and as `--json`,
+  so the basis order at that degree is pinned too.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -70,8 +73,12 @@ _TRANSFORM_RUNS = [
     for sol, system in (("B1", "blair"), ("B2", "curl-absB"))
     for eps in ("0.4", "eps") for k in range(1, 8)
 ]
-INVOCATIONS = [shlex.split(line) for line in
-               dict.fromkeys(shlex.join(a) for a in _README_RUNS + _TRANSFORM_RUNS)]
+_ANSATZ_RUNS = [
+    ["solve-ansatz", "--system", system, "--degree", "3", "--compare-fixture", *j]
+    for system in ("curl-absB", "blair") for j in ([], ["--json"])
+]
+INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
+    shlex.join(a) for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -152,7 +159,8 @@ def corpus():
 
 
 def test_corpus_holds_every_invocation_once(corpus):
-    assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(INVOCATIONS)) == (34, 28, 61)
+    assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
+            len(INVOCATIONS)) == (34, 28, 4, 65)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
