@@ -11,8 +11,8 @@ separately; comparison code treats them as the documented exception list.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib.resources import files
 
 from .expr import (
     ZERO, Expr, ExprError, Num, S, collect_poly, free_symbols, monomial_expr, mul,
@@ -26,7 +26,7 @@ class FixtureError(ValueError):
 
 
 def _data_dir():
-    return files("curlsym") / "fixtures"
+    return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def content_lines(text: str) -> list[str]:
@@ -40,7 +40,8 @@ def content_lines(text: str) -> list[str]:
 
 
 def _lines(name: str) -> list[str]:
-    return content_lines((_data_dir() / name).read_text(encoding="utf-8"))
+    with open(os.path.join(_data_dir(), name), encoding="utf-8") as fh:
+        return content_lines(fh.read())
 
 
 # --- linear combinations of named generators --------------------------------

@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals.
 
-One fraction-free elimination core.  Rows come in as dense lists or sparse
-dicts {column: value} of ints or Fractions, and each becomes a primitive
-integer dict once: times the lcm of its denominators, over the gcd of its
-entries.  Rows are inserted one at a time into the reduced row echelon
-form of those before them.  Every pivot row is zero in every other pivot
-column, so one pass over the pivots a new row meets reduces it; a row left
-nonzero adds a pivot at its first column and clears that column from the
-other pivot rows.  A combination a*row - b*prow takes a and b as the two
-entries over their gcd, and its content is removed (fraction-free
+One fraction-free elimination core.  Rows arrive as a one-shot iterable,
+each a dense list or a sparse dict {column: value} of ints or Fractions,
+and each becomes a primitive integer dict once: times the lcm of its
+denominators, over the gcd of its entries.  Rows are inserted one at a
+time into the reduced row echelon form of those before them, and none is
+kept but the pivot rows.  Every pivot row is zero in every other pivot
+column, so one pass over the pivots a new row meets reduces it; a row
+left zero (a repeat, or a combination of earlier rows) is dropped, and a
+row left nonzero adds a pivot at its first column and clears that column
+from the other pivot rows.  A combination a*row - b*prow takes a and b as
+the two entries over their gcd, and its content is removed (fraction-free
 elimination, Bareiss, Math. Comp. 22 (1968) 565-578).
+
+A column index {non-pivot column: pivot columns whose row holds it},
+updated whenever a pivot row changes, names the rows a new pivot clears,
+so each step costs what the rows it touches hold, not the pivot count;
+`nullspace` reads each free column's entries off the same index.
 
 A matrix has exactly one RREF, whose pivot columns are the leading columns
 of the row space whatever the row order, so `rref`, `rank` and the
@@ -68,9 +75,11 @@ def _combine(row, prow, c):
 
 def _reduce(rows, ncols=inf):
     """The RREF of the rows as {pivot column: primitive integer row}, each
-    pivot entry positive.  Pivots lie below column `ncols`; a row that has
-    no entry there after reduction is dropped."""
-    pivots = {}
+    pivot entry positive, and the column index {column: set of pivot
+    columns whose row holds it} of the columns below `ncols` that hold no
+    pivot.  Pivots lie below column `ncols`; a row that has no entry there
+    after reduction is dropped."""
+    pivots, index = {}, {}
     for row in rows:
         row = _integer(row)
         for c in [c for c in row if c in pivots]:
@@ -80,11 +89,20 @@ def _reduce(rows, ncols=inf):
             continue
         if row[lead] < 0:
             row = {j: -e for j, e in row.items()}
-        for c, prow in pivots.items():
-            if lead in prow:
-                pivots[c] = _combine(prow, row, lead)
+        for c in index.pop(lead, ()):
+            old = pivots[c]
+            pivots[c] = new = _combine(old, row, lead)
+            for j in old.keys() - new.keys():
+                if j != lead and j < ncols:
+                    index[j].discard(c)
+            for j in new.keys() - old.keys():
+                if j < ncols:
+                    index.setdefault(j, set()).add(c)
+        for j in row:
+            if j != lead and j < ncols:
+                index.setdefault(j, set()).add(lead)
         pivots[lead] = row
-    return pivots
+    return pivots, index
 
 
 def rref(matrix):
@@ -93,32 +111,36 @@ def rref(matrix):
     if not matrix:
         return [], []
     width = len(matrix[0])
-    pivots = _reduce(matrix)
+    pivots = _reduce(matrix)[0]
     order = sorted(pivots)
     return [[_ratio(pivots[c].get(j, 0), pivots[c][c]) for j in range(width)]
             for c in order], order
 
 
 def rank(matrix) -> int:
-    return len(_reduce(matrix))
+    return len(_reduce(matrix)[0])
 
 
 def nullspace(matrix, ncols: int | None = None):
     """Basis of {x : Ax = 0}, one primitive vector per free column.
 
-    Rows are dense lists, or sparse dicts {column: value} of width `ncols`."""
+    Rows are dense lists, or sparse dicts {column: value} of width `ncols`,
+    and may come as a one-shot iterator: with `ncols` given, no row is
+    held once it is reduced."""
     if ncols is None:
+        matrix = list(matrix)
         if not matrix:
             return []
         ncols = len(matrix[0])
-    pivots = _reduce(matrix, ncols)
+    pivots, index = _reduce(matrix, ncols)
     basis = []
     for fc in [c for c in range(ncols) if c not in pivots]:
-        hits = [(c, row) for c, row in pivots.items() if fc in row]
-        scale = lcm(*(row[c] for c, row in hits))
+        hits = index.get(fc, ())
+        scale = lcm(*(pivots[c][c] for c in hits))
         vec = [0] * ncols
         vec[fc] = scale
-        for c, row in hits:
+        for c in hits:
+            row = pivots[c]
             vec[c] = -row[fc] * (scale // row[c])
         g = gcd(*vec)
         if next(e for e in vec if e) < 0:
@@ -142,11 +164,12 @@ def coordinates_in_rowspan(rows, target):
 
 def rowspan_coordinates(rows, targets):
     """`coordinates_in_rowspan` for each target, reducing the rows once."""
+    rows = list(rows)
     # bookkeeping columns n + i, right of every column of rows and targets;
     # column n + len(rows) of a target holds the factor it was scaled by
     n = 1 + max((j for r in [*rows, *targets] for j, e in _items(r) if e), default=-1)
     scale = n + len(rows)
-    pivots = _reduce([{**dict(_items(r)), n + i: 1} for i, r in enumerate(rows)], n)
+    pivots = _reduce([{**dict(_items(r)), n + i: 1} for i, r in enumerate(rows)], n)[0]
     out = []
     for t in targets:
         t = _integer({**dict(_items(t)), scale: 1})

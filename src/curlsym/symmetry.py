@@ -55,6 +55,7 @@ from .expr import (
     normalize,
     substitute,
     _atom_sort_key,
+    _clear_caches,
     _coeff,
     _freeze,
     _poly_key,
@@ -304,7 +305,11 @@ def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:
     a ring without zero divisors, so D E vanishes identically exactly when
     E does: both routes cut out the same slot space, and its unique RREF
     gives the same basis vectors in the same order."""
-    return _ansatz_from_polys(determining_polys(system), degree)
+    eqs = determining_polys(system)
+    # the ansatz works on Poly terms alone, so the normal-form caches
+    # need not live through its elimination
+    _clear_caches()
+    return _ansatz_from_polys(eqs, degree)
 
 
 def _slot_nullspace(conditions, nslots: int):
@@ -313,19 +318,19 @@ def _slot_nullspace(conditions, nslots: int):
     Each condition is an iterable of (slot, terms) pairs, terms a map
     {monomial key: coefficient} such as `Poly.terms`, and says that the
     sum of slot value times terms vanishes identically: every key of it
-    gives one row over the slots, and a row met before is kept once."""
-    rows = {}
-    for condition in conditions:
-        cells: dict = {}
-        for slot, terms in condition:
-            for m, c in terms.items():
-                cell = cells.setdefault(m, {})
-                cell[slot] = cell.get(slot, 0) + c
-        for cell in cells.values():
-            key = tuple(sorted((slot, c) for slot, c in cell.items() if c))
-            if key:
-                rows.setdefault(key, None)
-    return ratlin.nullspace([dict(key) for key in rows], nslots)
+    gives one row over the slots.  The rows go to the elimination as a
+    one-shot iterator, each as soon as its condition is built, so none is
+    held once reduced; a row met before, or one whose entries cancel,
+    reduces to zero there."""
+    def rows():
+        for condition in conditions:
+            cells: dict = {}
+            for slot, terms in condition:
+                for m, c in terms.items():
+                    cell = cells.setdefault(m, {})
+                    cell[slot] = cell.get(slot, 0) + c
+            yield from cells.values()
+    return ratlin.nullspace(rows(), nslots)
 
 
 def _slot_polys(slots, vec, nparts: int) -> list:
@@ -339,9 +344,10 @@ def _slot_polys(slots, vec, nparts: int) -> list:
 
 
 # 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
-# degree 6 (5,544 slots) takes 1.1-1.9 s and up to 41 MB; degree 7
-# (10,296) takes 3.9-5.4 s and 64 MB, three times as long
-MAX_ANSATZ_SLOTS = 6_000
+# degree 7 (10,296 slots) takes 0.8-1.3 s and 27 MB; degree 8 (18,018)
+# takes 1.4-2.3 s and 35 MB, past the cost of degree 6 before the column
+# index (1.1-1.4 s, 40 MB)
+MAX_ANSATZ_SLOTS = 12_000
 
 
 def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:

@@ -145,7 +145,7 @@ def test_solve_ansatz_refuses_a_degree_past_the_slot_bound(capsys, monkeypatch):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err == ("error: ansatz degree 40 needs 56200914 coefficient slots, "
-                   "more than 6000\n")
+                   "more than 12000\n")
 
 
 # --- verify-generator --------------------------------------------------------
@@ -1311,6 +1311,49 @@ def test_commands_without_a_bracket_table_load_no_liealg(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_fixture_loader_loads_no_importlib_resources():
+    """The fixture tables are read with `open` from the package directory:
+    a fresh process without site packages (whose .pth files may load it
+    anyway) that imports the CLI and reads a table loads no
+    importlib.resources, nor the tempfile, shutil and zlib it brings."""
+    code = (
+        "import sys\n"
+        "from curlsym import cli, fixtures\n"
+        "assert len(fixtures.load_basis(7)) == 7\n"
+        "print('importlib.resources' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+@pytest.mark.parametrize("system", ["curl-absB", "blair"])
+def test_degree_6_ansatz_peak_memory(system):
+    """The ansatz rows stream into the elimination and none is held once
+    reduced: a fresh `solve-ansatz --degree 6` peaks under 30 MB (about
+    24 MB; holding every row first took 35 and 40 MB).  The child reads
+    its own VmHWM, which unlike the children's ru_maxrss of this process
+    does not carry pytest's high-water mark."""
+    code = (
+        "import sys\n"
+        "from curlsym import cli\n"
+        f"code = cli.main(['solve-ansatz', '--system', {system!r}, '--degree', '6'])\n"
+        "sys.stdout.flush()\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    hwm = next(ln for ln in fh if ln.startswith('VmHWM:'))\n"
+        "sys.stderr.write(hwm)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"dimension {10 if system == 'curl-absB' else 7}" in proc.stdout
+    kb = int(proc.stderr.split()[-2])
+    assert kb < 30 * 1024, f"VmHWM {kb / 1024:.1f} MB"
 
 
 def test_runtime_imports_only_the_standard_library():

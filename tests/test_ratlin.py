@@ -1,7 +1,7 @@
 """Exact linear algebra sanity checks."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 import pytest
@@ -224,6 +224,8 @@ def test_ansatz_basis_order_is_the_reference_elimination(make_system, monkeypatc
     real = ratlin.nullspace
 
     def spy(matrix, ncols=None):
+        # the rows come as a one-shot iterator: read them once, pass them on
+        matrix = list(matrix)
         seen.append((matrix, ncols))
         return real(matrix, ncols)
 
@@ -233,3 +235,71 @@ def test_ansatz_basis_order_is_the_reference_elimination(make_system, monkeypatc
     [(matrix, ncols)] = seen
     dense = [[row.get(j, 0) for j in range(ncols)] for row in matrix]
     assert res.vectors == reference_nullspace(dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_one_shot_rows_give_what_the_list_gives(matrix, data):
+    # repeated, proportional and zero rows, read once from an iterator
+    ncols = len(matrix[0])
+    sparse = as_sparse(matrix)
+    assert nullspace(iter(matrix)) == nullspace(matrix)
+    assert nullspace(iter(sparse), ncols) == nullspace(sparse, ncols) == nullspace(matrix)
+    assert rank(iter(matrix)) == rank(iter(sparse)) == rank(matrix)
+    targets = data.draw(st.lists(st.sampled_from(matrix), max_size=2)) + [
+        [Fraction(j == 0) for j in range(ncols)]]
+    assert (rowspan_coordinates(iter(matrix), targets)
+            == rowspan_coordinates(matrix, targets))
+
+
+def scan_reduce(rows, ncols=inf):
+    """The core's elimination before it kept a column index: a new pivot
+    scans every pivot row for its column.  The reference for `_reduce`."""
+    pivots = {}
+    for row in rows:
+        row = ratlin._integer(row)
+        for c in [c for c in row if c in pivots]:
+            row = ratlin._combine(row, pivots[c], c)
+        lead = min((j for j in row if j < ncols), default=None)
+        if lead is None:
+            continue
+        if row[lead] < 0:
+            row = {j: -e for j, e in row.items()}
+        for c, prow in pivots.items():
+            if lead in prow:
+                pivots[c] = ratlin._combine(prow, row, lead)
+        pivots[lead] = row
+    return pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(rational_matrices(), sparse_matrices()), st.data())
+def test_indexed_reduce_matches_the_scan_and_indexes_its_rows(matrix, data):
+    ncols = data.draw(st.integers(1, len(matrix[0])))
+    pivots, index = ratlin._reduce(matrix, ncols)
+    assert pivots == scan_reduce(matrix, ncols)
+    # the index names, for each column below ncols that holds no pivot,
+    # exactly the pivot rows that hold it
+    want = {}
+    for c, row in pivots.items():
+        for j in row:
+            if j != c and j < ncols:
+                want.setdefault(j, set()).add(c)
+    assert {j: cs for j, cs in index.items() if cs} == want
+
+
+def test_slot_nullspace_hands_the_core_an_iterator(monkeypatch):
+    seen = []
+    real = ratlin.nullspace
+
+    def spy(matrix, ncols=None):
+        seen.append(matrix)
+        return real(matrix, ncols)
+
+    monkeypatch.setattr(ratlin, "nullspace", spy)
+    # x0 + x1 = 0 and x1 - x2 = 0, the first condition met twice
+    conditions = [[(0, {"a": 1}), (1, {"a": 1})], [(1, {"b": 1}), (2, {"b": -1})],
+                  [(0, {"a": 2}), (1, {"a": 2})]]
+    assert sy._slot_nullspace(iter(conditions), 3) == [[1, -1, -1]]
+    [matrix] = seen
+    assert not isinstance(matrix, (list, tuple)) and iter(matrix) is matrix

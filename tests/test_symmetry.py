@@ -396,10 +396,10 @@ def test_ansatz_slot_bound(monkeypatch):
         raise Built
 
     monkeypatch.setattr(sy, "monomials_up_to", built)
-    with pytest.raises(Built):  # degree 6: 5,544 slots
-        sy.solve_polynomial_ansatz(sy.blair_system(S.R), 6)
-    with pytest.raises(ValueError, match="10296 coefficient slots"):
+    with pytest.raises(Built):  # degree 7: 10,296 slots
         sy.solve_polynomial_ansatz(sy.blair_system(S.R), 7)
+    with pytest.raises(ValueError, match="18018 coefficient slots"):
+        sy.solve_polynomial_ansatz(sy.blair_system(S.R), 8)
 
 
 def test_coordinates_in_basis_roundtrip():
