@@ -25,6 +25,9 @@ do not depend on the order the rows arrive in.  What comes out follows
 the kernel's coefficient rule: the `nullspace` vectors are ints, and an
 entry of `rref` or a coordinate is an int when it is integral, else a
 Fraction, whose denominator then exceeds 1; no floats anywhere.
+Every function reads its rows once, from any iterable: `rank`, and
+`nullspace` given `ncols`, hold none once it is reduced, and the others
+keep them as a list.
 The width is taken from the rows, except that `nullspace` of sparse rows
 needs `ncols`.
 """
@@ -108,6 +111,7 @@ def _reduce(rows, ncols=inf):
 def rref(matrix):
     """Reduced row echelon form.  Returns (rows, pivot_columns), the pivot
     columns ascending."""
+    matrix = list(matrix)
     if not matrix:
         return [], []
     width = len(matrix[0])
@@ -151,8 +155,8 @@ def nullspace(matrix, ncols: int | None = None):
 
 def span_equal(a, b) -> bool:
     """Row spans coincide: rank A = rank B = rank of the stack."""
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(list(a) + list(b))
+    a, b = list(a), list(b)
+    return rank(a) == rank(b) == rank(a + b)
 
 
 def coordinates_in_rowspan(rows, target):
@@ -164,7 +168,7 @@ def coordinates_in_rowspan(rows, target):
 
 def rowspan_coordinates(rows, targets):
     """`coordinates_in_rowspan` for each target, reducing the rows once."""
-    rows = list(rows)
+    rows, targets = list(rows), list(targets)
     # bookkeeping columns n + i, right of every column of rows and targets;
     # column n + len(rows) of a target holds the factor it was scaled by
     n = 1 + max((j for r in [*rows, *targets] for j, e in _items(r) if e), default=-1)

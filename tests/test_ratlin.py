@@ -248,8 +248,10 @@ def test_one_shot_rows_give_what_the_list_gives(matrix, data):
     assert rank(iter(matrix)) == rank(iter(sparse)) == rank(matrix)
     targets = data.draw(st.lists(st.sampled_from(matrix), max_size=2)) + [
         [Fraction(j == 0) for j in range(ncols)]]
-    assert (rowspan_coordinates(iter(matrix), targets)
+    assert (rowspan_coordinates(iter(matrix), iter(targets))
             == rowspan_coordinates(matrix, targets))
+    assert rref(iter(matrix)) == rref(matrix)
+    assert span_equal(iter(matrix), iter(matrix[::-1]))
 
 
 def scan_reduce(rows, ncols=inf):
