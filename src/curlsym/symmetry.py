@@ -344,9 +344,9 @@ def _slot_polys(slots, vec, nparts: int) -> list:
 
 
 # 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
-# degree 7 (10,296 slots) takes 0.8-1.3 s and 27 MB; degree 8 (18,018)
-# takes 1.4-2.3 s and 35 MB, past the cost of degree 6 before the column
-# index (1.1-1.4 s, 40 MB)
+# degree 7 (10,296 slots) takes 0.8-1.2 s and 28 MB; degree 8 (18,018)
+# takes 1.2-2.4 s and 36 MB, past the cost of degree 6 before the column
+# index (1.1-1.7 s, 41 MB)
 MAX_ANSATZ_SLOTS = 12_000
 
 

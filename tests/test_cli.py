@@ -1335,7 +1335,7 @@ def test_fixture_loader_loads_no_importlib_resources():
 def test_degree_6_ansatz_peak_memory(system):
     """The ansatz rows stream into the elimination and none is held once
     reduced: a fresh `solve-ansatz --degree 6` peaks under 30 MB (about
-    24 MB; holding every row first took 35 and 40 MB).  The child reads
+    24 MB; holding every row first took 35 and 41 MB).  The child reads
     its own VmHWM, which unlike the children's ru_maxrss of this process
     does not carry pytest's high-water mark."""
     code = (
