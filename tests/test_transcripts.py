@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 66
-invocations, 65 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 72
+invocations, 71 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -11,7 +11,11 @@ invocations, 65 of them distinct, run in-process through `cli.main`:
   the README's own transform line is one of them;
 * the degree-3 `solve-ansatz --compare-fixture` runs of perfbench's
   ansatz-deg3 workload, on curl-absB and blair, as text and as `--json`,
-  so the basis order at that degree is pinned too.
+  so the basis order at that degree is pinned too;
+* the paths of the one derivation that no run above prints: the
+  determining systems with f = R put in (`curl-absB` and `blair`, as text
+  and as `--json`), a failing generator with a rational coefficient, whose
+  first failing residual prints, and the profile family at degree 4.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -63,8 +67,10 @@ _README = [
     "check-f --expr u",
     "check-f --solve-family",
 ]
-# the generator file of the README's --expr-file line: the rotation about z
-_GENERATOR_FILE = "-y\nx\n0\n-v\nu\n0\n"
+# the generator files of the --expr-file lines: the README's, the rotation
+# about z, and one with a rational coefficient that is no symmetry
+_GENERATOR_FILES = {"my_generator.txt": "-y\nx\n0\n-v\nu\n0\n",
+                    "rational_generator.txt": "x/(1+y^2)|0|0|u*y|0|0\n"}
 
 _README_RUNS = [shlex.split(c) + j for c in _README for j in ([], ["--json"])]
 _TRANSFORM_RUNS = [
@@ -77,8 +83,16 @@ _ANSATZ_RUNS = [
     ["solve-ansatz", "--system", system, "--degree", "3", "--compare-fixture", *j]
     for system in ("curl-absB", "blair") for j in ([], ["--json"])
 ]
+_DERIVATION_RUNS = [
+    *(["determining", "--system", system, *j]
+      for system in ("curl-absB", "blair") for j in ([], ["--json"])),
+    ["verify-generator", "--expr-file", "rational_generator.txt",
+     "--system", "curl-absB"],
+    ["check-f", "--solve-family", "--degree", "4"],
+]
 INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
-    shlex.join(a) for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS)]
+    shlex.join(a)
+    for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -146,10 +160,15 @@ def load_corpus() -> dict:
     return blocks
 
 
+def _write_generator_files(d: Path):
+    for name, text in _GENERATOR_FILES.items():
+        (d / name).write_text(text)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("transcripts")
-    (d / "my_generator.txt").write_text(_GENERATOR_FILE)
+    _write_generator_files(d)
     return d
 
 
@@ -160,7 +179,7 @@ def corpus():
 
 def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
-            len(INVOCATIONS)) == (34, 28, 4, 65)
+            len(_DERIVATION_RUNS), len(INVOCATIONS)) == (34, 28, 4, 6, 71)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
@@ -179,7 +198,7 @@ def test_command_prints_its_transcript(argv, workdir, corpus):
 def write_corpus():
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
-        (d / "my_generator.txt").write_text(_GENERATOR_FILE)
+        _write_generator_files(d)
         text = "\n".join(run_in(d, argv) for argv in INVOCATIONS)
     CORPUS.write_text("# generated by: PYTHONPATH=src python tests/test_transcripts.py"
                       " --write\n\n" + text)
