@@ -165,10 +165,8 @@ class Symbol(Expr):
     def __eq__(self, other):
         return self is other
 
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(("Sym", self.name, self.order))
-        return self._h
+    # equality is identity, so the identity hash, computed in C, agrees
+    __hash__ = object.__hash__
 
 
 class Add(Expr):
@@ -815,9 +813,16 @@ def ratform(num: Poly, den: Poly) -> RatForm:
     return RatForm(num, den)
 
 
+_ONE_RF = RatForm(poly_const(1), poly_const(1))
+
+
 def _rat_add(a: RatForm, b: RatForm) -> RatForm:
     if a.den.terms == b.den.terms:
         return ratform(a.num + b.num, a.den)
+    # a polynomial term over the other's denominator
+    if a.is_polynomial() or b.is_polynomial():
+        p, r = (a, b) if a.is_polynomial() else (b, a)
+        return ratform(p.num * r.den + r.num, r.den)
     # when one denominator divides the other (powers of one base, as in a
     # translated field), the longer is already a common denominator
     if len(a.den.terms) > 1 and len(b.den.terms) > 1:
@@ -838,6 +843,62 @@ def _rat_pow(a: RatForm, n: int) -> RatForm:
             raise ExprError("division by zero in rational normal form")
         return _rat_pow(RatForm(a.den, a.num), -n)
     return ratform(a.num.power(n), a.den.power(n))
+
+
+def rat_combination(terms) -> RatForm:
+    """sum c*m*rf over (rational c, monomial m, RatForm rf) triples, m a
+    reduced monomial as a tuple of (atom, exponent) pairs.  The numerators
+    over one denominator add as polynomials, and the few sums then combine
+    by `_rat_add`, in the order their denominators first appear."""
+    groups: dict = {}
+    for c, m, rf in terms:
+        key = None if rf.is_polynomial() else frozenset(rf.den.terms.items())
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (rf.den, {})
+        acc = group[1]
+        for vm, vc in rf.num.terms.items():
+            _emit(acc, _mono_mul(m, vm), c * vc)
+    out = None
+    for den, acc in groups.values():
+        part = RatForm(Poly(acc), den) if den.is_constant() else ratform(Poly(acc), den)
+        out = part if out is None else _rat_add(out, part)
+    return RatForm(Poly({}), poly_const(1)) if out is None else out
+
+
+def substitution(values: dict):
+    """The map rf -> rf with each symbol of `values` replaced by its RatForm
+    value, on normal-form terms: the value of a monomial's substituted part
+    is taken once per map, and the rest multiplies it as in
+    `rat_combination`."""
+    parts: dict = {}
+
+    def part(hit: tuple) -> RatForm:
+        val = parts.get(hit)
+        if val is None:
+            for a, e in hit:
+                f = values[a] if e == 1 else _rat_pow(values[a], e)
+                val = f if val is None else _rat_mul(val, f)
+            parts[hit] = val
+        return val
+
+    def poly(p: Poly) -> RatForm:
+        terms = []
+        for m, c in p.terms.items():
+            hit = tuple(ae for ae in m if ae[0] in values)
+            if hit:
+                terms.append((c, tuple(ae for ae in m if ae[0] not in values), part(hit)))
+            else:
+                terms.append((c, m, _ONE_RF))
+        return rat_combination(terms)
+
+    def apply(rf: RatForm) -> RatForm:
+        num = poly(rf.num)
+        if rf.is_polynomial():
+            return num
+        return _rat_mul(num, _rat_pow(poly(rf.den), -1))
+
+    return apply
 
 
 # --- square roots of polynomial forms ---------------------------------------
@@ -1105,7 +1166,12 @@ def _rat_to_expression(rf: RatForm) -> Expr:
 def normalize(e: Expr) -> Poly:
     """Polynomial normal form.  Raises NotPolynomial if a denominator
     survives (R-denominators are cleared by conjugation first)."""
-    rf = as_ratform(e)
+    return _polynomial(as_ratform(e))
+
+
+def _polynomial(rf: RatForm) -> Poly:
+    """A normal form with a constant denominator as its polynomial, or
+    NotPolynomial."""
     if not rf.is_polynomial():
         raise NotPolynomial(
             "denominator survives normalization", rf.den.to_expression()

@@ -18,7 +18,13 @@ derivatives of point functions are taken.  The tests compare it with the
 nine expanded coefficient formulas, quadratic in jets.
 
 X, pr X and the total derivatives D_i are derivations sum c d/ds, given as
-(symbol s, coefficient c) pairs; `derivation` applies each of them.
+(symbol s, coefficient c) pairs with c a rational normal form (`RatForm`);
+`derivation` applies one to a normal form and gives a normal form.  It
+takes each atom's derivative d a/ds once, from `differentiate`, and keeps
+it: on a monomial a derivation is the sum over its atoms a^e of
+e a^(e-1) X(a), so it multiplies normal-form terms and never builds or
+normalizes an expression tree.  The brackets of `liealg` and the
+invariance conditions of `symmetry` go through it too.
 """
 
 from __future__ import annotations
@@ -31,15 +37,19 @@ from .expr import (
     ExprError,
     FORMAL_COEFFS,
     REGISTRY,
+    RatForm,
     Symbol,
+    _ONE_RF,
     _as_expr,
-    add,
+    _rat_mul,
     as_ratform,
     differentiate,
     free_symbols,
-    mul,
-    neg,
-    normal_expression,
+    func,
+    poly_atom,
+    poly_const,
+    rat_combination,
+    ratform,
 )
 
 
@@ -57,9 +67,45 @@ def _no_jets(e: Expr, what: str):
             raise ExprError(f"{what} may not depend on jet symbol '{s.name}'")
 
 
-def derivation(field, e: Expr) -> Expr:
-    """sum c de/ds over the (symbol s, coefficient c) pairs of `field`."""
-    return add(*(mul(c, differentiate(e, s)) for s, c in field))
+# (atom, symbol) -> d atom / d symbol as a normal form
+_ATOM_DERIVATIVES: dict = {}
+
+
+def _atom_derivative(atom, s: Symbol) -> RatForm:
+    d = _ATOM_DERIVATIVES.get((atom, s))
+    if d is None:
+        base = atom if isinstance(atom, Symbol) else func(atom.fn, atom.arg)
+        d = _ATOM_DERIVATIVES[(atom, s)] = as_ratform(differentiate(base, s))
+    return d
+
+
+def derivation(field, rf: RatForm) -> RatForm:
+    """X rf for X = sum c d/ds over the (symbol s, RatForm c) pairs of
+    `field`: X(num)/den - num X(den)/den^2, X(p) summed term by term from
+    the images X(a) of p's atoms, each taken once per call."""
+    images: dict = {}
+
+    def image(atom) -> RatForm:
+        xa = images.get(atom)
+        if xa is None:
+            xa = images[atom] = rat_combination(
+                (1, (), _rat_mul(c, d)) for s, c in field
+                if not (d := _atom_derivative(atom, s)).num.is_zero())
+        return xa
+
+    def of(p):
+        # the term c*m gives c*e*(m/a)*X(a) for each atom a^e of m
+        return rat_combination(
+            (c * e, m[:i] + ((a, e - 1),) * (e > 1) + m[i + 1:], image(a))
+            for m, c in p.terms.items() for i, (a, e) in enumerate(m))
+
+    num = of(rf.num)
+    if rf.is_polynomial():
+        return num
+    den = of(rf.den)
+    return rat_combination(((1, (), ratform(num.num, num.den * rf.den)),
+                            (-1, (), ratform(rf.num * den.num,
+                                             den.den * rf.den * rf.den))))
 
 
 class GeneratorField(namedtuple("GeneratorField", FORMAL_COEFFS)):
@@ -78,37 +124,37 @@ class GeneratorField(namedtuple("GeneratorField", FORMAL_COEFFS)):
         return tuple(self)
 
     def field(self) -> tuple:
-        """X as (symbol, coefficient) pairs over x, y, z, u, v, w."""
-        return tuple(zip(BASE_SYMBOLS, self.as_tuple()))
+        """X as (symbol, coefficient normal form) pairs over x, y, z, u, v, w."""
+        return tuple(zip(BASE_SYMBOLS, map(as_ratform, self)))
 
 
-def total_derivative(e: Expr, axis: Symbol) -> Expr:
+def total_derivative(rf: RatForm, axis: Symbol) -> RatForm:
     """D_axis on a function of base coordinates and components: the
     derivation d/d(axis) + u_axis d/du + v_axis d/dv + w_axis d/dw."""
-    field = ((axis, 1),) + tuple(
-        (REGISTRY.by_name[dep], jet_symbol(dep, axis.name)) for dep in DEPS)
-    return derivation(field, e)
+    jets = (RatForm(poly_atom(jet_symbol(dep, axis.name)), poly_const(1))
+            for dep in DEPS)
+    field = ((axis, _ONE_RF),) + tuple(zip(BASE_SYMBOLS[3:], jets))
+    return derivation(field, rf)
 
 
 def first_prolongation(gen: GeneratorField) -> tuple:
-    """pr X as (symbol, coefficient) pairs: X's six, then the nine first
-    jets u_x, u_y, ..., w_z."""
-    base = (gen.zeta, gen.eta, gen.theta)
-    comps = {"u": gen.phi, "v": gen.lam, "w": gen.psi}
+    """pr X as (symbol, RatForm coefficient) pairs: X's six, then the nine
+    first jets u_x, u_y, ..., w_z."""
+    field = gen.field()
+    base, comps = [c for _, c in field[:3]], [c for _, c in field[3:]]
     # axis -> (D_axis zeta, D_axis eta, D_axis theta)
     d_base = {
         ax: [total_derivative(c, REGISTRY.by_name[ax]) for c in base]
         for ax in AXES
     }
     jets = []
-    for dep in DEPS:
+    for dep, comp in zip(DEPS, comps):
         for ax in AXES:
-            axis = REGISTRY.by_name[ax]
-            terms = [total_derivative(comps[dep], axis)]
+            terms = [(1, (), total_derivative(comp, REGISTRY.by_name[ax]))]
             for ax2, d in zip(AXES, d_base[ax]):
-                terms.append(neg(mul(jet_symbol(dep, ax2), d)))
-            jets.append((jet_symbol(dep, ax), normal_expression(add(*terms))))
-    return gen.field() + tuple(jets)
+                terms.append((-1, ((jet_symbol(dep, ax2), 1),), d))
+            jets.append((jet_symbol(dep, ax), rat_combination(terms)))
+    return field + tuple(jets)
 
 
 def generator_from_strings(parts) -> GeneratorField:

@@ -22,7 +22,7 @@ from math import frexp, isfinite
 
 from .expr import (
     ZERO, Add, Expr, Num, S, add, compile_numeric, cos, exp, normal_expression,
-    sin, to_string,
+    rat_combination, sin, to_string, _rat_to_expression,
 )
 from .jet import GeneratorField, derivation
 from .symmetry import basis_coordinates
@@ -47,8 +47,9 @@ def bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
     a(b's coefficients) minus b(a's coefficients)."""
     fa, fb = a.field(), b.field()
     coeffs = [
-        normal_expression(derivation(fa, cb) - derivation(fb, ca))
-        for ca, cb in zip(a.as_tuple(), b.as_tuple())
+        _rat_to_expression(rat_combination(((1, (), derivation(fa, cb)),
+                                            (-1, (), derivation(fb, ca)))))
+        for (_, ca), (_, cb) in zip(fa, fb)
     ]
     return GeneratorField(*coeffs)
 

@@ -55,10 +55,15 @@ def _content_free(row):
 
 
 def _integer(row):
-    """A positive multiple of the row as a primitive integer dict."""
-    items = [(j, e) for j, e in _items(row) if e]
-    den = lcm(*(e.denominator for _, e in items))
-    return _content_free({j: e.numerator * (den // e.denominator) for j, e in items})
+    """A positive multiple of the row as a primitive integer dict; a row of
+    ints, as every ansatz row is, needs no common denominator."""
+    out = {j: e for j, e in _items(row) if e}
+    try:
+        return _content_free(out)
+    except TypeError:  # gcd of a Fraction
+        den = lcm(*(e.denominator for e in out.values()))
+        return _content_free({j: e.numerator * (den // e.denominator)
+                              for j, e in out.items()})
 
 
 def _combine(row, prow, c):

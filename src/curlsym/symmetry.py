@@ -43,22 +43,27 @@ from .expr import (
     FORMAL_COEFFS,
     Poly,
     REGISTRY,
+    RatForm,
     S,
     as_ratform,
     collect_poly,
     differentiate,
     free_symbols,
-    is_zero_expr,
-    monomial_expr,
     mul,
     normal_expression,
     normalize,
+    poly_atom,
+    poly_const,
+    substitution,
     substitute,
+    _ONE_RF,
     _atom_sort_key,
-    _clear_caches,
     _coeff,
     _freeze,
     _poly_key,
+    _polynomial,
+    _rat_mul,
+    _rat_to_expression,
 )
 from .jet import GeneratorField, derivation, first_prolongation
 
@@ -107,36 +112,56 @@ def _profile_values(f_value: Expr) -> dict:
             S.f_v: differentiate(f_value, S.v), S.f_w: differentiate(f_value, S.w)}
 
 
-def resolve_f(e: Expr, f_value: Expr) -> Expr:
-    """Replace the formal profile and its partials by a concrete profile.
-
-    The formal profile has partials in u, v and w only, so a profile whose
+def _check_profile(f_value: Expr):
+    """The formal profile has partials in u, v and w only, so a profile whose
     normal form names any symbol but u, v, w and R is an ExprError."""
     other = free_symbols(normal_expression(f_value)) - _PROFILE_SYMBOLS
     if other:
         names = ", ".join(sorted(s.name for s in other))
         raise ExprError(f"a profile may name only u, v, w and R, not {names}")
+
+
+def resolve_f(e: Expr, f_value: Expr) -> Expr:
+    """Replace the formal profile and its partials by a concrete profile
+    in an expression (see `_check_profile`)."""
+    _check_profile(f_value)
     return substitute(e, _profile_values(f_value))
+
+
+def _profile_forms(profile: RatForm, scale: RatForm = _ONE_RF) -> dict:
+    """The formal profile and its partials -> scale times the profile and
+    the images of the profile under scale d/du, scale d/dv and scale d/dw,
+    as normal forms."""
+    return {S.f: _rat_mul(scale, profile)} | {
+        fd: derivation(((s, scale),), profile)
+        for fd, s in zip(F_SYMBOLS[1:], (S.u, S.v, S.w))}
+
+
+def _put_profile(f_value: Expr):
+    """The `substitution` of a concrete profile's `_profile_forms`, the
+    profile checked as `_check_profile`."""
+    _check_profile(f_value)
+    return substitution(_profile_forms(as_ratform(f_value)))
 
 
 def invariance_residuals(system: PdeSystem, gen: GeneratorField) -> list:
     """pr X applied to each residual, restricted to the solution manifold,
-    with f formal."""
+    with f formal, as normal forms."""
     pr = first_prolongation(gen)
-    return [substitute(derivation(pr, d), system.eliminate) for d in system.residuals]
-
-
-def _numerator(e: Expr) -> Poly:
-    return as_ratform(e).num
+    restrict = substitution({j: as_ratform(e) for j, e in system.eliminate.items()})
+    return [restrict(derivation(pr, as_ratform(d))) for d in system.residuals]
 
 
 def _conditions(polys, f_value: Expr | None = None) -> list:
     """The polynomials with f_value put in, if given: the nonzero
-    numerators, monic, deduplicated and in canonical order."""
+    numerators, monic, deduplicated and in canonical order.  The profile
+    and its partials are taken once as normal forms, and each polynomial's
+    terms are summed per denominator of the value they take."""
+    put = None if f_value is None else _put_profile(f_value)
     seen = {}
     for p in polys:
-        if f_value is not None:
-            p = _numerator(resolve_f(p.to_expression(), f_value))
+        if put is not None:
+            p = put(RatForm(p, poly_const(1))).num
         if not p.is_zero():
             eq = p.monic()
             seen.setdefault(_poly_key(eq), eq)
@@ -148,7 +173,7 @@ def determining_polys(system: PdeSystem, gen: GeneratorField | None = None):
     monomials, resolved to the system's profile as `_conditions`."""
     gen = generic_generator() if gen is None else gen
     coefs = [coef for resid in invariance_residuals(system, gen)
-             for coef in collect_poly(_numerator(resid), system.free_jets).values()]
+             for coef in collect_poly(resid.num, system.free_jets).values()]
     # deduplicated with f formal first, so each equation is resolved once
     return _conditions(_conditions(coefs), system.f_value)
 
@@ -238,10 +263,10 @@ def determining_systems_equivalent(a, b) -> EquivalenceReport:
 def verify_generator(system: PdeSystem, gen: GeneratorField) -> VerificationReport:
     residuals = invariance_residuals(system, gen)
     if system.f_value is not None:
-        residuals = [resolve_f(r, system.f_value) for r in residuals]
-    per = [(i, _numerator(r).is_zero()) for i, r in enumerate(residuals)]
+        residuals = list(map(_put_profile(system.f_value), residuals))
+    per = [(i, r.num.is_zero()) for i, r in enumerate(residuals)]
     return VerificationReport(ok=all(g for _, g in per), per_residual=per,
-                              residuals=residuals)
+                              residuals=[_rat_to_expression(r) for r in residuals])
 
 
 # --- exact polynomial ansatz -------------------------------------------------
@@ -305,11 +330,7 @@ def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:
     a ring without zero divisors, so D E vanishes identically exactly when
     E does: both routes cut out the same slot space, and its unique RREF
     gives the same basis vectors in the same order."""
-    eqs = determining_polys(system)
-    # the ansatz works on Poly terms alone, so the normal-form caches
-    # need not live through its elimination
-    _clear_caches()
-    return _ansatz_from_polys(eqs, degree)
+    return _ansatz_from_polys(determining_polys(system), degree)
 
 
 def _slot_nullspace(conditions, nslots: int):
@@ -436,7 +457,8 @@ def f_constraints_from_group(gens):
 
 
 def verify_f(constraints, f_value: Expr) -> bool:
-    return all(is_zero_expr(resolve_f(c, f_value)) for c in constraints)
+    put = _put_profile(f_value)
+    return all(put(as_ratform(c)).num.is_zero() for c in constraints)
 
 
 # C(d+3, 3) + C(d+2, 3) slots at degree d >= 0.  As a fresh `check-f
@@ -458,18 +480,25 @@ def solve_f_family(constraints, degree: int = 2):
     comps = (S.u, S.v, S.w)
     slots = ([(0, m) for m in monomials_up_to(degree, comps)]
              + [(1, m) for m in monomials_up_to(degree - 1, comps)])
+    r = RatForm(poly_atom(S.R), poly_const(1))
 
     def slot_values(part, m):
-        me = monomial_expr(m)
-        return _profile_values(me if part == 0 else mul(me, S.R))
+        # times R, so every slot's contribution is polynomial and all slots
+        # of one condition share the same overall scale
+        g = Poly({m: 1}) if part == 0 else poly_atom(S.R) * Poly({m: 1})
+        return {sym: _polynomial(v) for sym, v in
+                _profile_forms(RatForm(g, poly_const(1)), r).items()}
+
+    values = [slot_values(*slot) for slot in slots]
 
     def condition(c):
-        # guard: conditions must be linear homogeneous in the f symbols
-        decompose_linear(normalize(c), F_SYMBOLS)
-        # multiply by R so every slot's contribution is polynomial and
-        # all slots of one condition share the same overall scale
-        return [(col, normalize(mul(S.R, substitute(c, slot_values(*slot)))).terms)
-                for col, slot in enumerate(slots)]
+        # conditions must be linear homogeneous in the f symbols
+        coefs = decompose_linear(normalize(c), F_SYMBOLS).items()
+        for col, vals in enumerate(values):
+            row = Poly({})
+            for sym, coef in coefs:
+                row = row + coef * vals[sym]
+            yield col, row.terms
 
     family = []
     for vec in _slot_nullspace(map(condition, constraints), len(slots)):

@@ -1,6 +1,8 @@
 """Reference helpers that several test files share and no command needs:
-the jet symbols in order, generator arithmetic, annihilation of determining equations by a concrete
-generator, and comparisons of field solutions.
+the jet symbols in order, generator arithmetic, the expression-tree route
+of the derivation (the oracle of the normal-form one), annihilation of
+determining equations by a concrete generator, and comparisons of field
+solutions.
 
 The test files import this module by name, as pytest puts `tests/` on
 the path.
@@ -11,18 +13,25 @@ import random
 from curlsym import solutions
 from curlsym import symmetry as sy
 from curlsym.expr import (
+    BASE_SYMBOLS,
+    REGISTRY,
     S,
     _as_expr,
     add,
+    as_ratform,
+    collect_poly,
     compile_numeric,
     differentiate,
     equal_exprs,
     is_zero_expr,
     mul,
+    neg,
+    normal_expression,
     parse,
     substitute,
+    _poly_key,
 )
-from curlsym.jet import GeneratorField, jet_symbol
+from curlsym.jet import AXES, DEPS, GeneratorField, jet_symbol
 
 # the nine first jets u_x, u_y, u_z, v_x, ..., w_z
 JET_SYMBOLS = tuple(jet_symbol(d, a) for d in "uvw" for a in "xyz")
@@ -50,6 +59,74 @@ def field_is_zero(g: GeneratorField) -> bool:
 
 def fields_equal(a: GeneratorField, b: GeneratorField) -> bool:
     return field_is_zero(sub_fields(a, b))
+
+
+# --- the expression-tree derivation -------------------------------------------
+#
+# X, pr X and D_i as (symbol, expression) pairs applied to expression trees,
+# each result normalized as a whole: the route the program took before its
+# derivation moved to normal forms, kept as the oracle of that one.
+
+
+def tree_derivation(field, e):
+    return add(*(mul(c, differentiate(e, s)) for s, c in field))
+
+
+def tree_field(gen: GeneratorField) -> tuple:
+    return tuple(zip(BASE_SYMBOLS, gen.as_tuple()))
+
+
+def tree_total_derivative(e, axis):
+    field = ((axis, 1),) + tuple(
+        (REGISTRY.by_name[dep], jet_symbol(dep, axis.name)) for dep in DEPS)
+    return tree_derivation(field, e)
+
+
+def tree_prolongation(gen: GeneratorField) -> tuple:
+    base = (gen.zeta, gen.eta, gen.theta)
+    comps = {"u": gen.phi, "v": gen.lam, "w": gen.psi}
+    d_base = {ax: [tree_total_derivative(c, REGISTRY.by_name[ax]) for c in base]
+              for ax in AXES}
+    jets = []
+    for dep in DEPS:
+        for ax in AXES:
+            axis = REGISTRY.by_name[ax]
+            terms = [tree_total_derivative(comps[dep], axis)]
+            for ax2, d in zip(AXES, d_base[ax]):
+                terms.append(neg(mul(jet_symbol(dep, ax2), d)))
+            jets.append((jet_symbol(dep, ax), normal_expression(add(*terms))))
+    return tree_field(gen) + tuple(jets)
+
+
+def tree_invariance_residuals(system, gen: GeneratorField) -> list:
+    pr = tree_prolongation(gen)
+    return [substitute(tree_derivation(pr, d), system.eliminate)
+            for d in system.residuals]
+
+
+def _tree_conditions(polys, f_value=None) -> list:
+    seen = {}
+    for p in polys:
+        if f_value is not None:
+            p = as_ratform(sy.resolve_f(p.to_expression(), f_value)).num
+        if not p.is_zero():
+            eq = p.monic()
+            seen.setdefault(_poly_key(eq), eq)
+    return [seen[k] for k in sorted(seen)]
+
+
+def tree_determining_polys(system, gen: GeneratorField | None = None) -> list:
+    gen = sy.generic_generator() if gen is None else gen
+    coefs = [coef for resid in tree_invariance_residuals(system, gen)
+             for coef in collect_poly(as_ratform(resid).num, system.free_jets).values()]
+    return _tree_conditions(_tree_conditions(coefs), system.f_value)
+
+
+def tree_bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
+    fa, fb = tree_field(a), tree_field(b)
+    return GeneratorField(*(
+        normal_expression(tree_derivation(fa, cb) - tree_derivation(fb, ca))
+        for ca, cb in zip(a.as_tuple(), b.as_tuple())))
 
 
 # --- determining equations against a concrete generator -------------------------

@@ -1,5 +1,7 @@
 """Prolongation tests: the characteristic formula must agree exactly with
-the nine expanded coefficient formulas kept here as the reference."""
+the nine expanded coefficient formulas kept here as the reference, and the
+derivation on normal forms with the expression-tree route of
+`reference.py`."""
 
 import os
 import subprocess
@@ -7,9 +9,28 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import curlsym
-from curlsym.expr import ExprError, S, differentiate, is_zero_expr, parse
+from curlsym.expr import (
+    BASE_SYMBOLS,
+    ExprError,
+    Num,
+    S,
+    _ONE_RF,
+    _rat_key,
+    _rat_to_expression,
+    add,
+    as_ratform,
+    cos,
+    differentiate,
+    exp,
+    is_zero_expr,
+    mul,
+    parse,
+    pow_,
+    sin,
+)
 from curlsym.jet import (
     GeneratorField,
     derivation,
@@ -19,7 +40,13 @@ from curlsym.jet import (
     total_derivative,
 )
 
-from reference import add_fields, field_is_zero, scale_field, sub_fields
+from reference import (
+    add_fields,
+    field_is_zero,
+    scale_field,
+    sub_fields,
+    tree_prolongation,
+)
 
 
 def _prolong_explicit(gen: GeneratorField) -> dict:
@@ -101,7 +128,7 @@ def _prolong_explicit(gen: GeneratorField) -> dict:
 
 def _jet_coefficients(gen: GeneratorField) -> dict:
     pr = dict(first_prolongation(gen))
-    return {j: c for j, c in pr.items() if j.kind == "jet"}
+    return {j: _rat_to_expression(c) for j, c in pr.items() if j.kind == "jet"}
 
 
 def _routes_agree(gen: GeneratorField):
@@ -119,9 +146,9 @@ def test_generator_rejects_jet_coefficients():
 
 def test_total_derivative_point_function():
     e = S.x * S.u
-    d = total_derivative(e, S.x)
+    d = _rat_to_expression(total_derivative(as_ratform(e), S.x))
     assert is_zero_expr(d - (S.u + S.x * S.u_x))
-    d2 = total_derivative(S.v, S.z)
+    d2 = _rat_to_expression(total_derivative(as_ratform(S.v), S.z))
     assert is_zero_expr(d2 - S.v_z)
 
 
@@ -165,6 +192,60 @@ def test_routes_agree_on_concrete_generators(parts):
     _routes_agree(generator_from_strings(parts))
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        ["zeta", "eta", "theta", "phi", "lam", "psi"],
+        ["x*u", "y + z^2", "v*w", "u^2", "x*v", "w"],
+        ["-y", "x", "0", "-v", "u", "0"],
+        ["x/(1+y^2)", "0", "0", "u*y", "0", "0"],
+        ["R", "u/R", "exp(x - u)", "sin(y*w)", "a*x + b*y", "1/(u^2 + 1)"],
+    ],
+)
+def test_prolongation_matches_the_expression_tree_route(parts):
+    gen = GeneratorField(*map(parse, parts))
+    got = first_prolongation(gen)
+    want = tree_prolongation(gen)
+    assert [s for s, _ in got] == [s for s, _ in want]
+    assert ([_rat_key(c) for _, c in got]
+            == [_rat_key(as_ratform(c)) for _, c in want])
+
+
+_DIFF_LEAVES = [*BASE_SYMBOLS, S.R, S.a, S.b, S.eps]
+
+
+def _random_expressions():
+    """Sums, products and integer powers, negative ones too, of the base
+    symbols, R, the unit pair a, b, eps and sin, cos or exp of such."""
+    leaf = st.one_of(st.sampled_from(_DIFF_LEAVES), st.integers(-3, 3).map(Num))
+
+    def arithmetic(parts, leaves):
+        return st.recursive(parts, lambda children: st.one_of(
+            st.tuples(children, children).map(lambda ab: add(*ab)),
+            st.tuples(children, children).map(lambda ab: mul(*ab)),
+            st.tuples(children, st.integers(-2, 3)).map(
+                lambda bn: bn[0] if bn[0] == Num(0) else pow_(*bn)),
+        ), max_leaves=leaves)
+
+    atom = st.tuples(st.sampled_from((sin, cos, exp)), arithmetic(leaf, 3)).map(
+        lambda fa: fa[0](fa[1]))
+    return arithmetic(st.one_of(leaf, leaf, atom), 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_expressions())
+def test_normal_form_derivative_matches_the_tree_derivative(e):
+    try:
+        rf = as_ratform(e)
+    except ExprError:
+        assume(False)
+    for s in BASE_SYMBOLS:
+        got = derivation(((s, _ONE_RF),), rf)
+        want = as_ratform(differentiate(e, s))
+        # equal as rational functions
+        assert got.num * want.den == want.num * got.den, s.name
+
+
 def test_prolongation_registers_no_symbols():
     """Prolongation leaves the symbol registry as it found it.  Checked in a
     fresh interpreter, so no earlier test has registered anything yet."""
@@ -190,9 +271,11 @@ def test_apply_is_a_derivation():
     gen = generator_from_strings(["-y", "x", "0", "-v", "u", "0"])
     e1, e2 = parse("x*u"), parse("y + w")
     X = gen.field()
-    lhs = derivation(X, e1 * e2)
-    rhs = derivation(X, e1) * e2 + e1 * derivation(X, e2)
-    assert is_zero_expr(lhs - rhs)
+
+    def apply(e):
+        return _rat_to_expression(derivation(X, as_ratform(e)))
+
+    assert is_zero_expr(apply(e1 * e2) - (apply(e1) * e2 + e1 * apply(e2)))
 
 
 def test_generator_linear_algebra():
@@ -209,6 +292,6 @@ def test_prolonged_apply_matches_manual():
     pr = first_prolongation(gen)
     # residual-shaped expression: w_y - v_z - u*f has no explicit z
     e = S.w_y - S.v_z - S.u * S.f
-    assert is_zero_expr(derivation(pr, e))
+    assert derivation(pr, as_ratform(e)).num.is_zero()
     e2 = S.z * S.u_x
-    assert is_zero_expr(derivation(pr, e2) - S.u_x)
+    assert is_zero_expr(_rat_to_expression(derivation(pr, as_ratform(e2))) - S.u_x)

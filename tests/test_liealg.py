@@ -11,12 +11,15 @@ import pytest
 from curlsym import fixtures as fx
 from curlsym import liealg as la
 from curlsym.expr import (
-    Num, S, compile_numeric, cos, equal_exprs, exp, normal_expression, parse, sin,
+    Num, S, compile_numeric, cos, equal_exprs, exp, normal_expression, normalize,
+    parse, sin, _poly_key,
 )
 from curlsym.jet import GeneratorField
 from curlsym.ratlin import rref
 
-from reference import add_fields, field_is_zero, fields_equal, scale_field
+from reference import (
+    add_fields, field_is_zero, fields_equal, scale_field, tree_bracket,
+)
 
 
 B10 = fx.load_basis(10)
@@ -40,6 +43,17 @@ def test_bracket_hand_picked_entries():
     assert T10.coordinates(4, 7) == _coords(k4=1)
     assert T10.coordinates(1, 4) == _coords(k5=-1)
     assert T10.coordinates(6, 8) == _coords(k7=2)
+
+
+@pytest.mark.parametrize("basis, table", [(B10, T10), (B7, T7)], ids=["b10", "b7"])
+def test_brackets_and_constants_match_the_expression_tree_route(
+        basis, table, monkeypatch):
+    for a in basis:
+        for b in basis:
+            assert ([_poly_key(normalize(c)) for c in la.bracket(a, b)]
+                    == [_poly_key(normalize(c)) for c in tree_bracket(a, b)])
+    monkeypatch.setattr(la, "bracket", tree_bracket)
+    assert table.constants == la.structure_constants(basis).constants
 
 
 def test_bracket_of_field_with_itself_vanishes():

@@ -44,6 +44,7 @@ from reference import (
     annihilates,
     formal_substitution,
     scale_field,
+    tree_determining_polys,
 )
 from test_acceptance import maximal_rank_check
 
@@ -110,6 +111,18 @@ def test_profile_goes_in_after_prolongation(make_system, count):
     assert all(expr.poly_div_exact(p, _SQUARE) is None for p in got)
 
 
+_SYSTEMS = {"curl-f": lambda: sy.curl_system(None),
+            "curl-absB": lambda: sy.curl_system(S.R),
+            "blair": lambda: sy.blair_system(S.R)}
+
+
+@pytest.mark.parametrize("name", _SYSTEMS)
+def test_determining_polys_match_the_expression_tree_route(name):
+    system = _SYSTEMS[name]()
+    assert ([_poly_key(p) for p in sy.determining_polys(system)]
+            == [_poly_key(p) for p in tree_determining_polys(system)])
+
+
 def test_equivalence_rejects_a_tampered_reference():
     ref = list(fx.load_determining_fixture())
     ref[0] = ref[0] + S.u * S.f  # no longer a consequence of the system
@@ -139,7 +152,7 @@ def _indexed_expressions(name: str) -> dict:
 
 def test_restricted_residuals_match_reference_displays():
     computed = [
-        as_ratform(r).num
+        r.num
         for r in sy.invariance_residuals(_curl_formal(), sy.generic_generator())
     ]
     refs = _indexed_expressions("restricted_residuals.txt")
@@ -228,7 +241,7 @@ def test_ansatz_from_reference_equations_agrees():
     # the nullspace construction over the reference equations, resolved to
     # f = R as `determining_polys` resolves its own
     conditions = sy._conditions(
-        (sy._numerator(e) for e in fx.load_determining_fixture()), S.R)
+        (as_ratform(e).num for e in fx.load_determining_fixture()), S.R)
     res = sy._ansatz_from_polys(conditions, 2)
     assert len(res.generators) == 10
     assert sy.generator_spans_equal(res.generators, fx.load_basis(10))
@@ -539,6 +552,14 @@ def test_profile_constraints_from_the_seven_generator_group():
     assert {_poly_key(normalize(c)) for c in got} == {
         _poly_key(normalize(c)) for c in want
     }
+
+
+def test_profile_constraints_match_the_expression_tree_route(monkeypatch):
+    got = sy.f_constraints_from_group(fx.load_basis(7))
+    monkeypatch.setattr(sy, "determining_polys", tree_determining_polys)
+    want = sy.f_constraints_from_group(fx.load_basis(7))
+    assert ([_poly_key(normalize(c)) for c in got]
+            == [_poly_key(normalize(c)) for c in want])
 
 
 def test_profile_verification():
