@@ -1091,12 +1091,25 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
 # --- normalization ----------------------------------------------------------
 
 _RAT_CACHE: dict = {}
+# (atom, symbol) -> d atom / d symbol as a normal form
+_ATOM_DERIVATIVES: dict = {}
 
 
 def _clear_caches():
-    """Empty the normalization cache and the monomial-key memo it feeds."""
+    """Empty the normalization cache, the monomial-key memo it feeds and the
+    atom derivatives."""
     _RAT_CACHE.clear()
     _MONO_KEYS.clear()
+    _ATOM_DERIVATIVES.clear()
+
+
+def _atom_derivative(atom, s: Symbol) -> RatForm:
+    """d atom / ds as a normal form, from `differentiate` once per pair."""
+    d = _ATOM_DERIVATIVES.get((atom, s))
+    if d is None:
+        base = atom if isinstance(atom, Symbol) else func(atom.fn, atom.arg)
+        d = _ATOM_DERIVATIVES[(atom, s)] = as_ratform(differentiate(base, s))
+    return d
 
 
 def as_ratform(e: Expr) -> RatForm:

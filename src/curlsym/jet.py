@@ -41,11 +41,10 @@ from .expr import (
     Symbol,
     _ONE_RF,
     _as_expr,
+    _atom_derivative,
     _rat_mul,
     as_ratform,
-    differentiate,
     free_symbols,
-    func,
     poly_atom,
     poly_const,
     rat_combination,
@@ -65,18 +64,6 @@ def _no_jets(e: Expr, what: str):
     for s in free_symbols(e):
         if s.kind == "jet":
             raise ExprError(f"{what} may not depend on jet symbol '{s.name}'")
-
-
-# (atom, symbol) -> d atom / d symbol as a normal form
-_ATOM_DERIVATIVES: dict = {}
-
-
-def _atom_derivative(atom, s: Symbol) -> RatForm:
-    d = _ATOM_DERIVATIVES.get((atom, s))
-    if d is None:
-        base = atom if isinstance(atom, Symbol) else func(atom.fn, atom.arg)
-        d = _ATOM_DERIVATIVES[(atom, s)] = as_ratform(differentiate(base, s))
-    return d
 
 
 def derivation(field, rf: RatForm) -> RatForm:

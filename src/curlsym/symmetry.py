@@ -13,7 +13,10 @@ concrete expression such as the field magnitude R.
 A generator X is a symmetry when the first prolongation of X annihilates
 every residual on the solution manifold.  The manifold is coded as an
 elimination map picking one jet per residual; restriction substitutes the
-map once (the right-hand sides only contain free jets).  Collecting the
+map once (the right-hand sides only contain free jets).  Prolongation,
+restriction and the profile all act on rational normal forms, through
+`jet.derivation` and `expr.substitution`; no step rebuilds an expression
+tree to normalize it again.  Collecting the
 restricted conditions by free-jet monomials yields the determining system,
 linear and homogeneous in the generator coefficients and their first
 partials.  `solve_polynomial_ansatz` turns that linear system into an exact
@@ -26,7 +29,10 @@ it is prolonged and restricted with f formal.  A concrete profile goes in
 only afterwards, into the determining equations or the invariance
 residuals.  Putting it in first would make every sum in the prolonged
 residuals carry the denominator u^2 + v^2 + w^2 that conjugating u/R
-brings in.
+brings in.  It goes in on normal-form terms: f, f_u, f_v and f_w are taken
+once as normal forms (for f = R, R and u R/(u^2 + v^2 + w^2) and its
+likes), each condition's terms are summed per denominator of the value
+they take, and the few sums are then added as rational forms.
 """
 
 from __future__ import annotations
