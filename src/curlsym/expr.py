@@ -819,10 +819,6 @@ _ONE_RF = RatForm(poly_const(1), poly_const(1))
 def _rat_add(a: RatForm, b: RatForm) -> RatForm:
     if a.den.terms == b.den.terms:
         return ratform(a.num + b.num, a.den)
-    # a polynomial term over the other's denominator
-    if a.is_polynomial() or b.is_polynomial():
-        p, r = (a, b) if a.is_polynomial() else (b, a)
-        return ratform(p.num * r.den + r.num, r.den)
     # when one denominator divides the other (powers of one base, as in a
     # translated field), the longer is already a common denominator
     if len(a.den.terms) > 1 and len(b.den.terms) > 1:
@@ -871,25 +867,18 @@ def substitution(values: dict):
     value, on normal-form terms: the value of a monomial's substituted part
     is taken once per map, and the rest multiplies it as in
     `rat_combination`."""
-    parts: dict = {}
-
-    def part(hit: tuple) -> RatForm:
-        val = parts.get(hit)
-        if val is None:
-            for a, e in hit:
-                f = values[a] if e == 1 else _rat_pow(values[a], e)
-                val = f if val is None else _rat_mul(val, f)
-            parts[hit] = val
-        return val
+    parts = {(): _ONE_RF}
 
     def poly(p: Poly) -> RatForm:
         terms = []
         for m, c in p.terms.items():
             hit = tuple(ae for ae in m if ae[0] in values)
-            if hit:
-                terms.append((c, tuple(ae for ae in m if ae[0] not in values), part(hit)))
-            else:
-                terms.append((c, m, _ONE_RF))
+            if hit not in parts:
+                val = _ONE_RF
+                for a, e in hit:
+                    val = _rat_mul(val, _rat_pow(values[a], e))
+                parts[hit] = val
+            terms.append((c, tuple(ae for ae in m if ae[0] not in values), parts[hit]))
         return rat_combination(terms)
 
     def apply(rf: RatForm) -> RatForm:

@@ -55,6 +55,7 @@ from .expr import (
     collect_poly,
     differentiate,
     free_symbols,
+    is_zero_expr,
     mul,
     normal_expression,
     normalize,
@@ -463,8 +464,7 @@ def f_constraints_from_group(gens):
 
 
 def verify_f(constraints, f_value: Expr) -> bool:
-    put = _put_profile(f_value)
-    return all(put(as_ratform(c)).num.is_zero() for c in constraints)
+    return all(is_zero_expr(resolve_f(c, f_value)) for c in constraints)
 
 
 # C(d+3, 3) + C(d+2, 3) slots at degree d >= 0.  As a fresh `check-f
