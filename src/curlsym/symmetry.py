@@ -469,8 +469,9 @@ def verify_f(constraints, f_value: Expr) -> bool:
 
 # C(d+3, 3) + C(d+2, 3) slots at degree d >= 0.  As a fresh `check-f
 # --solve-family` process on 2 shared vCPUs, degree 9 (385 slots) takes
-# 0.8 s and 28 MB; degree 10 (506) takes 1.1-1.3 s and 32 MB, and
-# degree 11 (650) 1.6-2.0 s and 37 MB
+# 0.22-0.25 s and 19 MB; degree 10 (506) takes 0.2-0.3 s and 19.5 MB, and
+# degree 11 (650) 0.25-0.37 s and 20 MB.  The bound was set when degree 9
+# took 0.8 s
 MAX_FAMILY_SLOTS = 400
 
 
