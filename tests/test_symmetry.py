@@ -113,7 +113,12 @@ def test_profile_goes_in_after_prolongation(make_system, count):
 
 _SYSTEMS = {"curl-f": lambda: sy.curl_system(None),
             "curl-absB": lambda: sy.curl_system(S.R),
-            "blair": lambda: sy.blair_system(S.R)}
+            "blair": lambda: sy.blair_system(S.R),
+            # rational residuals: the profile's u/R in every prolonged sum
+            "curl-absB resolved first": lambda: _resolved_reference(
+                sy.curl_system(S.R)),
+            "blair resolved first": lambda: _resolved_reference(
+                sy.blair_system(S.R))}
 
 
 @pytest.mark.parametrize("name", _SYSTEMS)
