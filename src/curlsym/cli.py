@@ -37,7 +37,6 @@ from .expr import (
     equal_exprs,
     free_symbols,
     is_zero_expr,
-    normal_expression,
     normalize,
     parse,
     to_string,
@@ -295,7 +294,7 @@ def cmd_verify_generator(args):
     }
     if not report.ok:
         first = report.failures()[0]
-        text = _truncate(to_string(normal_expression(report.residuals[first])))
+        text = _truncate(to_string(report.residuals[first]))
         lines.append(f"first failing equation (index {first + 1}): {text}")
         data["first_failing"] = {"index": first + 1, "residual": text}
     return lines, data, EXIT_OK if report.ok else EXIT_VERIFY

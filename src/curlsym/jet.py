@@ -149,8 +149,8 @@ def generator_from_strings(parts) -> GeneratorField:
 
     Each coefficient must have a rational normal form: a division by zero
     raises ExprError and a square root with no exact form NotPolynomial.
-    This is checked here because the prolongation normalizes only the
-    coefficients' derivatives, which for 1/(x - x) all vanish."""
+    This is checked here, as the coefficients are read, so that a bad
+    coefficient is reported before any other check on the generator."""
     from .expr import parse
 
     vals = [parse(p) if isinstance(p, str) else _as_expr(p) for p in parts]

@@ -191,7 +191,7 @@ def determining_system(system: PdeSystem, gen: GeneratorField | None = None):
 
 class VerificationReport(namedtuple("VerificationReport", "ok per_residual residuals")):
     """per_residual holds (index, bool) pairs; residuals are the invariance
-    residuals tested, profile put in."""
+    residuals tested, profile put in, as normal-form expressions."""
     __slots__ = ()
 
     def failures(self):
