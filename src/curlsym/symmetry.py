@@ -250,10 +250,12 @@ def determining_systems_equivalent(a, b) -> EquivalenceReport:
         [[p] for p in pb if _is_bare_identity(p)],
     ))
 
+    gradient = substitution({s: as_ratform(v) for s, v in _GRADIENT_SUBS.items()})
+
     def _reduced(exprs):
         out = []
         for e in exprs:
-            p = as_ratform(substitute(e, _GRADIENT_SUBS)).num
+            p = gradient(as_ratform(e)).num
             if not p.is_zero():
                 out.append([p.monic()])
         return out
