@@ -16,9 +16,12 @@ calculus on three base coordinates (x, y, z) and three field components
   that the reference tables combine)
 
 Everything downstream (prolongation, determining systems, brackets) runs on
-`normalize`, which maps an expression to a polynomial normal form: a map
-from monomials to rational coefficients under graded lexicographic order
-with x < y < z < u < v < w < jets < R < parameters.  A coefficient, a
+normal forms, which `rat_combination` sums per denominator, `substitution`
+puts values into term by term and `jet.derivation` differentiates, with
+each atom's derivative kept once taken.  `normalize` maps an expression
+to a polynomial normal form: a map from monomials to rational
+coefficients under graded lexicographic order with
+x < y < z < u < v < w < jets < R < parameters.  A coefficient, a
 `Poly.terms` value or a `Num.val`, is an int whenever it is integral and
 a Fraction only when its denominator exceeds 1 (`_coeff`); a division or
 a negative power of one goes through Fraction, as int / int is a float.
