@@ -493,8 +493,7 @@ def cmd_verify_solution(args):
     if check.system == "curl":
         try:
             div_zero, div_mode, _ = decide_zero(
-                sol.divergence(), samples=args.samples, tol=args.tol,
-                bindings=sol.binding_map() or None,
+                sol.divergence(), samples=args.samples, tol=args.tol
             )
             verdict = "0" if div_zero else "nonzero"
         except EvalError:  # too few finite samples, as in the residuals

@@ -13,7 +13,9 @@ calculus on three base coordinates (x, y, z) and three field components
   a^2 + b^2 -> 1, integration constants C1..C10, the formal function symbols
   f, f_u, f_v, f_w, the formal generator coefficients zeta ... psi with
   their first partials zeta_x ... psi_w, and the generator names X1..X10
-  that the reference tables combine)
+  that the reference tables combine; a rotation at a symbolic eps of a
+  field that already holds a and b registers a fresh pair a2, b2, ...,
+  and a numeric eps is an exact rational, never a symbol)
 
 Everything downstream (prolongation, determining systems, brackets) runs on
 normal forms, which `rat_combination` sums per denominator, `substitution`
@@ -372,7 +374,6 @@ class SymbolRegistry:
         self.derivative_rules: dict[tuple[Symbol, Symbol], Expr] = {}
         self.unit_pairs: dict[Symbol, Symbol] = {}  # b -> a for b^2 -> 1-a^2
         self._pair_count = 1
-        self._eps_count = 1
 
     def register(self, name: str, kind: str) -> Symbol:
         if kind not in KINDS:
@@ -396,10 +397,6 @@ class SymbolRegistry:
     def fresh_unit_pair(self) -> tuple[Symbol, Symbol]:
         self._pair_count += 1
         return self.register_unit_pair(f"a{self._pair_count}", f"b{self._pair_count}")
-
-    def fresh_parameter(self) -> Symbol:
-        self._eps_count += 1
-        return self.register(f"eps{self._eps_count}", "parameter")
 
 
 def _build_registry() -> SymbolRegistry:
@@ -848,7 +845,9 @@ def rat_combination(terms) -> RatForm:
     """sum c*m*rf over (rational c, monomial m, RatForm rf) triples, m a
     reduced monomial as a tuple of (atom, exponent) pairs.  The numerators
     over one denominator add as polynomials, and the few sums then combine
-    by `_rat_add`, in the order their denominators first appear."""
+    by `_rat_add`, in the order their denominators first appear.  A sum is
+    reduced only where nothing joins it: `_rat_add` reduces what it joins,
+    so an exact division is tried once."""
     groups: dict = {}
     for c, m, rf in terms:
         key = None if rf.is_polynomial() else frozenset(rf.den.terms.items())
@@ -858,11 +857,15 @@ def rat_combination(terms) -> RatForm:
         acc = group[1]
         for vm, vc in rf.num.terms.items():
             _emit(acc, _mono_mul(m, vm), c * vc)
-    out = None
-    for den, acc in groups.values():
-        part = RatForm(Poly(acc), den) if den.is_constant() else ratform(Poly(acc), den)
-        out = part if out is None else _rat_add(out, part)
-    return RatForm(Poly({}), poly_const(1)) if out is None else out
+    parts = [RatForm(Poly(acc), den) for den, acc in groups.values()]
+    if not parts:
+        return RatForm(Poly({}), poly_const(1))
+    out = parts[0]
+    if len(parts) == 1 and not out.is_polynomial():
+        return ratform(out.num, out.den)
+    for part in parts[1:]:
+        out = _rat_add(out, part)
+    return out
 
 
 def substitution(values: dict):
@@ -1198,11 +1201,12 @@ def equal_exprs(e1: Expr, e2: Expr) -> bool:
     return is_zero_expr(add(e1, neg(e2)))
 
 
-def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9,
-                bindings: dict | None = None):
+def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9):
     """(is_zero, mode, worst): exact normal form when possible, else numeric
-    sampling at random points in [-2, 2], drawn with seed 0.  mode is 'symbolic' or 'numeric';
-    worst is the largest |e| sampled, None when decided symbolically.
+    sampling at random points in [-2, 2], drawn with seed 0, where each
+    registered unit pair met takes (cos t, sin t) at a random angle t in
+    its place.  mode is 'symbolic' or 'numeric'; worst is the largest |e|
+    sampled, None when decided symbolically.
 
     Sampling compiles e once.  A point where it raises or gives NaN is
     skipped; EvalError when fewer than `samples` of 12 * samples are valid."""
@@ -1218,14 +1222,13 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9,
     import random
 
     rng = random.Random(0)
-    bound = bindings or {}
     # R is never sampled: compile_numeric ties it to (u, v, w)
-    sampled = sorted(
-        (s for s in free_symbols(e) if s.kind != "radical" and s not in bound),
-        key=lambda s: s.order,
-    )
-    fn = compile_numeric(e, sampled + list(bound))
-    fixed = [float(v) for v in bound.values()]
+    sampled = sorted((s for s in free_symbols(e) if s.kind != "radical"),
+                     key=lambda s: s.order)
+    fn = compile_numeric(e, sampled)
+    slot = {s: i for i, s in enumerate(sampled)}
+    pairs = [(slot.get(a), slot.get(b)) for b, a in REGISTRY.unit_pairs.items()
+             if a in slot or b in slot]
     worst = 0.0
     done = 0
     attempts = 0
@@ -1234,8 +1237,13 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9,
         if attempts > samples * 12:
             raise EvalError("could not find enough valid sample points")
         point = [rng.uniform(-2.0, 2.0) for _ in sampled]
+        for i, j in pairs:  # a pair sampled apart would leave its circle
+            t = rng.uniform(-math.pi, math.pi)
+            for k, v in ((i, math.cos(t)), (j, math.sin(t))):
+                if k is not None:
+                    point[k] = v
         try:
-            val = abs(fn(*point, *fixed))
+            val = abs(fn(*point))
         except (ArithmeticError, ValueError):
             continue  # a pole, a negative square root or an overflow
         if math.isnan(val):  # max() below would drop it silently

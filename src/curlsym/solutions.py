@@ -24,6 +24,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import namedtuple
+from fractions import Fraction
 
 from .expr import (
     EvalError,
@@ -38,33 +39,31 @@ from .expr import (
     differentiate,
     exp,
     free_symbols,
-    neg,
     normal_expression,
     parse,
     sqrt,
     substitute,
     to_string,
 )
-from .symmetry import blair_system, curl_system, resolve_f
+from .symmetry import blair_system, curl_system
 
 
 class FieldSolution(namedtuple("FieldSolution", "u v w bindings label",
                                defaults=((), ""))):
     """A concrete vector field (u, v, w) on R^3.
 
-    Components may contain parameter symbols; `bindings` carries numeric
-    values for those that arose from a transform at a numeric group
-    parameter, keyed by symbol, so numeric evaluation stays well-defined
-    while the symbolic form keeps its exact unit-pair structure.
+    Components may contain constant parameters, such as a symbolic group
+    parameter or the unit pair (a, b) of a rotation at one.  A numeric
+    parameter enters a transform as an exact rational, so no symbol stands
+    for a float.  `bindings` is always (): it stays for the one caller
+    that still reads it, `perfbench/sweep.py`, and the benchmark change
+    that stops reading it deletes the field.
     """
 
     __slots__ = ()
 
     def components(self) -> tuple:
         return (self.u, self.v, self.w)
-
-    def binding_map(self) -> dict:
-        return dict(self.bindings)
 
     def divergence(self) -> Expr:
         return _normalized(
@@ -113,6 +112,8 @@ def _system_kind(system: str) -> str:
 
 
 def _jet_substitution(sol: FieldSolution) -> dict:
+    """The components and their first partials for u, v, w and the jets,
+    and the field's magnitude for the profile f."""
     subs = {}
     for name, comp in zip("uvw", sol.components()):
         subs[REGISTRY.by_name[name]] = comp
@@ -120,20 +121,19 @@ def _jet_substitution(sol: FieldSolution) -> dict:
             subs[REGISTRY.by_name[f"{name}_{ax}"]] = differentiate(
                 comp, REGISTRY.by_name[ax]
             )
+    subs[S.f] = sqrt(add(*(c**2 for c in sol.components())))
     return subs
 
 
 def residual_expressions(sol: FieldSolution, system: str = "blair") -> list:
     """Substitute the field into each equation of the chosen system.
 
-    The eigenvalue profile put into the formal residuals is the field
-    magnitude sqrt(u^2+v^2+w^2), written as an explicit square root so
-    substitution reaches inside it.
-    """
+    The formal residuals carry the profile f and none of its partials, and
+    f is put in with the jets: the field magnitude sqrt(u^2+v^2+w^2) of the
+    components, written as an explicit square root."""
     formal = curl_system() if _system_kind(system) == "curl" else blair_system()
-    magnitude = sqrt(S.u**2 + S.v**2 + S.w**2)
     subs = _jet_substitution(sol)
-    return [substitute(resolve_f(r, magnitude), subs) for r in formal.residuals]
+    return [substitute(r, subs) for r in formal.residuals]
 
 
 ResidualCheck = namedtuple("ResidualCheck", "system ok modes displays")
@@ -149,15 +149,12 @@ def verify_solution_residuals(
     otherwise by sampling `samples` points at tolerance `tol`.  A residual
     with too few finite samples is displayed as "undecided" and fails."""
     kind = _system_kind(system)
-    bindings = sol.binding_map()
     modes = []
     displays = []
     all_ok = True
     for e in residual_expressions(sol, kind):
         try:
-            ok, mode, worst = decide_zero(
-                e, samples=samples, tol=tol, bindings=bindings or None
-            )
+            ok, mode, worst = decide_zero(e, samples=samples, tol=tol)
         except EvalError:
             # too few finite samples, as when every float overflows: the
             # field is well formed, and the check fails undecided
@@ -188,7 +185,6 @@ def _unit_pair_for(sol: FieldSolution):
     used = set()
     for c in sol.components():
         used |= free_symbols(c)
-    used |= {s for s, _ in sol.bindings}
     if S.a not in used and S.b not in used:
         return S.a, S.b
     return REGISTRY.fresh_unit_pair()
@@ -204,37 +200,32 @@ def _normalized(e: Expr) -> Expr:
 def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     """Apply one of the seven one-parameter families at group parameter eps.
 
-    eps is a Python number or an expression; a `Num` counts as a number
-    for the first two rules below.  The parameter is decided once:
-    - eps = 0 gives the normalized input, its bindings kept;
-    - families 1-3 substitute a unit pair (a, b) for (cos eps, sin eps),
-      bound to those floats when eps is a number and free otherwise;
-    - families 4-7 use an expression eps as it is, and a number that is
-      not an expression as one fresh parameter bound to its float.
-    Then each family is one coordinate substitution plus one map of the
-    components: a rotation of the matching component pair, a translation
-    of axis family - 4, or for family 7 the scaling by e^-eps.
+    eps is a number (int, float, Fraction or `Num`), which enters as the
+    exact rational Fraction(eps), or an expression, which stays as it is.
+    Each family is one coordinate substitution plus one map of the
+    components: families 1-3 rotate a coordinate plane and the matching
+    component pair by a unit pair (a, b) standing for (cos eps, sin eps),
+    families 4-6 translate axis family - 4 by eps, and family 7 scales by
+    e^-eps.  For a symbolic eps the rotation keeps (a, b) free, a fresh
+    pair if the field already holds a and b.  For a number it takes the
+    rational point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), t = Fraction of
+    the float tan(eps/2): the point lies exactly on the unit circle, so
+    the rotation is exactly orthogonal, and its angle is eps up to the
+    rounding of one float.
     """
     if family not in range(1, 8):
         raise ValueError(f"family index must be 1..7, got {family}")
     label = f"{sol.label or 'field'}~{family}"
-    value = None
     if isinstance(eps, Num) or not isinstance(eps, Expr):
-        value = float(eps.val if isinstance(eps, Num) else eps)
-    if value == 0:
-        return FieldSolution(*map(_normalized, sol.components()), sol.bindings, label)
-    bindings = list(sol.bindings)
-    if family <= 3:
-        ca, sb = _unit_pair_for(sol)
-        if value is not None:
-            bindings += [(ca, math.cos(value)), (sb, math.sin(value))]
-    elif not isinstance(eps, Expr):
-        eps = REGISTRY.fresh_parameter()
-        bindings.append((eps, value))
-
+        eps = Fraction(eps.val if isinstance(eps, Num) else eps)
     xyz = (S.x, S.y, S.z)
     comps = sol.components()
     if family <= 3:
+        if isinstance(eps, Fraction):
+            t = Fraction(math.tan(eps / 2))
+            ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
+        else:
+            ca, sb = _unit_pair_for(sol)
         i, j = _ROTATION_PLANES[family]
         xi, xj = xyz[i], xyz[j]
         sigma = {xi: ca * xi + sb * xj, xj: -sb * xi + ca * xj}
@@ -244,9 +235,9 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
         axis = xyz[family - 4]
         out = [substitute(c, {axis: axis - eps}) for c in comps]
     else:
-        k = exp(neg(eps))
+        k = exp(-eps)
         out = [k * substitute(c, {a: k * a for a in xyz}) for c in comps]
-    return FieldSolution(*map(_normalized, out), tuple(bindings), label)
+    return FieldSolution(*map(_normalized, out), label=label)
 
 
 # --- invariant reductions -------------------------------------------------

@@ -53,16 +53,13 @@ from .expr import (
     S,
     as_ratform,
     collect_poly,
-    differentiate,
     free_symbols,
-    is_zero_expr,
     mul,
     normal_expression,
     normalize,
     poly_atom,
     poly_const,
     substitution,
-    substitute,
     _ONE_RF,
     _atom_sort_key,
     _coeff,
@@ -113,12 +110,6 @@ def generic_generator() -> GeneratorField:
     return GeneratorField(S.zeta, S.eta, S.theta, S.phi, S.lam, S.psi)
 
 
-def _profile_values(f_value: Expr) -> dict:
-    """The formal profile and its partials -> f_value and its partials."""
-    return {S.f: f_value, S.f_u: differentiate(f_value, S.u),
-            S.f_v: differentiate(f_value, S.v), S.f_w: differentiate(f_value, S.w)}
-
-
 def _check_profile(f_value: Expr):
     """The formal profile has partials in u, v and w only, so a profile whose
     normal form names any symbol but u, v, w and R is an ExprError."""
@@ -126,13 +117,6 @@ def _check_profile(f_value: Expr):
     if other:
         names = ", ".join(sorted(s.name for s in other))
         raise ExprError(f"a profile may name only u, v, w and R, not {names}")
-
-
-def resolve_f(e: Expr, f_value: Expr) -> Expr:
-    """Replace the formal profile and its partials by a concrete profile
-    in an expression (see `_check_profile`)."""
-    _check_profile(f_value)
-    return substitute(e, _profile_values(f_value))
 
 
 def _profile_forms(profile: RatForm, scale: RatForm = _ONE_RF) -> dict:
@@ -466,7 +450,8 @@ def f_constraints_from_group(gens):
 
 
 def verify_f(constraints, f_value: Expr) -> bool:
-    return all(is_zero_expr(resolve_f(c, f_value)) for c in constraints)
+    put = _put_profile(f_value)
+    return all(put(as_ratform(c)).num.is_zero() for c in constraints)
 
 
 # C(d+3, 3) + C(d+2, 3) slots at degree d >= 0.  As a fresh `check-f

@@ -1,6 +1,7 @@
 """Reference helpers that several test files share and no command needs:
-the jet symbols in order, generator arithmetic, the expression-tree route
-of the derivation (the oracle of the normal-form one), annihilation of
+the jet symbols in order, generator arithmetic, the profile put into an
+expression tree, the expression-tree route of the derivation (the oracle
+of the normal-form one), annihilation of
 determining equations by a concrete generator, and comparisons of field
 solutions.
 
@@ -61,6 +62,22 @@ def fields_equal(a: GeneratorField, b: GeneratorField) -> bool:
     return field_is_zero(sub_fields(a, b))
 
 
+# --- the profile put in on expression trees -----------------------------------
+
+
+def profile_values(f_value) -> dict:
+    """The formal profile and its partials -> f_value and its partials."""
+    return {S.f: f_value, S.f_u: differentiate(f_value, S.u),
+            S.f_v: differentiate(f_value, S.v), S.f_w: differentiate(f_value, S.w)}
+
+
+def resolve_f(e, f_value):
+    """Replace the formal profile and its partials by a concrete profile
+    in an expression tree, the profile checked as the program checks it."""
+    sy._check_profile(f_value)
+    return substitute(e, profile_values(f_value))
+
+
 # --- the expression-tree derivation -------------------------------------------
 #
 # X, pr X and D_i as (symbol, expression) pairs applied to expression trees,
@@ -108,7 +125,7 @@ def _tree_conditions(polys, f_value=None) -> list:
     seen = {}
     for p in polys:
         if f_value is not None:
-            p = as_ratform(sy.resolve_f(p.to_expression(), f_value)).num
+            p = as_ratform(resolve_f(p.to_expression(), f_value)).num
         if not p.is_zero():
             eq = p.monic()
             seen.setdefault(_poly_key(eq), eq)
@@ -139,7 +156,7 @@ def formal_substitution(gen: GeneratorField, f_value=None) -> dict:
     out = {sym: coeffs[idx] if var is None else differentiate(coeffs[idx], var)
            for sym, (idx, var) in sy._SLOT_MAP.items()}
     if f_value is not None:
-        out |= sy._profile_values(f_value)
+        out |= profile_values(f_value)
     return out
 
 
@@ -164,23 +181,18 @@ def solutions_equal(a, b) -> bool:
 
 def numeric_field_from_solution(sol):
     """Float evaluator (x, y, z) -> (u, v, w) of the exact field;
-    compile_numeric raises EvalError for a free symbol other than x, y, z
-    and the bound parameters."""
-    bindings = sol.binding_map()
-    params = sorted(bindings, key=lambda s: s.order)
-    args = [S.x, S.y, S.z] + params
-    fns = [compile_numeric(c, args) for c in sol.components()]
-    vals = [bindings[p] for p in params]
+    compile_numeric raises EvalError for a free symbol other than x, y, z."""
+    fns = [compile_numeric(c, [S.x, S.y, S.z]) for c in sol.components()]
 
     def evaluator(x, y, z):
-        return tuple(fn(x, y, z, *vals) for fn in fns)
+        return tuple(fn(x, y, z) for fn in fns)
 
     return evaluator
 
 
 def solutions_close(a, b, samples: int = 40, tol: float = 1e-9, seed: int = 0) -> bool:
-    """Numeric comparison on random points, each field evaluated under its
-    own bindings (transform chains bind distinct unit pairs)."""
+    """Numeric comparison of two fields free of parameters on random
+    points."""
     fa = numeric_field_from_solution(a)
     fb = numeric_field_from_solution(b)
     rng = random.Random(seed)

@@ -33,6 +33,7 @@ from reference import (
     annihilates,
     exact_translation_profile,
     ode_residuals,
+    resolve_f,
     solutions_equal,
 )
 
@@ -252,7 +253,7 @@ def test_criterion_08_profile_constraints(b7):
 def _on_manifold_ranks(system, sol, n_points=100, seed=0):
     """Numeric rank of the residual Jacobian (all 15 jet-space coordinates)
     at random points lifted from an exact solution."""
-    residuals = [symmetry.resolve_f(r, system.f_value) for r in system.residuals]
+    residuals = [resolve_f(r, system.f_value) for r in system.residuals]
     space = (S.x, S.y, S.z)
     variables = (*space, S.u, S.v, S.w, *JET_SYMBOLS)
     value_fns = [compile_numeric(c, list(space)) for c in sol.components()]
@@ -308,8 +309,8 @@ def maximal_rank_check(system, samples: int = 1) -> int:
     profile is put into the residuals and the elimination map first."""
     residuals, eliminate = system.residuals, system.eliminate
     if system.f_value is not None:
-        residuals = [symmetry.resolve_f(d, system.f_value) for d in residuals]
-        eliminate = {j: symmetry.resolve_f(e, system.f_value)
+        residuals = [resolve_f(d, system.f_value) for d in residuals]
+        eliminate = {j: resolve_f(e, system.f_value)
                      for j, e in eliminate.items()}
     variables = (S.x, S.y, S.z, S.u, S.v, S.w) + JET_SYMBOLS
     jacobian = [[differentiate(d, v) for v in variables] for d in residuals]

@@ -347,17 +347,19 @@ def test_decide_zero_modes():
 
 
 def test_decide_zero_skips_nan_samples():
-    # a parameter bound to NaN makes every sample NaN; none may count as zero
-    e = sin(S.x * S.eps) + S.x * exp(S.y * S.eps)
+    # e^(700+x) e^(700+y) overflows to inf at every sample, so each
+    # sample is inf - inf = NaN; none may count as zero
+    big = exp(700 + S.x) * exp(700 + S.y)
+    e = big * (2 + sin(S.z)) - big * (3 + cos(S.z))
     with pytest.raises(EvalError, match="enough valid sample points"):
-        decide_zero(e, bindings={S.eps: math.nan})
+        decide_zero(e)
 
 
 def test_decide_zero_worst_is_recomputed_from_the_seed():
     # exp(400 x) overflows for x near 2; those points are skipped, and the
     # worst of the rest equals a direct recomputation from the same draws
-    e = exp(400 * S.x) * sin(S.y) + S.eps
-    ok, mode, worst = decide_zero(e, samples=40, bindings={S.eps: 0.5})
+    e = exp(400 * S.x) * sin(S.y) + Fraction(1, 2)
+    ok, mode, worst = decide_zero(e, samples=40)
     rng = random.Random(0)  # the seed decide_zero draws with
     values, skipped = [], 0
     while len(values) < 40:
@@ -368,6 +370,17 @@ def test_decide_zero_worst_is_recomputed_from_the_seed():
             skipped += 1
     assert skipped > 0
     assert (ok, mode, worst) == (False, "numeric", max(values))
+
+
+def test_decide_zero_samples_a_unit_pair_on_its_circle():
+    # sqrt(1+x^2)^2 keeps an opaque atom in the normal form, so e is
+    # sampled; (a^2 + b^2 - 1) y vanishes on the circle, and a and b drawn
+    # apart once read 9.9
+    e = sqrt(1 + S.x ** 2) ** 2 - S.x ** 2 - 1 + (S.a ** 2 + S.b ** 2 - 1) * S.y
+    ok, mode, worst = decide_zero(e, samples=40)
+    assert (ok, mode) == (True, "numeric") and worst <= 1e-12
+    ok, mode, _ = decide_zero(e + (S.a - S.b) * S.y, samples=40)
+    assert (ok, mode) == (False, "numeric")
 
 
 # --- parser and printer ------------------------------------------------------
@@ -777,8 +790,16 @@ def test_registry_fresh_symbols():
     a2, b2 = REGISTRY.fresh_unit_pair()
     assert is_zero_expr(a2 ** 2 + b2 ** 2 - 1)
     assert a2.name not in before and b2.name not in before
-    p = REGISTRY.fresh_parameter()
-    assert p.name not in before
+    # the one path that registers symbols: a rotation at a symbolic eps of
+    # a field that already holds a and b takes a fresh pair (a number
+    # enters as an exact rational and registers none)
+    from curlsym.solutions import B1, transform
+
+    held = transform(B1, 2, S.eps)
+    before = set(REGISTRY.by_name)
+    transform(held, 1, S.eps)
+    added = set(REGISTRY.by_name) - before
+    assert len(added) == 2 and all(n[0] in "ab" for n in added)
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,6 +13,7 @@ from curlsym.expr import (
     EvalError,
     Expr,
     Num,
+    ParseError,
     S,
     compile_numeric,
     decide_zero,
@@ -172,12 +173,44 @@ def test_group_law_rotation_numeric():
     assert solutions_close(twice2, once2)
 
 
-def test_numeric_eps_binds_unit_pair():
+def test_numeric_eps_rotates_by_an_exact_point_on_the_unit_circle():
     t = transform(B1, 2, 0.3)
-    binds = t.binding_map()
-    assert len(binds) == 2
-    vals = sorted(binds.values())
-    assert vals == sorted((math.cos(0.3), math.sin(0.3)))
+    assert t.bindings == ()
+    # the point is rational, exactly on the circle, at the angle 0.3
+    tan = Fraction(math.tan(0.15))
+    a, b = (1 - tan**2) / (1 + tan**2), 2 * tan / (1 + tan**2)
+    assert a**2 + b**2 == 1
+    assert math.isclose(math.atan2(b, a), 0.3, rel_tol=0, abs_tol=1e-15)
+    symbolic = transform(B1, 2, S.eps)
+    at = {S.a: Num(a), S.b: Num(b)}
+    assert solutions_equal(t, FieldSolution(*(substitute(c, at)
+                                              for c in symbolic.components())))
+
+
+def test_numeric_transforms_leave_no_parameter_to_parse():
+    # `test_transform_matches_the_reference` checks that a number adds no
+    # symbol; eps2 was the first one a numeric translation once added
+    for family in range(1, 8):
+        transform(B1, family, 0.4)
+    with pytest.raises(ParseError):
+        parse("eps2")
+
+
+def test_rotated_field_at_a_number_has_exactly_unit_magnitude():
+    t = transform(B1, 2, 0.4)
+    assert magnitude_squared(t) == Num(1)
+    assert verify_solution_residuals(t, "blair").modes == ("symbolic",) * 4
+
+
+def test_unit_pair_is_sampled_on_its_circle():
+    # sqrt(1+x^2)/sqrt(1+x^2) keeps the residuals opaque, so they are
+    # sampled; a and b drawn apart, off their circle, once read 4.4
+    f = parse("sin(z)*sqrt(1+x^2)/sqrt(1+x^2)")
+    sol = FieldSolution(f, parse("cos(z)"), parse("0"), label="F")
+    for family in (1, 2, 3):
+        check = verify_solution_residuals(transform(sol, family, S.eps), "blair")
+        assert check.ok, (family, check.displays)
+        assert "numeric" in check.modes
 
 
 def test_exact_rational_eps_stays_exact_for_translation():
@@ -207,36 +240,29 @@ def test_bad_family_index():
         transform(B1, 8, 0.1)
 
 
-def _is_exact_zero(eps) -> bool:
-    if isinstance(eps, Num):
-        return eps.val == 0
-    if isinstance(eps, numbers.Real):
-        return float(eps) == 0.0
-    return False
-
-
 def _reference_transform(sol, family, eps):
-    """The reference transform: each family kind decides for itself whether
-    eps is zero, a number or an expression, and looks its axes up by name."""
+    """The reference transform, written out per family kind with its axes
+    looked up by name, and with a shortcut at eps = 0 that the program does
+    not take.  A number is the exact rational Fraction(eps); a rotation by
+    one takes (cos, sin) of it as the rational point of t = tan(eps/2)."""
     comps = sol.components()
-    new_bindings = list(sol.bindings)
     suffix = f"{sol.label or 'field'}~{family}"
+    value = None
+    if isinstance(eps, Num):
+        value = Fraction(eps.val)
+    elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
+        value = Fraction(eps)
 
     if family in (1, 2, 3):
         names = {1: ("x", "y"), 2: ("y", "z"), 3: ("x", "z")}[family]
         ax1, ax2 = (REGISTRY.by_name[n] for n in names)
         i1 = ("x", "y", "z").index(ax1.name)
         i2 = ("x", "y", "z").index(ax2.name)
-        num_val = None
-        if isinstance(eps, Num):
-            num_val = float(eps.val)
-        elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
-            num_val = float(eps)
-        if _is_exact_zero(eps):
+        if value == 0:
             ca, sb = Num(Fraction(1)), Num(Fraction(0))
-        elif num_val is not None:
-            ca, sb = solutions._unit_pair_for(sol)
-            new_bindings += [(ca, math.cos(num_val)), (sb, math.sin(num_val))]
+        elif value is not None:
+            t = Fraction(math.tan(float(value) / 2))
+            ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
         else:
             ca, sb = solutions._unit_pair_for(sol)
         sigma = {ax1: ca * ax1 + sb * ax2, ax2: -sb * ax1 + ca * ax2}
@@ -246,29 +272,15 @@ def _reference_transform(sol, family, eps):
         out[i2] = sb * rotated[i1] + ca * rotated[i2]
     elif family in (4, 5, 6):
         axis = REGISTRY.by_name[{4: "x", 5: "y", 6: "z"}[family]]
-        if _is_exact_zero(eps):
-            shift = Num(Fraction(0))
-        elif isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
-            shift = REGISTRY.fresh_parameter()
-            new_bindings.append((shift, float(eps)))
-        else:
-            shift = eps
+        shift = eps if value is None else Num(value)
         out = [substitute(c, {axis: axis - shift}) for c in comps]
     else:
-        if _is_exact_zero(eps):
-            k = Num(Fraction(1))
-        else:
-            if isinstance(eps, numbers.Real) and not isinstance(eps, Expr):
-                par = REGISTRY.fresh_parameter()
-                new_bindings.append((par, float(eps)))
-            else:
-                par = eps
-            k = exp(neg(par))
+        k = Num(1) if value == 0 else exp(neg(eps if value is None else Num(value)))
         sigma = {S.x: k * S.x, S.y: k * S.y, S.z: k * S.z}
         out = [k * substitute(c, sigma) for c in comps]
 
     out = [solutions._normalized(c) for c in out]
-    return FieldSolution(out[0], out[1], out[2], tuple(new_bindings), suffix)
+    return FieldSolution(out[0], out[1], out[2], label=suffix)
 
 
 def _added_symbols(fn, *args):
@@ -278,7 +290,7 @@ def _added_symbols(fn, *args):
     return out, [s for n, s in REGISTRY.by_name.items() if n not in before]
 
 
-# the numbers include a `Num`, which the rotations bind like a float
+# the numbers include a `Num`, which enters as an exact rational like the rest
 _DIFF_EPS = {
     "0": 0, "0.0": 0.0, "Fraction(0)": Fraction(0), "Num(0)": Num(Fraction(0)),
     "0.4": 0.4, "Num(1/2)": Num(Fraction(1, 2)),
@@ -286,25 +298,27 @@ _DIFF_EPS = {
 }
 
 
-@pytest.mark.parametrize("source", ["B1", "B2", "B1~2"])
+@pytest.mark.parametrize("source", ["B1", "B2", "B1~2", "B1~2(eps)"])
 @pytest.mark.parametrize("eps_id", list(_DIFF_EPS))
 @pytest.mark.parametrize("family", range(1, 8))
 def test_transform_matches_the_reference(family, eps_id, source):
-    # B1~2 at 0.3 already holds a and b, so the rotations take a fresh pair
-    sol = transform(B1, 2, 0.3) if source == "B1~2" else BUILTIN_SOLUTIONS[source]
+    # B1~2 at 0.3 holds rationals only; B1~2 at eps holds a and b, so a
+    # rotation at a symbolic eps takes a fresh pair
+    sol = {"B1~2": lambda: transform(B1, 2, 0.3),
+           "B1~2(eps)": lambda: transform(B1, 2, S.eps)}.get(
+               source, lambda: BUILTIN_SOLUTIONS[source])()
     eps = _DIFF_EPS[eps_id]
     want, want_new = _added_symbols(_reference_transform, sol, family, eps)
     got, got_new = _added_symbols(transform, sol, family, eps)
     assert got.label == want.label
+    assert got.bindings == ()
     assert len(got_new) == len(want_new)
-    if isinstance(eps, Expr) and not isinstance(eps, Num):
-        # each call allocates its own free unit pair; compare under one name
-        rename = dict(zip(got_new, want_new))
-        got = FieldSolution(*(substitute(c, rename) for c in got.components()))
-        assert solutions_equal(got, want)
-    else:
-        assert sorted(got.binding_map().values()) == sorted(want.binding_map().values())
-        assert solutions_close(got, want)
+    if not isinstance(eps, Expr) or isinstance(eps, Num):
+        assert got_new == []
+    # each call allocates its own fresh unit pair; compare under one name
+    rename = dict(zip(got_new, want_new))
+    got = FieldSolution(*(substitute(c, rename) for c in got.components()))
+    assert solutions_equal(got, want)
 
 
 # --- reductions -------------------------------------------------------------

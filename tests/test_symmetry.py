@@ -43,6 +43,7 @@ from reference import (
     add_fields,
     annihilates,
     formal_substitution,
+    resolve_f,
     scale_field,
     tree_determining_polys,
 )
@@ -59,8 +60,8 @@ def _resolved_reference(system):
     prolonged residuals carry the profile's own denominators."""
     f = system.f_value
     return sy.PdeSystem(
-        residuals=tuple(sy.resolve_f(r, f) for r in system.residuals),
-        eliminate={j: sy.resolve_f(e, f) for j, e in system.eliminate.items()},
+        residuals=tuple(resolve_f(r, f) for r in system.residuals),
+        eliminate={j: resolve_f(e, f) for j, e in system.eliminate.items()},
         free_jets=system.free_jets,
         f_value=None,
     )

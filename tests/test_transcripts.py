@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 72
-invocations, 71 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 73
+invocations, 72 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -15,7 +15,9 @@ invocations, 71 of them distinct, run in-process through `cli.main`:
 * the paths of the one derivation that no run above prints: the
   determining systems with f = R put in (`curl-absB` and `blair`, as text
   and as `--json`), a failing generator with a rational coefficient, whose
-  first failing residual prints, and the profile family at degree 4.
+  first failing residual prints, and the profile family at degree 4;
+* a rotation at the symbolic `--eps eps` of a field whose residuals are
+  sampled, so the unit pair (a, b) is drawn on its circle.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -67,10 +69,12 @@ _README = [
     "check-f --expr u",
     "check-f --solve-family",
 ]
-# the generator files of the --expr-file lines: the README's, the rotation
-# about z, and one with a rational coefficient that is no symmetry
-_GENERATOR_FILES = {"my_generator.txt": "-y\nx\n0\n-v\nu\n0\n",
-                    "rational_generator.txt": "x/(1+y^2)|0|0|u*y|0|0\n"}
+# the input files: the generators of the --expr-file lines, the README's,
+# the rotation about z, and one with a rational coefficient that is no
+# symmetry; and B1 with an opaque factor sqrt(1+x^2)/sqrt(1+x^2)
+_INPUT_FILES = {"my_generator.txt": "-y\nx\n0\n-v\nu\n0\n",
+                "rational_generator.txt": "x/(1+y^2)|0|0|u*y|0|0\n",
+                "opaque_field.txt": "sin(z)*sqrt(1+x^2)/sqrt(1+x^2)\ncos(z)\n0\n"}
 
 _README_RUNS = [shlex.split(c) + j for c in _README for j in ([], ["--json"])]
 _TRANSFORM_RUNS = [
@@ -90,9 +94,14 @@ _DERIVATION_RUNS = [
      "--system", "curl-absB"],
     ["check-f", "--solve-family", "--degree", "4"],
 ]
+_SAMPLED_RUNS = [
+    ["verify-solution", "--sol", "opaque_field.txt", "--system", "blair",
+     "--transform", "1", "--eps", "eps"],
+]
 INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
     shlex.join(a)
-    for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS)]
+    for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS
+    + _SAMPLED_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -160,15 +169,15 @@ def load_corpus() -> dict:
     return blocks
 
 
-def _write_generator_files(d: Path):
-    for name, text in _GENERATOR_FILES.items():
+def _write_input_files(d: Path):
+    for name, text in _INPUT_FILES.items():
         (d / name).write_text(text)
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("transcripts")
-    _write_generator_files(d)
+    _write_input_files(d)
     return d
 
 
@@ -179,7 +188,8 @@ def corpus():
 
 def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
-            len(_DERIVATION_RUNS), len(INVOCATIONS)) == (34, 28, 4, 6, 71)
+            len(_DERIVATION_RUNS), len(_SAMPLED_RUNS),
+            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 72)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
@@ -198,7 +208,7 @@ def test_command_prints_its_transcript(argv, workdir, corpus):
 def write_corpus():
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
-        _write_generator_files(d)
+        _write_input_files(d)
         text = "\n".join(run_in(d, argv) for argv in INVOCATIONS)
     CORPUS.write_text("# generated by: PYTHONPATH=src python tests/test_transcripts.py"
                       " --write\n\n" + text)
