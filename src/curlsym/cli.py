@@ -13,6 +13,7 @@ to exit 4.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -836,4 +837,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Everything still alive lives until exit: frozen, it is skipped by the
+    # interpreter's shutdown collections, which would otherwise traverse the
+    # whole heap only to free nothing.  Not inside main(), which the tests
+    # call in-process.
+    gc.freeze()
+    sys.exit(code)

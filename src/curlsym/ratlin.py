@@ -18,6 +18,15 @@ updated whenever a pivot row changes, names the rows a new pivot clears,
 so each step costs what the rows it touches hold, not the pivot count;
 `nullspace` reads each free column's entries off the same index.
 
+A pivot row that holds one entry (a unit pivot) is a unit vector, so a
+row reduces against it just by losing its entry in that column; the
+ansatz rows make many of them.  So no combination is spent on one: an
+arriving row drops its entries in the unit-pivot columns before it is
+made integer (a row left empty is skipped), a new unit pivot clears its
+column from the other pivot rows by deleting the entry and removing the
+content, and a pivot row that shrinks to one entry becomes a unit pivot
+itself.  This gives the RREF the combinations would give.
+
 A matrix has exactly one RREF, whose pivot columns are the leading columns
 of the row space whatever the row order, so `rref`, `rank` and the
 primitive `nullspace` vectors (coprime integers, first nonzero positive)
@@ -54,10 +63,11 @@ def _content_free(row):
     return {j: e // g for j, e in row.items()} if g > 1 else row
 
 
-def _integer(row):
-    """A positive multiple of the row as a primitive integer dict; a row of
-    ints, as every ansatz row is, needs no common denominator."""
-    out = {j: e for j, e in _items(row) if e}
+def _integer(row, drop=frozenset()):
+    """A positive multiple of the row, its entries in the columns `drop`
+    left out, as a primitive integer dict; a row of ints, as every ansatz
+    row is, needs no common denominator."""
+    out = {j: e for j, e in _items(row) if e and j not in drop}
     try:
         return _content_free(out)
     except TypeError:  # gcd of a Fraction
@@ -87,29 +97,40 @@ def _reduce(rows, ncols=inf):
     columns whose row holds it} of the columns below `ncols` that hold no
     pivot.  Pivots lie below column `ncols`; a row that has no entry there
     after reduction is dropped."""
-    pivots, index = {}, {}
+    pivots, index, units = {}, {}, set()
     for row in rows:
-        row = _integer(row)
+        row = _integer(row, units)
+        if not row:
+            continue
         for c in [c for c in row if c in pivots]:
             row = _combine(row, pivots[c], c)
-        lead = min((j for j in row if j < ncols), default=None)
-        if lead is None:
+        lead = min(row, default=ncols)
+        if lead >= ncols:
             continue
         if row[lead] < 0:
             row = {j: -e for j, e in row.items()}
+        unit = len(row) == 1
         for c in index.pop(lead, ()):
             old = pivots[c]
-            pivots[c] = new = _combine(old, row, lead)
-            for j in old.keys() - new.keys():
-                if j != lead and j < ncols:
-                    index[j].discard(c)
-            for j in new.keys() - old.keys():
-                if j < ncols:
-                    index.setdefault(j, set()).add(c)
+            if unit:  # the entry is a multiple of the new row: delete it
+                new = _content_free({j: e for j, e in old.items() if j != lead})
+            else:
+                new = _combine(old, row, lead)
+                for j in old.keys() - new.keys():
+                    if j != lead and j < ncols:
+                        index[j].discard(c)
+                for j in new.keys() - old.keys():
+                    if j < ncols:
+                        index.setdefault(j, set()).add(c)
+            pivots[c] = new
+            if len(new) == 1:
+                units.add(c)
         for j in row:
             if j != lead and j < ncols:
                 index.setdefault(j, set()).add(lead)
         pivots[lead] = row
+        if unit:
+            units.add(lead)
     return pivots, index
 
 

@@ -197,6 +197,28 @@ def _normalized(e: Expr) -> Expr:
         return e
 
 
+def _simplest_between(lo: Fraction, hi) -> Fraction:
+    """The rational with the smallest denominator strictly between lo and
+    hi, for 0 <= lo < hi or lo < 0 < hi, hi None for infinity: the
+    continued-fraction descent of the Stern-Brocot tree."""
+    n = math.floor(lo) + 1
+    if hi is None or n < hi:
+        return Fraction(n)
+    n -= 1  # n <= lo < hi <= n + 1, so the answer is n + 1/r, r > 1
+    return n + 1 / _simplest_between(1 / (hi - n),
+                                     None if lo == n else 1 / (lo - n))
+
+
+def _simplest_rounding_to(x: float) -> Fraction:
+    """The simplest rational strictly inside the interval of the reals that
+    round to x, so that float() of it is x again."""
+    if x < 0:
+        return -_simplest_rounding_to(-x)
+    lo, hi = ((Fraction(x) + Fraction(math.nextafter(x, to))) / 2
+              for to in (-math.inf, math.inf))
+    return _simplest_between(lo, hi)
+
+
 def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     """Apply one of the seven one-parameter families at group parameter eps.
 
@@ -208,9 +230,11 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     families 4-6 translate axis family - 4 by eps, and family 7 scales by
     e^-eps.  For a symbolic eps the rotation keeps (a, b) free, a fresh
     pair if the field already holds a and b.  For a number it takes the
-    rational point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), t = Fraction of
-    the float tan(eps/2): the point lies exactly on the unit circle, so
-    the rotation is exactly orthogonal, and its angle is eps up to the
+    rational point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), t the simplest
+    rational that rounds to the float tan(eps/2) (at eps = 0.3, 0.4, 1
+    and 2.5 its denominator has 11, 9, 9 and 9 digits, the float's own
+    17, 16, 16 and 15): the point lies exactly on the unit circle, so the
+    rotation is exactly orthogonal, and its angle is eps up to the
     rounding of one float.
     """
     if family not in range(1, 8):
@@ -222,7 +246,7 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     comps = sol.components()
     if family <= 3:
         if isinstance(eps, Fraction):
-            t = Fraction(math.tan(eps / 2))
+            t = _simplest_rounding_to(math.tan(eps / 2))
             ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
         else:
             ca, sb = _unit_pair_for(sol)

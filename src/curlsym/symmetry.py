@@ -358,9 +358,9 @@ def _slot_polys(slots, vec, nparts: int) -> list:
 
 
 # 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
-# degree 7 (10,296 slots) takes 0.8-1.2 s and 28 MB; degree 8 (18,018)
-# takes 1.2-2.4 s and 36 MB, past the cost of degree 6 before the column
-# index (1.1-1.7 s, 41 MB)
+# degree 7 (10,296 slots) takes 0.35-0.6 s and 28 MB; degree 8 (18,018),
+# with the bound lifted, takes 0.55-0.85 s and 34-35 MB.  Raising the
+# bound changes which degrees run, an output change of its own.
 MAX_ANSATZ_SLOTS = 12_000
 
 
@@ -399,6 +399,9 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
                     yield ci * len(monos) + k, {(rest, b + p): c * expo[var]
                                                 for rest, b, c in split}
 
+    # the shortest conditions first, so that their one-entry rows are unit
+    # pivots before the long rows arrive
+    eqs = sorted(eqs, key=lambda eq: len(eq.terms))
     vectors = _slot_nullspace(map(condition, eqs), len(slots))
     gens = [GeneratorField(*[p.to_expression() for p in _slot_polys(slots, vec, 6)])
             for vec in vectors]

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import json
 import os
 import runpy
@@ -828,6 +829,29 @@ def test_reduce_translation_stdout_table(capsys):
     )
     assert code == cli.EXIT_OK
     assert "z,g,h" in out
+
+
+def test_only_the_process_exit_freezes_the_heap(capsys, tmp_path):
+    # `python -m curlsym.cli` freezes the heap once main() has returned, so
+    # the shutdown collections skip it; main() itself never does
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "reduce", "--kind", "translation", "--step", "0.5",
+                     "--out", str(tmp_path / "small.csv"))
+    assert code == cli.EXIT_OK
+    assert gc.get_freeze_count() == before
+    # and the frozen exit still writes the whole table and envelope
+    out_path = tmp_path / "table.csv"
+    proc = run_fresh("reduce", "--kind", "translation", "--out", str(out_path),
+                     "--json", timeout=60)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+    assert proc.stdout.endswith("}\n")
+    doc = json.loads(proc.stdout)
+    jsonschema.validate(doc, cli.JSON_SCHEMA)
+    assert (doc["exit_code"], doc["ok"]) == (cli.EXIT_OK, True)
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "z,g,h"
+    assert len(lines) == 1 + doc["data"]["rows"] == 6286
+    assert lines[-1].startswith("6.28318530718,")
 
 
 def test_reduce_rotation_reconstruction(capsys):

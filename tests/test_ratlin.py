@@ -201,8 +201,32 @@ def rational_matrices(draw):
     return rows
 
 
+@st.composite
+def unit_pivot_matrices(draw):
+    """Integer matrices up to 12 wide whose rows mostly hold one entry.  The
+    others are short rows, and rows that hold one entry plus a combination
+    of other rows, so that they reduce to one entry only after clearing; in
+    any order, some pivot rows shrink to one entry only when a later row
+    clears them."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    column = st.integers(0, ncols - 1)
+    entry = st.integers(-4, 4).filter(bool)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from("1112+"), min_size=1, max_size=2 * ncols)):
+        row = [0] * ncols
+        for j in draw(st.sets(column, min_size=1, max_size=3 if kind == "2" else 1)):
+            row[j] = draw(entry)
+        if kind == "+" and rows:
+            for other, f in draw(st.lists(st.tuples(st.sampled_from(rows), entry),
+                                          min_size=1, max_size=2)):
+                row = [a + f * b for a, b in zip(row, other)]
+        rows.append(row)
+    rows.append([0] * ncols)
+    return draw(st.permutations(rows))
+
+
 @settings(max_examples=150, deadline=None)
-@given(rational_matrices(), st.data())
+@given(st.one_of(rational_matrices(), unit_pivot_matrices()), st.data())
 def test_core_matches_the_reference_elimination_in_any_row_order(matrix, data):
     want_rows, want_pivots = reference_rref(matrix)
     want_ns = reference_nullspace(matrix)
@@ -275,7 +299,8 @@ def scan_reduce(rows, ncols=inf):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(rational_matrices(), sparse_matrices()), st.data())
+@given(st.one_of(rational_matrices(), sparse_matrices(), unit_pivot_matrices()),
+       st.data())
 def test_indexed_reduce_matches_the_scan_and_indexes_its_rows(matrix, data):
     ncols = data.draw(st.integers(1, len(matrix[0])))
     pivots, index = ratlin._reduce(matrix, ncols)
@@ -305,3 +330,37 @@ def test_slot_nullspace_hands_the_core_an_iterator(monkeypatch):
     assert sy._slot_nullspace(iter(conditions), 3) == [[1, -1, -1]]
     [matrix] = seen
     assert not isinstance(matrix, (list, tuple)) and iter(matrix) is matrix
+
+
+def _combine_pivot_sizes(run):
+    """The entry count of the pivot row of each `_combine` call in run()."""
+    sizes = []
+    real = ratlin._combine
+
+    def spy(row, prow, c):
+        sizes.append(len(prow))
+        return real(row, prow, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlin, "_combine", spy)
+        run()
+    return sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rational_matrices(), unit_pivot_matrices()))
+def test_no_combination_meets_a_one_entry_pivot_row(matrix):
+    ncols = len(matrix[0])
+    sizes = _combine_pivot_sizes(lambda: (
+        rref(matrix), rank(iter(matrix)), nullspace(as_sparse(matrix), ncols)))
+    assert 1 not in sizes
+
+
+@pytest.mark.parametrize("make_system", [sy.curl_system, sy.blair_system])
+def test_degree_3_ansatz_combines_no_one_entry_pivot_row(make_system):
+    sizes = _combine_pivot_sizes(
+        lambda: sy.solve_polynomial_ansatz(make_system(S.R), 3))
+    assert 1 not in sizes
+    # combining against one-entry rows took 4,633 (curl-absB) and 7,011
+    # (blair) calls; deleting their entries leaves 826 and 613
+    assert len(sizes) < 1000

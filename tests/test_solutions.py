@@ -3,9 +3,11 @@
 import json
 import math
 import numbers
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curlsym import solutions
 from curlsym.expr import (
@@ -177,7 +179,8 @@ def test_numeric_eps_rotates_by_an_exact_point_on_the_unit_circle():
     t = transform(B1, 2, 0.3)
     assert t.bindings == ()
     # the point is rational, exactly on the circle, at the angle 0.3
-    tan = Fraction(math.tan(0.15))
+    tan = _simplest_rounding_to(math.tan(0.15))
+    assert float(tan) == math.tan(0.15)
     a, b = (1 - tan**2) / (1 + tan**2), 2 * tan / (1 + tan**2)
     assert a**2 + b**2 == 1
     assert math.isclose(math.atan2(b, a), 0.3, rel_tol=0, abs_tol=1e-15)
@@ -240,11 +243,80 @@ def test_bad_family_index():
         transform(B1, 8, 0.1)
 
 
+def _simplest_inside(lo, hi):
+    """The Stern-Brocot walk from 0/1 and 1/0 to the first mediant strictly
+    between lo and hi, 0 <= lo < hi, each run of steps to one side taken at
+    once: the reference for the program's continued-fraction descent."""
+    (p0, q0), (p1, q1) = (0, 1), (1, 0)
+    while True:
+        p, q = p0 + p1, q0 + q1
+        if p <= lo * q:  # the left end moves right while it stays <= lo
+            k = math.floor((lo * q0 - p0) / (p1 - lo * q1))
+            p0, q0 = p0 + k * p1, q0 + k * q1
+        elif p >= hi * q:  # the right end moves left while it stays >= hi
+            k = math.floor((p1 - hi * q1) / (hi * q0 - p0))
+            p1, q1 = p1 + k * p0, q1 + k * q0
+        else:
+            return Fraction(p, q)
+
+
+def _simplest_rounding_to(x):
+    """The simplest rational strictly inside the interval of the reals that
+    round to the float x."""
+    lo, hi = ((Fraction(x) + Fraction(math.nextafter(x, to))) / 2
+              for to in (-math.inf, math.inf))
+    if lo < 0 < hi:
+        return Fraction(0)
+    return _simplest_inside(lo, hi) if lo >= 0 else -_simplest_inside(-hi, -lo)
+
+
+def _brute_simplest(lo, hi):
+    """The first p/q strictly between lo and hi, q counting up from 1."""
+    q = 1
+    while (p := math.floor(lo * q) + 1) >= hi * q:
+        q += 1
+    return Fraction(p, q)
+
+
+_small_fractions = st.builds(Fraction, st.integers(0, 60), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_fractions, _small_fractions)
+def test_simplest_rational_between_two_bounds(lo, hi):
+    lo, hi = sorted((lo, hi))
+    if lo == hi:
+        hi += Fraction(1, 13)
+    want = _brute_simplest(lo, hi)
+    assert solutions._simplest_between(lo, hi) == _simplest_inside(lo, hi) == want
+    assert lo < want < hi
+
+
+@pytest.mark.parametrize("eps, digits", [(0.3, 11), (0.4, 9), (1.0, 9), (2.5, 9),
+                                         (-0.4, 9), (0.0, 1), (6.0, 10)])
+def test_rotation_point_is_the_simplest_rational_of_the_float(eps, digits):
+    # Fraction(tan(eps/2)) itself has 15-17 digits below the bar at the
+    # first four
+    x = math.tan(eps / 2)
+    t = solutions._simplest_rounding_to(x)
+    assert t == _simplest_rounding_to(x)
+    assert float(t) == x
+    assert len(str(t.denominator)) == digits
+
+
+def test_chained_rotations_print_short_integers():
+    # with t = Fraction(tan(eps/2)) the longest integer had 66 digits
+    field = transform(transform(B1, 2, 0.3), 2, 0.4)
+    text = " ".join(to_string(c) for c in field.components())
+    assert max(len(d) for d in re.findall(r"\d+", text)) <= 40
+
+
 def _reference_transform(sol, family, eps):
     """The reference transform, written out per family kind with its axes
     looked up by name, and with a shortcut at eps = 0 that the program does
     not take.  A number is the exact rational Fraction(eps); a rotation by
-    one takes (cos, sin) of it as the rational point of t = tan(eps/2)."""
+    one takes (cos, sin) of it as the rational point of t, the simplest
+    rational that rounds to the float tan(eps/2)."""
     comps = sol.components()
     suffix = f"{sol.label or 'field'}~{family}"
     value = None
@@ -261,7 +333,7 @@ def _reference_transform(sol, family, eps):
         if value == 0:
             ca, sb = Num(Fraction(1)), Num(Fraction(0))
         elif value is not None:
-            t = Fraction(math.tan(float(value) / 2))
+            t = _simplest_rounding_to(math.tan(float(value) / 2))
             ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
         else:
             ca, sb = solutions._unit_pair_for(sol)

@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 73
-invocations, 72 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 152
+invocations, 151 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -17,7 +17,9 @@ invocations, 72 of them distinct, run in-process through `cli.main`:
   and as `--json`), a failing generator with a rational coefficient, whose
   first failing residual prints, and the profile family at degree 4;
 * a rotation at the symbolic `--eps eps` of a field whose residuals are
-  sampled, so the unit pair (a, b) is drawn on its circle.
+  sampled, so the unit pair (a, b) is drawn on its circle;
+* the bad inputs of `tests/test_cli.py` that exit 4 with one line of
+  stderr from `main`, and the files they read.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -98,10 +100,92 @@ _SAMPLED_RUNS = [
     ["verify-solution", "--sol", "opaque_field.txt", "--system", "blair",
      "--transform", "1", "--eps", "eps"],
 ]
+# the bad inputs of tests/test_cli.py that reach main's one-line error,
+# with the files they read; not argparse's own errors, which exit before
+# main returns, a malformed fixture, which needs the fixtures patched, nor
+# a field nested too deeply, whose error names an offset that depends on
+# the caller's stack depth
+_BAD_INPUT_FILES = {
+    "short_generator.txt": "1\n0\n0\n",
+    "sqrt_generator.txt": "sqrt(x)|0|0|0|0|0\n",
+    "zero_denominator_generator.txt": "1/(x - x)|0|0|0|0|0\n",
+    "coefficient_generator.txt": "zeta|0|0|0|0|0\n",
+    "profile_generator.txt": "f|0|0|0|0|0\n",
+    "partial_generator.txt": "0|eps*eta_u|0|0|0|0\n",
+    "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
+    "zero_denominator_field.txt": "1/(x-x)\n0\n0\n",
+    "jet_field.txt": "u_x\n0\n0\n",
+    "component_field.txt": "x*v\n0\n0\n",
+    "radical_field.txt": "0\n0\nR\n",
+    "profile_field.txt": "f*x\n0\n0\n",
+    "coefficient_field.txt": "x\nzeta\n0\n",
+    "partial_field.txt": "x\neps*zeta_u\n0\n",
+    "two_component_field.txt": "sin(z)\ncos(z)\n",
+    "unbalanced_field.txt": "sin(z)\ncos(z\n0\n",
+    "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n",
+}
+_INPUT_FILES.update(_BAD_INPUT_FILES)
+_BAD_INPUT_RUNS = [shlex.split(c) for c in [
+    "determining --system blair --compare-fixture determining",
+    "determining --system curl-f --compare-fixture bogus",
+    "solve-ansatz --system curl-f --degree 2",
+    "solve-ansatz --system blair --degree -1",
+    "solve-ansatz --system blair --degree 40",
+    "verify-generator --gen X11",
+    "verify-generator --gen foo",
+    "verify-generator --gen X1 --expr-file constant_generator.txt",
+    "verify-generator",
+    *(f"verify-generator --expr-file {name}" for name in _BAD_INPUT_FILES
+      if name.endswith("_generator.txt") and name != "constant_generator.txt"),
+    *(f"verify-solution --sol {name}" for name in _BAD_INPUT_FILES
+      if name.endswith("_field.txt") and name != "sampled_field.txt"),
+    *(f"verify-solution --sol sampled_field.txt --system blair {flags}"
+      for flags in ("--samples 0", "--samples -2", "--tol nan", "--tol inf",
+                    "--tol=-1e-9")),
+    "verify-solution --sol B1 --system blair --transform 2 --eps nan",
+    "verify-solution --sol B1 --system blair --transform 4 --eps inf",
+    "verify-solution --sol B2 --system curl-absB --transform 7 --eps nan",
+    "verify-solution --sol B2 --system curl-absB --transform 4 --eps x",
+    "verify-solution --sol B1 --system blair --transform 7 --eps u_x",
+    "verify-solution --sol B1 --system blair --transform 6 --eps R",
+    "verify-solution --sol B1 --system blair --transform 4 --eps '1/(x-x)'",
+    "verify-solution --sol B1 --transform 9 --eps 0.1",
+    "verify-solution --sol B1 --transform 2",
+    "verify-solution --sol B1 --eps 0.3",
+    "adjoint --basis b7 --numeric --eps nan --json",
+    "adjoint --basis b7 --numeric --eps inf --json",
+    "adjoint --basis b7 --numeric --eps 1e6 --json",
+    "reduce --kind rotation --samples 0",
+    "reduce --kind rotation --step 2e-2 --tol nan",
+    "reduce --kind rotation --tol -1",
+    "reduce --kind translation --ic nan 1",
+    "reduce --kind translation --range 0 inf",
+    "reduce --kind translation --range 0.01 nan",
+    "reduce --kind translation --step nan",
+    "reduce --kind translation --step 5e-324 --range 0 1",
+    "reduce --kind translation --step 1e-300 --range 0 1e-290",
+    "reduce --kind translation --ic 1e200 0",
+    "reduce --kind rotation --range 0 3",
+    *(f"reduce --kind rotation --ic {ic} 0{j}" for ic in ("0", "1e-200")
+      for j in ("", " --json")),
+    *(f"reduce --kind rotation --range 1 1.001 --step 1e-4{j}"
+      for j in ("", " --json")),
+    *(f"check-f --expr {e}" for e in (
+        "X1", "'sqrt(x)'", "'1/(u-u)'", "'x*R'", "'R*y'", "zeta", "f", "u_x",
+        "'(('", "'sqrt(1+exp(u))'")),
+    "check-f --solve-family --degree -1",
+    "check-f --solve-family --degree 10",
+    "check-f --solve-family --degree 1000000000",
+    "check-f",
+    *(f"{c}{j}" for c in ("check-f --expr u --solve-family",
+                          "check-f --expr R --degree 3",
+                          "adjoint --basis b7 --eps 0.5")
+      for j in ("", " --json")),
+]]
 INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
     shlex.join(a)
     for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS
-    + _SAMPLED_RUNS)]
+    + _SAMPLED_RUNS + _BAD_INPUT_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -119,7 +203,7 @@ def _lines(tag: str, text: str) -> list:
 def _summary(argv: list, out: str):
     """(summary, table rows) of a `reduce` stdout that carries the RK4
     table, or None for any other stdout."""
-    if argv[0] != "reduce":
+    if argv[0] != "reduce" or not out:
         return None
     if "--json" in argv:
         doc = json.loads(out)
@@ -188,8 +272,8 @@ def corpus():
 
 def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
-            len(_DERIVATION_RUNS), len(_SAMPLED_RUNS),
-            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 72)
+            len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
+            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 79, 151)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
