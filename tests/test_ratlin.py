@@ -212,6 +212,8 @@ def unit_pivot_matrices(draw):
     column = st.integers(0, ncols - 1)
     entry = st.integers(-4, 4).filter(bool)
     rows = []
+    # "1": one entry, "2": one to three entries, "+": one entry plus a
+    # combination of earlier rows
     for kind in draw(st.lists(st.sampled_from("1112+"), min_size=1, max_size=2 * ncols)):
         row = [0] * ncols
         for j in draw(st.sets(column, min_size=1, max_size=3 if kind == "2" else 1)):

@@ -295,8 +295,8 @@ def test_simplest_rational_between_two_bounds(lo, hi):
 @pytest.mark.parametrize("eps, digits", [(0.3, 11), (0.4, 9), (1.0, 9), (2.5, 9),
                                          (-0.4, 9), (0.0, 1), (6.0, 10)])
 def test_rotation_point_is_the_simplest_rational_of_the_float(eps, digits):
-    # Fraction(tan(eps/2)) itself has 15-17 digits below the bar at the
-    # first four
+    # Fraction(tan(eps/2)) has denominators of 17, 16, 16 and 15 digits
+    # at the first four
     x = math.tan(eps / 2)
     t = solutions._simplest_rounding_to(x)
     assert t == _simplest_rounding_to(x)

@@ -105,14 +105,15 @@ _SAMPLED_RUNS = [
 # main returns, a malformed fixture, which needs the fixtures patched, nor
 # a field nested too deeply, whose error names an offset that depends on
 # the caller's stack depth
-_BAD_INPUT_FILES = {
+_BAD_GENERATORS = {  # each refused by `verify-generator --expr-file`
     "short_generator.txt": "1\n0\n0\n",
     "sqrt_generator.txt": "sqrt(x)|0|0|0|0|0\n",
     "zero_denominator_generator.txt": "1/(x - x)|0|0|0|0|0\n",
     "coefficient_generator.txt": "zeta|0|0|0|0|0\n",
     "profile_generator.txt": "f|0|0|0|0|0\n",
     "partial_generator.txt": "0|eps*eta_u|0|0|0|0\n",
-    "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
+}
+_BAD_FIELDS = {  # each refused by `verify-solution --sol`
     "zero_denominator_field.txt": "1/(x-x)\n0\n0\n",
     "jet_field.txt": "u_x\n0\n0\n",
     "component_field.txt": "x*v\n0\n0\n",
@@ -122,9 +123,10 @@ _BAD_INPUT_FILES = {
     "partial_field.txt": "x\neps*zeta_u\n0\n",
     "two_component_field.txt": "sin(z)\ncos(z)\n",
     "unbalanced_field.txt": "sin(z)\ncos(z\n0\n",
-    "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n",
 }
-_INPUT_FILES.update(_BAD_INPUT_FILES)
+_INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS,
+                     "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
+                     "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n"})
 _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "determining --system blair --compare-fixture determining",
     "determining --system curl-f --compare-fixture bogus",
@@ -135,10 +137,8 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "verify-generator --gen foo",
     "verify-generator --gen X1 --expr-file constant_generator.txt",
     "verify-generator",
-    *(f"verify-generator --expr-file {name}" for name in _BAD_INPUT_FILES
-      if name.endswith("_generator.txt") and name != "constant_generator.txt"),
-    *(f"verify-solution --sol {name}" for name in _BAD_INPUT_FILES
-      if name.endswith("_field.txt") and name != "sampled_field.txt"),
+    *(f"verify-generator --expr-file {name}" for name in _BAD_GENERATORS),
+    *(f"verify-solution --sol {name}" for name in _BAD_FIELDS),
     *(f"verify-solution --sol sampled_field.txt --system blair {flags}"
       for flags in ("--samples 0", "--samples -2", "--tol nan", "--tol inf",
                     "--tol=-1e-9")),
