@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 # `solutions` is imported inside verify-solution and reduce, the two commands
 # that use it, and `liealg` inside the functions that build or read a bracket
@@ -436,8 +437,8 @@ def _load_solution(token: str) -> solutions.FieldSolution:
 
 
 def _parse_eps(text: str):
-    """A finite float, or an expression with a rational form that is constant
-    in the base coordinates and free of jet symbols."""
+    """A finite decimal as its exact Fraction (0.4 is 2/5), or an expression
+    with a rational form constant in x, y, z and free of jet symbols."""
     try:
         value = float(text)
     except ValueError:
@@ -445,7 +446,7 @@ def _parse_eps(text: str):
     else:
         if not math.isfinite(value):
             raise CliInputError(f"bad eps value {text!r}: not a finite number")
-        return value
+        return Fraction(text)
     try:
         eps = parse(text)
         as_ratform(eps)

@@ -91,13 +91,13 @@ def _combine(row, prow, c):
     return _content_free(out)
 
 
-def _reduce(rows, ncols=inf):
+def _reduce(rows, ncols=inf, units=None):
     """The RREF of the rows as {pivot column: primitive integer row}, each
     pivot entry positive, and the column index {column: set of pivot
     columns whose row holds it} of the columns below `ncols` that hold no
     pivot.  Pivots lie below column `ncols`; a row that has no entry there
-    after reduction is dropped."""
-    pivots, index, units = {}, {}, set()
+    after reduction is dropped.  `units`, if given, gathers the unit pivots."""
+    pivots, index, units = {}, {}, set() if units is None else units
     for row in rows:
         row = _integer(row, units)
         if not row:
@@ -151,18 +151,19 @@ def rank(matrix) -> int:
     return len(_reduce(matrix)[0])
 
 
-def nullspace(matrix, ncols: int | None = None):
+def nullspace(matrix, ncols: int | None = None, zero: set | None = None):
     """Basis of {x : Ax = 0}, one primitive vector per free column.
 
     Rows are dense lists, or sparse dicts {column: value} of width `ncols`,
     and may come as a one-shot iterator: with `ncols` given, no row is
-    held once it is reduced."""
+    held once it is reduced.  A caller's empty set `zero` collects the
+    columns proved zero (the unit pivots) as they are found."""
     if ncols is None:
         matrix = list(matrix)
         if not matrix:
             return []
         ncols = len(matrix[0])
-    pivots, index = _reduce(matrix, ncols)
+    pivots, index = _reduce(matrix, ncols, zero)
     basis = []
     for fc in [c for c in range(ncols) if c not in pivots]:
         hits = index.get(fc, ())

@@ -326,27 +326,6 @@ def solve_polynomial_ansatz(system: PdeSystem, degree: int) -> AnsatzResult:
     return _ansatz_from_polys(determining_polys(system), degree)
 
 
-def _slot_nullspace(conditions, nslots: int):
-    """Exact nullspace of linear conditions on `nslots` unknown slots.
-
-    Each condition is an iterable of (slot, terms) pairs, terms a map
-    {monomial key: coefficient} such as `Poly.terms`, and says that the
-    sum of slot value times terms vanishes identically: every key of it
-    gives one row over the slots.  The rows go to the elimination as a
-    one-shot iterator, each as soon as its condition is built, so none is
-    held once reduced; a row met before, or one whose entries cancel,
-    reduces to zero there."""
-    def rows():
-        for condition in conditions:
-            cells: dict = {}
-            for slot, terms in condition:
-                for m, c in terms.items():
-                    cell = cells.setdefault(m, {})
-                    cell[slot] = cell.get(slot, 0) + c
-            yield from cells.values()
-    return ratlin.nullspace(rows(), nslots)
-
-
 def _slot_polys(slots, vec, nparts: int) -> list:
     """A nullspace vector as one polynomial per part: the slot (part, m)
     with value c adds the term c*m to that part."""
@@ -358,8 +337,8 @@ def _slot_polys(slots, vec, nparts: int) -> list:
 
 
 # 6 C(d+6, 6) slots at degree d.  As a fresh process on 2 shared vCPUs,
-# degree 7 (10,296 slots) takes 0.35-0.6 s and 28 MB; degree 8 (18,018),
-# with the bound lifted, takes 0.55-0.85 s and 34-35 MB.  Raising the
+# degree 7 (10,296 slots) takes 0.17-0.21 s and 23 MB; degree 8 (18,018),
+# with the bound lifted, takes 0.23-0.36 s and 27-29 MB.  Raising the
 # bound changes which degrees run, an output change of its own.
 MAX_ANSATZ_SLOTS = 12_000
 
@@ -382,27 +361,37 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
     radix = 1 + degree + max((e for eq in eqs for m in eq.terms for _, e in m),
                              default=0)
     place = {None: 0} | {a: radix ** i for i, a in enumerate(BASE_SYMBOLS)}
-    powers = [(k, {None: 1, **dict(m)}, sum(e * place[a] for a, e in m))
-              for k, m in enumerate(monos)]
+    # var -> (k, exponent of var in monomial k, monomial k packed) for each
+    # monomial that holds var; every monomial, exponent 1, for var None
+    packed = [sum(e * place[a] for a, e in m) for m in monos]
+    powers = {var: [(k, e, packed[k]) for k, m in enumerate(monos)
+                    for a, e in ((None, 1), *m) if a is var] for var in place}
 
-    def condition(eq):
-        # scaled to integers, which leaves the span of its rows alone
-        den = math.lcm(*(c.denominator for c in eq.terms.values()))
-        for sym, coefpoly in decompose_linear(eq, _SLOT_MAP).items():
-            ci, var = _SLOT_MAP[sym]
-            split = [(tuple(ae for ae in m if ae[0] not in place),
-                      sum(e * place.get(a, 0) for a, e in m) - place[var],
-                      c.numerator * (den // c.denominator))
-                     for m, c in coefpoly.terms.items()]
-            for k, expo, p in powers:
-                if var in expo:
-                    yield ci * len(monos) + k, {(rest, b + p): c * expo[var]
-                                                for rest, b, c in split}
+    def rows():
+        # one row {slot: value} per monomial of each condition's sum over the
+        # slots; the shortest first, so their one-entry rows are unit pivots
+        # before the long rows arrive
+        for eq in sorted(eqs, key=lambda eq: len(eq.terms)):
+            # scaled to integers, which leaves the span of its rows alone
+            den = math.lcm(*(c.denominator for c in eq.terms.values()))
+            cells: dict = {}
+            for sym, coefpoly in decompose_linear(eq, _SLOT_MAP).items():
+                ci, var = _SLOT_MAP[sym]
+                split = [(tuple(ae for ae in m if ae[0] not in place),
+                          sum(e * place.get(a, 0) for a, e in m) - place[var],
+                          c.numerator * (den // c.denominator))
+                         for m, c in coefpoly.terms.items()]
+                for k, e, p in powers[var]:
+                    slot = ci * len(monos) + k
+                    if slot in zero:
+                        continue
+                    for rest, b, c in split:
+                        cell = cells.setdefault((rest, b + p), {})
+                        cell[slot] = cell.get(slot, 0) + c * e
+            yield from cells.values()
 
-    # the shortest conditions first, so that their one-entry rows are unit
-    # pivots before the long rows arrive
-    eqs = sorted(eqs, key=lambda eq: len(eq.terms))
-    vectors = _slot_nullspace(map(condition, eqs), len(slots))
+    zero: set = set()  # the slots proved zero so far, whose terms no row needs
+    vectors = ratlin.nullspace(rows(), len(slots), zero)
     gens = [GeneratorField(*[p.to_expression() for p in _slot_polys(slots, vec, 6)])
             for vec in vectors]
     return AnsatzResult(generators=gens, slots=slots, vectors=vectors)
@@ -488,17 +477,23 @@ def solve_f_family(constraints, degree: int = 2):
 
     values = [slot_values(*slot) for slot in slots]
 
-    def condition(c):
-        # conditions must be linear homogeneous in the f symbols
-        coefs = decompose_linear(normalize(c), F_SYMBOLS).items()
-        for col, vals in enumerate(values):
-            row = Poly({})
-            for sym, coef in coefs:
-                row = row + coef * vals[sym]
-            yield col, row.terms
+    def rows():
+        # one row {slot: value} per monomial of each constraint's sum over
+        # the slots; constraints must be linear homogeneous in the f symbols
+        for c in constraints:
+            coefs = decompose_linear(normalize(c), F_SYMBOLS).items()
+            cells: dict = {}
+            for col, vals in enumerate(values):
+                if col in zero:
+                    continue
+                total = sum((coef * vals[sym] for sym, coef in coefs), Poly({}))
+                for m, v in total.terms.items():
+                    cells.setdefault(m, {})[col] = v
+            yield from cells.values()
 
+    zero: set = set()  # the slots proved zero so far, as in the ansatz
     family = []
-    for vec in _slot_nullspace(map(condition, constraints), len(slots)):
+    for vec in ratlin.nullspace(rows(), len(slots), zero):
         p, q = _slot_polys(slots, vec, 2)
         family.append(p.to_expression() + mul(q.to_expression(), S.R))
     return family

@@ -5,12 +5,14 @@ import contextlib
 import gc
 import json
 import os
+import re
 import runpy
 import shlex
 import subprocess
 import sys
 import tracemalloc
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +20,8 @@ import pytest
 
 import curlsym
 from curlsym import cli, fixtures, liealg, ratlin, solutions
-from curlsym.expr import as_ratform, normalize, parse, poly_div_exact
+from curlsym.expr import (S, as_ratform, equal_exprs, normalize, parse,
+                          poly_div_exact, substitute, to_string)
 
 
 def run(capsys, *argv):
@@ -771,6 +774,21 @@ def test_verify_solution_transform_rational_eps(capsys):
     )
     assert code == cli.EXIT_OK
     assert "verdict: PASS" in out
+
+
+def test_decimal_eps_enters_as_its_exact_decimal():
+    eps = cli._parse_eps("0.4")
+    assert eps == Fraction(2, 5)
+    image = solutions.transform(solutions.B2, 4, eps)
+    shifted = [substitute(c, {S.x: parse("x - 2/5")})
+               for c in solutions.B2.components()]
+    assert all(map(equal_exprs, image.components(), shifted))
+    # 2/5 and its powers, not the float's 16-digit denominators
+    printed = " ".join(map(to_string, image.components()))
+    assert "16*z/5" in printed and max(map(len, re.findall(r"\d+", printed))) == 3
+    # a rotation takes its point from the same float as before
+    assert ([to_string(c) for c in solutions.transform(solutions.B1, 2, eps).components()]
+            == [to_string(c) for c in solutions.transform(solutions.B1, 2, 0.4).components()])
 
 
 @pytest.mark.parametrize("sol, system, family, eps, message", [

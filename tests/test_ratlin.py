@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from curlsym import ratlin
 from curlsym import symmetry as sy
-from curlsym.expr import S
+from curlsym.expr import S, to_string
 from curlsym.ratlin import (
     coordinates_in_rowspan,
     nullspace,
@@ -245,15 +245,15 @@ def test_core_matches_the_reference_elimination_in_any_row_order(matrix, data):
 
 @pytest.mark.parametrize("make_system", [sy.curl_system, sy.blair_system])
 def test_ansatz_basis_order_is_the_reference_elimination(make_system, monkeypatch):
-    # the rows `_slot_nullspace` hands to the core, in the order it builds them
+    # the rows the ansatz hands to the core, in the order it builds them
     seen = []
     real = ratlin.nullspace
 
-    def spy(matrix, ncols=None):
+    def spy(matrix, ncols=None, zero=None):
         # the rows come as a one-shot iterator: read them once, pass them on
         matrix = list(matrix)
         seen.append((matrix, ncols))
-        return real(matrix, ncols)
+        return real(matrix, ncols, zero)
 
     monkeypatch.setattr(ratlin, "nullspace", spy)
     reference = _resolved_reference(make_system(S.R))
@@ -317,21 +317,21 @@ def test_indexed_reduce_matches_the_scan_and_indexes_its_rows(matrix, data):
     assert {j: cs for j, cs in index.items() if cs} == want
 
 
-def test_slot_nullspace_hands_the_core_an_iterator(monkeypatch):
+def test_the_row_builders_hand_the_core_an_iterator(monkeypatch):
     seen = []
     real = ratlin.nullspace
 
-    def spy(matrix, ncols=None):
+    def spy(matrix, ncols=None, zero=None):
         seen.append(matrix)
-        return real(matrix, ncols)
+        return real(matrix, ncols, zero)
 
     monkeypatch.setattr(ratlin, "nullspace", spy)
-    # x0 + x1 = 0 and x1 - x2 = 0, the first condition met twice
-    conditions = [[(0, {"a": 1}), (1, {"a": 1})], [(1, {"b": 1}), (2, {"b": -1})],
-                  [(0, {"a": 2}), (1, {"a": 2})]]
-    assert sy._slot_nullspace(iter(conditions), 3) == [[1, -1, -1]]
-    [matrix] = seen
-    assert not isinstance(matrix, (list, tuple)) and iter(matrix) is matrix
+    assert len(sy.solve_polynomial_ansatz(sy.blair_system(S.R), 1).vectors) == 7
+    # f_u = f_v = f_w = 0 leaves the constants of p + q R, deg p <= 1
+    assert [to_string(e) for e in sy.solve_f_family([S.f_u, S.f_v, S.f_w], 1)] == ["1"]
+    assert len(seen) == 2
+    for matrix in seen:
+        assert not isinstance(matrix, (list, tuple)) and iter(matrix) is matrix
 
 
 def _combine_pivot_sizes(run):

@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 152
-invocations, 151 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 157
+invocations, 156 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -19,7 +19,10 @@ invocations, 151 of them distinct, run in-process through `cli.main`:
 * a rotation at the symbolic `--eps eps` of a field whose residuals are
   sampled, so the unit pair (a, b) is drawn on its circle;
 * the bad inputs of `tests/test_cli.py` that exit 4 with one line of
-  stderr from `main`, and the files they read.
+  stderr from `main`, and the files they read;
+* the probes that the open zero-test, normal-form, square-root and
+  enclosure items will change on purpose: `check-f` on a profile with
+  sqrt(x^2), and `verify-solution --system blair` on four `--sol` files.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -124,7 +127,23 @@ _BAD_FIELDS = {  # each refused by `verify-solution --sol`
     "two_component_field.txt": "sin(z)\ncos(z)\n",
     "unbalanced_field.txt": "sin(z)\ncos(z\n0\n",
 }
-_INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS,
+# the probes that the open zero-test, normal-form, square-root and
+# enclosure items will change, pinned before they do: a field that solves
+# curl B = |B| B only for C1 >= 0, one off a solution by sin(x)/10^12, and
+# two with a component that is zero but not in normal form
+_PROBE_FIELDS = {
+    "signed_field.txt": "C1*sin(C1*z)\nC1*cos(C1*z)\n0\n",
+    "tiny_term_field.txt": "sin(z) + sin(x)/10^12\ncos(z)\n0\n",
+    "double_angle_field.txt": "sin(2*x) - 2*sin(x)*cos(x)\n0\n0\n",
+    "cancelled_factor_field.txt":
+        "sin((x^2-1)/((x-1)*(x+2))) - sin((x+1)/(x+2))\n0\n0\n",
+}
+_PROBE_RUNS = [
+    ["check-f", "--expr", "sqrt(x^2) - x + R"],
+    *(["verify-solution", "--sol", name, "--system", "blair"]
+      for name in _PROBE_FIELDS),
+]
+_INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS, **_PROBE_FIELDS,
                      "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
                      "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n"})
 _BAD_INPUT_RUNS = [shlex.split(c) for c in [
@@ -185,7 +204,7 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
 INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
     shlex.join(a)
     for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS
-    + _SAMPLED_RUNS + _BAD_INPUT_RUNS)]
+    + _SAMPLED_RUNS + _BAD_INPUT_RUNS + _PROBE_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -273,7 +292,7 @@ def corpus():
 def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
             len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
-            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 79, 151)
+            len(_PROBE_RUNS), len(INVOCATIONS)) == (34, 28, 4, 6, 1, 79, 5, 156)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
