@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 157
-invocations, 156 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 163
+invocations, 162 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -23,6 +23,10 @@ invocations, 156 of them distinct, run in-process through `cli.main`:
 * the probes that the open zero-test, normal-form, square-root and
   enclosure items will change on purpose: `check-f` on a profile with
   sqrt(x^2), and `verify-solution --system blair` on four `--sol` files.
+* the divergence line's three verdicts under the curl systems, as text
+  and as `--json`: `0 (symbolic)` for B1, `0 (numeric)` for a field whose
+  divergence stays within `--tol`, and `undecided (numeric)` for one whose
+  every sample overflows.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -143,7 +147,23 @@ _PROBE_RUNS = [
     *(["verify-solution", "--sol", name, "--system", "blair"]
       for name in _PROBE_FIELDS),
 ]
+# the three verdicts of the divergence line under the curl systems: zero in
+# normal form, zero by sampling within --tol, and undecided when every
+# sample overflows
+_DIVERGENCE_FIELDS = {
+    "small_divergence_field.txt": "sin(x*y)/1000\n0\n0\n",
+    "overflow_field.txt": "10^5000*x*sqrt(y^2+1)\n0\n0\n",
+}
+_DIVERGENCE_RUNS = [
+    shlex.split(c) + j for c in (
+        "verify-solution --sol B1 --system curl-absB",
+        "verify-solution --sol small_divergence_field.txt --system curl"
+        " --samples 30 --tol 1",
+        "verify-solution --sol overflow_field.txt --system curl-absB",
+    ) for j in ([], ["--json"])
+]
 _INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS, **_PROBE_FIELDS,
+                     **_DIVERGENCE_FIELDS,
                      "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
                      "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n"})
 _BAD_INPUT_RUNS = [shlex.split(c) for c in [
@@ -204,7 +224,7 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
 INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
     shlex.join(a)
     for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS
-    + _SAMPLED_RUNS + _BAD_INPUT_RUNS + _PROBE_RUNS)]
+    + _SAMPLED_RUNS + _BAD_INPUT_RUNS + _PROBE_RUNS + _DIVERGENCE_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -292,7 +312,8 @@ def corpus():
 def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
             len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
-            len(_PROBE_RUNS), len(INVOCATIONS)) == (34, 28, 4, 6, 1, 79, 5, 156)
+            len(_PROBE_RUNS), len(_DIVERGENCE_RUNS), len(INVOCATIONS)
+            ) == (34, 28, 4, 6, 1, 79, 5, 6, 162)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
