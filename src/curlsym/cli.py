@@ -27,14 +27,12 @@ from fractions import Fraction
 from . import fixtures, symmetry
 from .expr import (
     BASE_SYMBOLS,
-    EvalError,
     ExprError,
     FORMAL_COEFFS,
     REGISTRY,
     S,
     _poly_key,
     as_ratform,
-    decide_zero,
     differentiate,
     equal_exprs,
     free_symbols,
@@ -195,7 +193,7 @@ def cmd_determining(args):
 
 
 def _generator_strings(gen) -> str:
-    return " | ".join(to_string(c) for c in gen.as_tuple())
+    return " | ".join(to_string(c) for c in gen)
 
 
 def cmd_solve_ansatz(args):
@@ -277,7 +275,7 @@ def _load_generator(args):
             )
         gen = generator_from_strings(parts)
         # like a jet, a formal symbol would be taken for an unknown function
-        _reject_symbols("generator coefficient", FORMAL_COEFFS, gen.as_tuple(),
+        _reject_symbols("generator coefficient", FORMAL_COEFFS, gen,
                         symmetry.FORMAL_SYMBOLS, "may not depend on formal symbol")
         return gen, args.expr_file
     raise CliInputError("give --gen NAME or --expr-file FILE")
@@ -492,14 +490,9 @@ def cmd_verify_solution(args):
         "modes": list(check.modes),
         "ok": check.ok,
     }
-    if check.system == "curl":
-        try:
-            div_zero, div_mode, _ = decide_zero(
-                sol.divergence(), samples=args.samples, tol=args.tol
-            )
-            verdict = "0" if div_zero else "nonzero"
-        except EvalError:  # too few finite samples, as in the residuals
-            div_zero, div_mode, verdict = None, "numeric", "undecided"
+    if check.divergence is not None:
+        div_zero, div_mode = check.divergence
+        verdict = {True: "0", False: "nonzero", None: "undecided"}[div_zero]
         lines.append(f"divergence: {verdict} ({div_mode})")
         data["divergence_zero"] = div_zero
     return lines, data, EXIT_OK if check.ok else EXIT_VERIFY

@@ -649,23 +649,8 @@ def _poly_key(p: Poly) -> tuple:
     )
 
 
-# replacement polynomials for the quadratic rewrites, built lazily because
-# they need the registry
-_RSQ: Poly | None = None
-
-
-def _rsq_poly() -> Poly:
-    global _RSQ
-    if _RSQ is None:
-        u, v, w = S.u, S.v, S.w
-        _RSQ = Poly(
-            {
-                _freeze({u: 2}): 1,
-                _freeze({v: 2}): 1,
-                _freeze({w: 2}): 1,
-            }
-        )
-    return _RSQ
+# R^2 = u^2 + v^2 + w^2, the replacement of the radical's square
+_RSQ = Poly({_freeze({S.u: 2}): 1, _freeze({S.v: 2}): 1, _freeze({S.w: 2}): 1})
 
 
 def _reducible(atom, e: int):
@@ -674,7 +659,7 @@ def _reducible(atom, e: int):
         return None
     if isinstance(atom, Symbol):
         if atom.kind == "radical":
-            return _rsq_poly()
+            return _RSQ
         partner = REGISTRY.unit_pairs.get(atom)
         if partner is not None:
             return Poly({(): 1, _freeze({partner: 2}): -1})
@@ -982,7 +967,7 @@ def _sqrt_in_r(p: Poly) -> Poly | None:
     p = a^2 + b^2*rho + 2ab*R, so s = +-(a^2 - b^2*rho) is a root of
     A^2 - B^2*rho (it is +-A if B = 0), a^2 = (A + s)/2, b^2 = (A - s)/(2*rho)
     and the sign of b makes 2ab = B.  A root is kept only if it squares to p."""
-    rho = _rsq_poly()
+    rho = _RSQ
     with_r = Poly({m: c for m, c in p.terms.items() if any(a is S.R for a, _ in m)})
     big_a, big_b = p - with_r, with_r.divide_monomial(_freeze({S.R: 1}))
     s = big_a if big_b.is_zero() else poly_sqrt(big_a * big_a - big_b * big_b * rho)

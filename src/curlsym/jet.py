@@ -45,6 +45,7 @@ from .expr import (
     _rat_mul,
     as_ratform,
     free_symbols,
+    parse,
     poly_atom,
     poly_const,
     rat_combination,
@@ -107,9 +108,6 @@ class GeneratorField(namedtuple("GeneratorField", FORMAL_COEFFS)):
             _no_jets(val, f"generator coefficient {name}")
         return super().__new__(cls, *coeffs)
 
-    def as_tuple(self) -> tuple:
-        return tuple(self)
-
     def field(self) -> tuple:
         """X as (symbol, coefficient normal form) pairs over x, y, z, u, v, w."""
         return tuple(zip(BASE_SYMBOLS, map(as_ratform, self)))
@@ -151,8 +149,6 @@ def generator_from_strings(parts) -> GeneratorField:
     raises ExprError and a square root with no exact form NotPolynomial.
     This is checked here, as the coefficients are read, so that a bad
     coefficient is reported before any other check on the generator."""
-    from .expr import parse
-
     vals = [parse(p) if isinstance(p, str) else _as_expr(p) for p in parts]
     if len(vals) != 6:
         raise ExprError("a generator needs exactly six coefficients")

@@ -45,7 +45,7 @@ from .expr import (
     substitute,
     to_string,
 )
-from .symmetry import blair_system, curl_system
+from .symmetry import blair_system
 
 
 class FieldSolution(namedtuple("FieldSolution", "u v w bindings label",
@@ -64,13 +64,6 @@ class FieldSolution(namedtuple("FieldSolution", "u v w bindings label",
 
     def components(self) -> tuple:
         return (self.u, self.v, self.w)
-
-    def divergence(self) -> Expr:
-        return _normalized(
-            differentiate(self.u, S.x)
-            + differentiate(self.v, S.y)
-            + differentiate(self.w, S.z)
-        )
 
 
 def _field(u: str, v: str, w: str, label: str) -> FieldSolution:
@@ -125,18 +118,29 @@ def _jet_substitution(sol: FieldSolution) -> dict:
     return subs
 
 
-def residual_expressions(sol: FieldSolution, system: str = "blair") -> list:
-    """Substitute the field into each equation of the chosen system.
+def residual_expressions(sol: FieldSolution) -> list:
+    """Substitute the field into the four equations of the blair system:
+    the three curl equations, then the divergence u_x + v_y + w_z.
 
     The formal residuals carry the profile f and none of its partials, and
     f is put in with the jets: the field magnitude sqrt(u^2+v^2+w^2) of the
     components, written as an explicit square root."""
-    formal = curl_system() if _system_kind(system) == "curl" else blair_system()
     subs = _jet_substitution(sol)
-    return [substitute(r, subs) for r in formal.residuals]
+    return [substitute(r, subs) for r in blair_system().residuals]
 
 
-ResidualCheck = namedtuple("ResidualCheck", "system ok modes displays")
+ResidualCheck = namedtuple("ResidualCheck", "system ok modes displays divergence")
+
+
+def _display(e: Expr, ok, mode: str, worst, tol: float) -> str:
+    if ok is None:
+        return "undecided"
+    if mode == "numeric":
+        return f"<{tol:g}" if ok else f"{worst:.3e}"
+    if ok:
+        return "0"
+    text = to_string(normal_expression(e))
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def verify_solution_residuals(
@@ -145,34 +149,29 @@ def verify_solution_residuals(
     samples: int = 50,
     tol: float = 1e-10,
 ) -> ResidualCheck:
-    """Zero-test each residual, symbolically when normalization succeeds,
-    otherwise by sampling `samples` points at tolerance `tol`.  A residual
-    with too few finite samples is displayed as "undecided" and fails."""
+    """Zero-test each blair residual, symbolically when normalization
+    succeeds, otherwise by sampling `samples` points at tolerance `tol`.  A
+    residual with too few finite samples, as when every float overflows, is
+    undecided: displayed as "undecided", its verdict None, and it fails.
+
+    Under a curl system the fourth residual, the divergence, does not count
+    toward `ok` and has no display: `divergence` holds its (verdict, mode),
+    and is None under blair."""
     kind = _system_kind(system)
-    modes = []
-    displays = []
-    all_ok = True
-    for e in residual_expressions(sol, kind):
+    decided = []
+    for e in residual_expressions(sol):
         try:
-            ok, mode, worst = decide_zero(e, samples=samples, tol=tol)
+            decided.append((e, *decide_zero(e, samples=samples, tol=tol)))
         except EvalError:
-            # too few finite samples, as when every float overflows: the
-            # field is well formed, and the check fails undecided
-            modes.append("numeric")
-            displays.append("undecided")
-            all_ok = False
-            continue
-        modes.append(mode)
-        if mode == "symbolic":
-            if ok:
-                displays.append("0")
-            else:
-                text = to_string(normal_expression(e))
-                displays.append(text if len(text) <= 60 else text[:57] + "...")
-        else:
-            displays.append(f"{worst:.3e}" if not ok else f"<{tol:g}")
-        all_ok = all_ok and ok
-    return ResidualCheck(kind, all_ok, tuple(modes), tuple(displays))
+            decided.append((e, None, "numeric", None))
+    divergence = decided.pop()[1:3] if kind == "curl" else None
+    return ResidualCheck(
+        kind,
+        all(ok for _, ok, _, _ in decided),
+        tuple(mode for _, _, mode, _ in decided),
+        tuple(_display(*d, tol) for d in decided),
+        divergence,
+    )
 
 
 # --- one-parameter transform families ------------------------------------

@@ -398,7 +398,7 @@ def _ansatz_from_polys(eqs, degree: int) -> AnsatzResult:
 
 
 def _coefficient_polys(gens):
-    return [[normalize(c) for c in g.as_tuple()] for g in gens]
+    return [[normalize(c) for c in g] for g in gens]
 
 
 def generator_spans_equal(a, b) -> bool:

@@ -42,12 +42,12 @@ JET_SYMBOLS = tuple(jet_symbol(d, a) for d in "uvw" for a in "xyz")
 
 
 def add_fields(a: GeneratorField, b: GeneratorField) -> GeneratorField:
-    return GeneratorField(*[add(x, y) for x, y in zip(a.as_tuple(), b.as_tuple())])
+    return GeneratorField(*[add(x, y) for x, y in zip(a, b)])
 
 
 def scale_field(g: GeneratorField, c) -> GeneratorField:
     c = _as_expr(c)
-    return GeneratorField(*[mul(c, t) for t in g.as_tuple()])
+    return GeneratorField(*[mul(c, t) for t in g])
 
 
 def sub_fields(a: GeneratorField, b: GeneratorField) -> GeneratorField:
@@ -55,7 +55,7 @@ def sub_fields(a: GeneratorField, b: GeneratorField) -> GeneratorField:
 
 
 def field_is_zero(g: GeneratorField) -> bool:
-    return all(is_zero_expr(c) for c in g.as_tuple())
+    return all(is_zero_expr(c) for c in g)
 
 
 def fields_equal(a: GeneratorField, b: GeneratorField) -> bool:
@@ -90,7 +90,7 @@ def tree_derivation(field, e):
 
 
 def tree_field(gen: GeneratorField) -> tuple:
-    return tuple(zip(BASE_SYMBOLS, gen.as_tuple()))
+    return tuple(zip(BASE_SYMBOLS, gen))
 
 
 def tree_total_derivative(e, axis):
@@ -143,7 +143,7 @@ def tree_bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
     fa, fb = tree_field(a), tree_field(b)
     return GeneratorField(*(
         normal_expression(tree_derivation(fa, cb) - tree_derivation(fb, ca))
-        for ca, cb in zip(a.as_tuple(), b.as_tuple())))
+        for ca, cb in zip(a, b)))
 
 
 # --- determining equations against a concrete generator -------------------------
@@ -152,8 +152,7 @@ def tree_bracket(a: GeneratorField, b: GeneratorField) -> GeneratorField:
 def formal_substitution(gen: GeneratorField, f_value=None) -> dict:
     """Map the formal coefficient symbols (and their partials, and the
     formal profile if `f_value` is given) to a concrete generator."""
-    coeffs = gen.as_tuple()
-    out = {sym: coeffs[idx] if var is None else differentiate(coeffs[idx], var)
+    out = {sym: gen[idx] if var is None else differentiate(gen[idx], var)
            for sym, (idx, var) in sy._SLOT_MAP.items()}
     if f_value is not None:
         out |= profile_values(f_value)

@@ -83,7 +83,7 @@ def test_criterion_01_determining_system_reproduction(b10):
 def test_criterion_02_symmetry_algebra_span(b10):
     res = symmetry.solve_polynomial_ansatz(symmetry.curl_system(S.R), 2)
     rows_c, rows_r = symmetry.sparse_rows(
-        *([[normalize(c) for c in g.as_tuple()] for g in gens]
+        *([[normalize(c) for c in g] for g in gens]
           for gens in (res.generators, b10))
     )
     rank_c, rank_r = ratlin.rank(rows_c), ratlin.rank(rows_r)

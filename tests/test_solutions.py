@@ -79,16 +79,52 @@ def test_second_field_fails_divergence():
 def test_second_field_magnitude_and_divergence():
     mag = sqrt(magnitude_squared(B2))
     assert equal_exprs(mag, parse("4/(1 + x^2 + y^2 + z^2)"))
-    assert equal_exprs(B2.divergence(), parse("8*z/(1 + x^2 + y^2 + z^2)^2"))
-    assert equal_exprs(B1.divergence(), parse("0"))
+    # the fourth residual is the divergence u_x + v_y + w_z
+    assert equal_exprs(residual_expressions(B2)[3],
+                       parse("8*z/(1 + x^2 + y^2 + z^2)^2"))
+    assert equal_exprs(residual_expressions(B1)[3], parse("0"))
 
 
 def test_residual_expression_count_and_alias():
-    assert len(residual_expressions(B1, "curl")) == 3
-    assert len(residual_expressions(B1, "curl-absB")) == 3
-    assert len(residual_expressions(B1, "blair")) == 4
+    assert len(residual_expressions(B1)) == 4
+    for system in ("curl", "curl-f", "curl-absB"):
+        check = verify_solution_residuals(B1, system)
+        assert (check.system, len(check.displays), check.divergence) == (
+            "curl", 3, (True, "symbolic"))
+    assert verify_solution_residuals(B1, "blair").divergence is None
     with pytest.raises(ValueError):
-        residual_expressions(B1, "torsion")
+        verify_solution_residuals(B1, "torsion")
+
+
+@pytest.mark.parametrize("name, family, eps", [
+    *((name, None, None) for name in ("B1", "B2", "zero")),
+    *(("B2", family, eps) for family in range(1, 8) for eps in ("0.4", "eps")),
+])
+def test_curl_divergence_is_the_fourth_blair_residual(name, family, eps, monkeypatch):
+    """The curl check decides the divergence in its one residual loop, with
+    the verdict and mode that the blair check gives its fourth residual."""
+    sol = BUILTIN_SOLUTIONS[name]
+    if family is not None:
+        sol = transform(sol, family, S.eps if eps == "eps" else Fraction(eps))
+    calls = []
+
+    def spy(e, **kw):
+        try:
+            got = decide_zero(e, **kw)
+        except EvalError:
+            calls.append((None, "numeric"))
+            raise
+        calls.append(got[:2])
+        return got
+
+    monkeypatch.setattr(solutions, "decide_zero", spy)
+    blair = verify_solution_residuals(sol, "blair")
+    blair_calls, calls[:] = calls[:], []
+    curl = verify_solution_residuals(sol, "curl-absB")
+    assert len(blair_calls) == len(calls) == 4
+    assert curl.divergence == blair_calls[3] and curl.divergence[1] == blair.modes[3]
+    assert (curl.ok, curl.modes, curl.displays) == (
+        all(ok for ok, _ in blair_calls[:3]), blair.modes[:3], blair.displays[:3])
 
 
 def test_builtin_registry():

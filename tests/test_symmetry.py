@@ -269,8 +269,8 @@ def test_degree_zero_ansatz_is_translations():
 def _assert_same_ansatz(got, want):
     assert got.vectors == want.vectors
     assert got.slots == want.slots
-    assert ([[to_string(c) for c in g.as_tuple()] for g in got.generators]
-            == [[to_string(c) for c in g.as_tuple()] for g in want.generators])
+    assert ([[to_string(c) for c in g] for g in got.generators]
+            == [[to_string(c) for c in g] for g in want.generators])
 
 
 def _direct_ansatz(system, degree):
