@@ -2,7 +2,9 @@
 
 Immutable expression trees over exact rationals, built for first-order jet
 calculus on three base coordinates (x, y, z) and three field components
-(u, v, w).  The kernel knows a fixed symbol universe:
+(u, v, w).  Node equality is defined once, on `Expr`: a node equals a node
+of the same class whose slots are equal, and hashes by them; a symbol is
+equal only to itself.  The kernel knows a fixed symbol universe:
 
 * independent coordinates x, y, z
 * dependent components     u, v, w
@@ -48,6 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 
 class ExprError(Exception):
@@ -105,7 +108,23 @@ def _as_expr(v) -> "Expr":
 
 
 class Expr:
+    """An expression node.  A node equals a node of the same class whose
+    slots are equal, and caches the hash taken from them in `_h`; a
+    Symbol is equal only to itself."""
+
     __slots__ = ("_h",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        if self._h is None:
+            self._h = hash((type(self), self._key))
+        return self._h
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -146,14 +165,6 @@ class Num(Expr):
         self.val = _coeff(val)
         self._h = None
 
-    def __eq__(self, other):
-        return isinstance(other, Num) and self.val == other.val
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(("Num", self.val))
-        return self._h
-
 
 class Symbol(Expr):
     """A named atom.  Instances are unique per registry; kind drives
@@ -165,7 +176,6 @@ class Symbol(Expr):
         self.name = name
         self.kind = kind
         self.order = order
-        self._h = None
 
     def __eq__(self, other):
         return self is other
@@ -181,14 +191,6 @@ class Add(Expr):
         self.terms = terms
         self._h = None
 
-    def __eq__(self, other):
-        return isinstance(other, Add) and self.terms == other.terms
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(("Add", self.terms))
-        return self._h
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
@@ -196,14 +198,6 @@ class Mul(Expr):
     def __init__(self, factors: tuple):
         self.factors = factors
         self._h = None
-
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(("Mul", self.factors))
-        return self._h
 
 
 class Pow(Expr):
@@ -213,14 +207,6 @@ class Pow(Expr):
         self.base = base
         self.n = n
         self._h = None
-
-    def __eq__(self, other):
-        return isinstance(other, Pow) and self.n == other.n and self.base == other.base
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(("Pow", self.base, self.n))
-        return self._h
 
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -234,37 +220,20 @@ class Func(Expr):
         self.arg = arg
         self._h = None
 
-    def __eq__(self, other):
-        return isinstance(other, Func) and self.fn == other.fn and self.arg == other.arg
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash(("Func", self.fn, self.arg))
-        return self._h
-
 
 ZERO = Num(0)
 ONE = Num(1)
 
 
 def add(*terms) -> Expr:
-    flat = []
-    const = 0
-    for t in terms:
-        t = _as_expr(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        elif isinstance(t, Num):
-            const += t.val
-        else:
-            flat.append(t)
-    # re-fold constants swallowed from nested Adds
     kept = []
-    for t in flat:
-        if isinstance(t, Num):
-            const += t.val
-        else:
-            kept.append(t)
+    const = 0
+    for arg in map(_as_expr, terms):
+        for t in arg.terms if isinstance(arg, Add) else (arg,):
+            if isinstance(t, Num):
+                const += t.val
+            else:
+                kept.append(t)
     if const != 0:
         kept.append(Num(const))
     if not kept:
@@ -275,28 +244,20 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    flat = []
-    const = 1
-    for f in factors:
-        f = _as_expr(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        elif isinstance(f, Num):
-            const *= f.val
-        else:
-            flat.append(f)
     kept = []
-    for f in flat:
-        if isinstance(f, Num):
-            const *= f.val
-        else:
-            kept.append(f)
+    const = 1
+    for arg in map(_as_expr, factors):
+        for f in arg.factors if isinstance(arg, Mul) else (arg,):
+            if isinstance(f, Num):
+                const *= f.val
+            else:
+                kept.append(f)
     if const == 0:
         return ZERO
     if not kept:
         return Num(const)
     if const != 1:
-        kept = [Num(const)] + kept
+        kept.insert(0, Num(const))
     if len(kept) == 1:
         return kept[0]
     return Mul(tuple(kept))
@@ -1338,23 +1299,14 @@ def _subst(e: Expr, b: dict) -> Expr:
 
 def free_symbols(e: Expr) -> set:
     out: set = set()
-    _free(e, out)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Symbol):
+            out.add(node)
+        else:
+            stack.extend(_children(node))
     return out
-
-
-def _free(e: Expr, out: set):
-    if isinstance(e, Symbol):
-        out.add(e)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _free(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _free(f, out)
-    elif isinstance(e, Pow):
-        _free(e.base, out)
-    elif isinstance(e, Func):
-        _free(e.arg, out)
 
 
 # --- numeric evaluation ------------------------------------------------------
@@ -1412,6 +1364,7 @@ def compile_numeric(e: Expr | tuple, args: list) -> "callable":
 
 
 def _children(e: Expr) -> tuple:
+    """The operands of a node, () for a leaf."""
     if isinstance(e, Add):
         return e.terms
     if isinstance(e, Mul):
@@ -1420,7 +1373,7 @@ def _children(e: Expr) -> tuple:
         return (e.base,)
     if isinstance(e, Func):
         return (e.arg,)
-    raise ExprError(f"cannot compile {type(e).__name__}")
+    return ()
 
 
 def _pysrc(e: Expr, operand: dict) -> str:

@@ -69,6 +69,16 @@ def test_structural_equality_is_not_semantic():
     e2 = add(S.y, S.x)
     assert e1 != e2
     assert equal_exprs(e1, e2)
+    # nodes of different classes with equal slots differ
+    assert E.Add((S.x, S.y)) != E.Mul((S.x, S.y))
+
+
+def test_free_symbols_of_a_deep_tree():
+    # sin(... + y) nested 5,000 times: far past the recursion limit
+    e = S.x
+    for _ in range(5000):
+        e = sin(add(e, S.y))
+    assert free_symbols(e) == {S.x, S.y}
 
 
 def test_integer_powers_only():
@@ -481,7 +491,9 @@ def _expr_strategy():
 @example(neg(exp(mul(pow_(S.x, -1), S.x))))
 @example(add(S.x, neg(add(S.x, S.y))))
 def test_print_parse_round_trip(e):
-    assert parse(to_string(e)) == e
+    back = parse(to_string(e))
+    assert back == e
+    assert hash(back) == hash(e)
 
 
 @settings(max_examples=60, deadline=None)
