@@ -1533,20 +1533,13 @@ def _print_frac(c) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _is_negative_term(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return e.val < 0
-    if isinstance(e, Mul) and isinstance(e.factors[0], Num):
-        return e.factors[0].val < 0
-    return False
-
-
-def _strip_sign(e: Expr) -> Expr:
-    if isinstance(e, Num):
-        return Num(-e.val)
-    if isinstance(e, Mul) and isinstance(e.factors[0], Num):
-        return mul(Num(-e.factors[0].val), *e.factors[1:])
-    return e
+def _without_minus(e: Expr) -> Expr | None:
+    """A negative Num, or a Mul led by one, without its minus sign; else
+    None.  A Num has no children, so it comes back as its negation."""
+    lead = e.factors[0] if isinstance(e, Mul) else e
+    if not (isinstance(lead, Num) and lead.val < 0):
+        return None
+    return mul(Num(-lead.val), *_children(e)[1:])
 
 
 def to_string(e: Expr) -> str:
@@ -1555,8 +1548,7 @@ def to_string(e: Expr) -> str:
         for i, t in enumerate(e.terms):
             if i == 0:
                 parts.append(to_string(t))
-            elif _is_negative_term(t):
-                rest = _strip_sign(t)
+            elif (rest := _without_minus(t)) is not None:
                 text = to_string(rest)
                 parts.append(f" - ({text})" if isinstance(rest, Add) else " - " + text)
             else:
@@ -1619,8 +1611,6 @@ def _print_factor(f: Expr) -> str:
         if isinstance(base, (Add, Mul, Num)):
             bs = f"({bs})"
         return f"{bs}^{f.n}"
-    if isinstance(f, (Add,)):
-        return f"({to_string(f)})"
-    if isinstance(f, Mul):
+    if isinstance(f, (Add, Mul)):
         return f"({to_string(f)})"
     return to_string(f)
