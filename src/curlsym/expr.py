@@ -1390,6 +1390,12 @@ def _pysrc(e: Expr, operand: dict) -> str:
 # --- parser ------------------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
+# how deep `_Parser.parse_unary` may nest: every group, function argument,
+# unary minus and exponent passes through it.  One fixed bound refuses an
+# input at the same offset whoever calls `parse`, short of the interpreter's
+# recursion limit under pytest (about 190 levels); it admits
+# sin(y*(1 + x*(...))) with 180 nested factors, 183 levels.
+MAX_NESTING = 185
 
 
 def _tokenize(text: str):
@@ -1427,6 +1433,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -1466,10 +1473,17 @@ class _Parser:
         return left
 
     def parse_unary(self) -> Expr:
+        # a refused input ends the parse, so only a return needs to unwind
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek()[2])
         if self.peek()[0] == "-":
             self.next()
-            return neg(self.parse_unary())
-        return self.parse_power()
+            e = neg(self.parse_unary())
+        else:
+            e = self.parse_power()
+        self.depth -= 1
+        return e
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -1519,7 +1533,7 @@ def parse(text: str) -> Expr:
     parser = _Parser(text)
     try:
         return parser.parse()
-    except RecursionError:
+    except RecursionError:  # a caller whose own stack is deep
         offset = parser.toks[min(parser.pos, len(parser.toks) - 1)][2]
         raise ParseError("expression nested too deeply", offset) from None
 

@@ -20,8 +20,8 @@ import pytest
 
 import curlsym
 from curlsym import cli, fixtures, liealg, ratlin, solutions
-from curlsym.expr import (S, as_ratform, equal_exprs, normalize, parse,
-                          poly_div_exact, substitute, to_string)
+from curlsym.expr import (MAX_NESTING, S, as_ratform, equal_exprs, normalize,
+                          parse, poly_div_exact, substitute, to_string)
 
 
 def run(capsys, *argv):
@@ -307,10 +307,13 @@ def test_verify_solution_skips_overflowing_samples(capsys, tmp_path):
     assert err == ""
 
 
-def test_verify_solution_deep_horner_field(capsys, tmp_path):
-    # 110 nested factors: too deep for one parenthesised Python expression
+@pytest.mark.parametrize("depth", [110, MAX_NESTING - 3],
+                         ids=["110", "at-the-parser-bound"])
+def test_verify_solution_deep_horner_field(capsys, tmp_path, depth):
+    # 110 nested factors: too deep for one parenthesised Python expression;
+    # MAX_NESTING - 3 factors take the parser to its bound
     text = "1"
-    for _ in range(110):
+    for _ in range(depth):
         text = f"1+x*({text})"
     path = tmp_path / "field.txt"
     path.write_text(f"sin(y*({text}))\n0\n0\n")
@@ -321,12 +324,16 @@ def test_verify_solution_deep_horner_field(capsys, tmp_path):
 
 
 def test_verify_solution_nested_too_deeply(capsys, tmp_path):
+    # one level past the parser's bound: the same offset under pytest's
+    # deeper stack as in a fresh process
+    n = MAX_NESTING
     path = tmp_path / "field.txt"
-    path.write_text("(" * 200 + "x" + ")" * 200 + "\n0\n0\n")
+    path.write_text("(" * n + "x" + ")" * n + "\n0\n0\n")
+    want = f"error: expression nested too deeply (offset {n})\n"
     code, out, err = run(capsys, "verify-solution", "--sol", str(path))
-    assert code == cli.EXIT_INPUT
-    assert out == ""
-    assert err.count("\n") == 1 and "nested too deeply" in err
+    assert (code, out, err) == (cli.EXIT_INPUT, "", want)
+    proc = run_fresh("verify-solution", "--sol", str(path), timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_INPUT, "", want)
 
 
 @pytest.fixture

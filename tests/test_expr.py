@@ -438,11 +438,32 @@ def test_parse_error_offsets():
 
 
 def test_parse_rejects_input_nested_too_deeply():
-    assert parse("(" * 100 + "x" + ")" * 100) == S.x
+    # n groups around x nest parse_unary n + 1 deep
+    n = E.MAX_NESTING - 1
+    assert parse("(" * n + "x" + ")" * n) == S.x
+    for text in ("(" * (n + 1) + "x" + ")" * (n + 1), "-" * (n + 1) + "x"):
+        with pytest.raises(ParseError, match="nested too deeply") as ei:
+            parse(text)
+        assert ei.value.offset == E.MAX_NESTING
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("(" * 1000 + "x" + ")" * 1000)
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("sin(" * 1000 + "x" + ")" * 1000)
+
+
+def test_parse_of_a_caller_with_a_deep_stack():
+    # the recursion limit, not the bound, stops the parse; still a ParseError
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        with pytest.raises(ParseError, match="nested too deeply") as ei:
+            parse("(" * 150 + "x" + ")" * 150)
+    finally:
+        sys.setrecursionlimit(before)
+    assert ei.value.offset < 150
 
 
 def test_unknown_identifier_rejected():

@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 163
-invocations, 162 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 164
+invocations, 163 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -19,7 +19,8 @@ invocations, 162 of them distinct, run in-process through `cli.main`:
 * a rotation at the symbolic `--eps eps` of a field whose residuals are
   sampled, so the unit pair (a, b) is drawn on its circle;
 * the bad inputs of `tests/test_cli.py` that exit 4 with one line of
-  stderr from `main`, and the files they read;
+  stderr from `main`, and the files they read, a field of 200 nested
+  parentheses among them;
 * the probes that the open zero-test, normal-form, square-root and
   enclosure items will change on purpose: `check-f` on a profile with
   sqrt(x^2), and `verify-solution --system blair` on four `--sol` files.
@@ -109,9 +110,9 @@ _SAMPLED_RUNS = [
 ]
 # the bad inputs of tests/test_cli.py that reach main's one-line error,
 # with the files they read; not argparse's own errors, which exit before
-# main returns, a malformed fixture, which needs the fixtures patched, nor
-# a field nested too deeply, whose error names an offset that depends on
-# the caller's stack depth
+# main returns, nor a malformed fixture, which needs the fixtures patched.
+# The field nested too deeply is refused at the parser's fixed bound, so
+# its offset is the same from a plain script, `--write` and pytest
 _BAD_GENERATORS = {  # each refused by `verify-generator --expr-file`
     "short_generator.txt": "1\n0\n0\n",
     "sqrt_generator.txt": "sqrt(x)|0|0|0|0|0\n",
@@ -130,6 +131,7 @@ _BAD_FIELDS = {  # each refused by `verify-solution --sol`
     "partial_field.txt": "x\neps*zeta_u\n0\n",
     "two_component_field.txt": "sin(z)\ncos(z)\n",
     "unbalanced_field.txt": "sin(z)\ncos(z\n0\n",
+    "deep_field.txt": "(" * 200 + "x" + ")" * 200 + "\n0\n0\n",
 }
 # the probes that the open zero-test, normal-form, square-root and
 # enclosure items will change, pinned before they do: a field that solves
@@ -313,7 +315,7 @@ def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
             len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
             len(_PROBE_RUNS), len(_DIVERGENCE_RUNS), len(INVOCATIONS)
-            ) == (34, 28, 4, 6, 1, 79, 5, 6, 162)
+            ) == (34, 28, 4, 6, 1, 80, 5, 6, 163)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
