@@ -1147,6 +1147,13 @@ def equal_exprs(e1: Expr, e2: Expr) -> bool:
     return is_zero_expr(add(e1, neg(e2)))
 
 
+def _exact_atom(a) -> bool:
+    """A symbol, or an exp unit whose argument holds no opaque atom."""
+    return not isinstance(a, OpaqueAtom) or (
+        _is_mergeable_exp(a)
+        and not any(isinstance(b, OpaqueAtom) for b in a.arg_poly.atoms()))
+
+
 def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9):
     """(is_zero, mode, worst): exact normal form when possible, else numeric
     sampling at random points in [-2, 2], drawn with seed 0, where each
@@ -1154,14 +1161,26 @@ def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9):
     its place.  mode is 'symbolic' or 'numeric'; worst is the largest |e|
     sampled, None when decided symbolically.
 
+    The normal form decides when its numerator is zero, or when each atom
+    of the numerator is a symbol or an exp unit whose argument holds no
+    opaque atom.  Such a numerator is a sum of terms c*m*exp(p), m a
+    monomial in the symbols reduced by the quadratic rewrites, and it is a
+    nonzero function unless it is the zero polynomial: units whose
+    arguments differ by a rational constant are independent by
+    Lindemann-Weierstrass, and exponentials of polynomials that differ by a
+    non-constant are independent over the algebraic functions (Risch, Amer.
+    J. Math. 101 (1979)).  Any other opaque atom, a sin, a cos or an exp of
+    a fraction or of an argument that holds an opaque atom, is sampled:
+    exp(sin(2*x)) - exp(2*sin(x)*cos(x)) is zero, but its normal form is
+    not.
+
     Sampling compiles e once.  A point where it raises or gives NaN is
     skipped; EvalError when fewer than `samples` of 12 * samples are valid."""
     try:
         rf = as_ratform(e)
         if rf.num.is_zero():
             return True, "symbolic", None
-        opaque = any(isinstance(a, OpaqueAtom) for a in rf.num.atoms())
-        if not opaque:
+        if all(_exact_atom(a) for a in rf.num.atoms()):
             return False, "symbolic", None
     except NotPolynomial:
         pass

@@ -297,13 +297,16 @@ def test_division_by_zero_is_bad_input(capsys, tmp_path, argv):
 
 
 def test_verify_solution_skips_overflowing_samples(capsys, tmp_path):
-    # exp(1000 x) overflows on part of [-2, 2]^3; those points are skipped
+    # exp(1000 x) overflows on part of [-2, 2]^3; those points are skipped.
+    # The sin(y) atom keeps the residuals sampled: an exp unit alone would
+    # be decided in normal form
     path = tmp_path / "field.txt"
-    path.write_text("exp(1000*x)\n0\n0\n")
+    path.write_text("exp(1000*x)*sin(y)\n0\n0\n")
     code, out, err = run(capsys, "verify-solution", "--sol", str(path),
                          "--system", "blair")
     assert code == cli.EXIT_VERIFY
-    assert "verdict: FAIL" in out and "numeric" in out
+    assert "modes: numeric symbolic numeric numeric" in out
+    assert "verdict: FAIL" in out
     assert err == ""
 
 

@@ -356,6 +356,18 @@ def test_decide_zero_modes():
     assert 0.01 < worst <= 2 - math.sin(2)
 
 
+def test_decide_zero_decides_exp_units_exactly():
+    # exp units of arguments that hold no opaque atom: nonzero in normal
+    # form is a nonzero function, though the arguments differ by a constant
+    for e in (exp(S.x + 1) - 3 * exp(S.x), exp(1000 * S.x) ** 2):
+        assert decide_zero(e) == (False, "symbolic", None)
+    # an exp of a sin atom is sampled: this is zero, its normal form is not
+    e = exp(sin(2 * S.x)) - exp(2 * sin(S.x) * cos(S.x))
+    assert not is_zero_expr(e)
+    ok, mode, worst = decide_zero(e)
+    assert (ok, mode) == (True, "numeric") and worst <= 1e-9
+
+
 def test_decide_zero_skips_nan_samples():
     # e^(700+x) e^(700+y) overflows to inf at every sample, so each
     # sample is inf - inf = NaN; none may count as zero

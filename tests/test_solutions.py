@@ -162,6 +162,14 @@ def test_family7_scaling_form():
     assert equal_exprs(magnitude_squared(t), parse("exp(-eps)^2"))
 
 
+@pytest.mark.parametrize("eps", [0.4, S.eps], ids=["0.4", "eps"])
+def test_family7_divergence_of_b2_is_decided_exactly(eps):
+    # its numerator's only opaque atoms are exp units of constant or eps
+    # arguments, such as exp(-14/5), exp(-2) and exp(-6/5) at 0.4
+    div = residual_expressions(transform(B2, 7, eps))[3]
+    assert decide_zero(div) == (False, "symbolic", None)
+
+
 def test_translation_families_fix_first_field():
     assert solutions_equal(transform(B1, 4, S.eps), B1)
     assert solutions_equal(transform(B1, 5, S.eps), B1)
