@@ -2,9 +2,10 @@
 
 Immutable expression trees over exact rationals, built for first-order jet
 calculus on three base coordinates (x, y, z) and three field components
-(u, v, w).  Node equality is defined once, on `Expr`: a node equals a node
-of the same class whose slots are equal, and hashes by them; a symbol is
-equal only to itself.  The kernel knows a fixed symbol universe:
+(u, v, w).  Nodes are interned (hash-consing): equal values are one
+object, so equality and hashing are identity, and a node keeps its normal
+form once taken.  A symbol is unique per registry.  The kernel knows a
+fixed symbol universe:
 
 * independent coordinates x, y, z
 * dependent components     u, v, w
@@ -50,7 +51,6 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from operator import attrgetter
 
 
 class ExprError(Exception):
@@ -107,24 +107,36 @@ def _as_expr(v) -> "Expr":
     raise TypeError(f"cannot coerce {type(v).__name__} to an expression")
 
 
+# (class, *slots) -> the one Num, Add, Mul, Pow, Func or OpaqueAtom with
+# those slots.  It lives for the process: a node must never be rebuilt
+# while an equal one lives, and a weak-valued table would need a
+# `__weakref__` slot on every node and a Python-level lookup on every build.
+_NODES: dict = {}
+
+
+def _intern(cls, *slots, unkeyed=()):
+    """The one object of class `cls` whose leading slots are `slots`, built
+    on the first call and then taken from `_NODES`.  Children are interned
+    already, so the key compares them by identity and a lookup costs
+    O(arity), never a walk of the tree.  `unkeyed` fills the slots after
+    `slots` on the first call only: an atom's views of its argument follow
+    from its key."""
+    key = (cls, *slots)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, slots + unkeyed):
+            setattr(node, name, value)
+    return node
+
+
 class Expr:
-    """An expression node.  A node equals a node of the same class whose
-    slots are equal, and caches the hash taken from them in `_h`; a
-    Symbol is equal only to itself."""
+    """An expression node.  Every Num, Add, Mul, Pow and Func is built by
+    `_intern`, so equal values are one object and compare and hash by
+    identity, the object defaults; a Symbol is unique per registry.  `_rf`
+    holds the node's normal form once `as_ratform` has taken it."""
 
-    __slots__ = ("_h",)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._key = property(attrgetter(*cls.__slots__))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key == other._key
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash((type(self), self._key))
-        return self._h
+    __slots__ = ("_rf",)
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -161,9 +173,8 @@ class Expr:
 class Num(Expr):
     __slots__ = ("val",)
 
-    def __init__(self, val):
-        self.val = _coeff(val)
-        self._h = None
+    def __new__(cls, val):
+        return _intern(cls, _coeff(val))
 
 
 class Symbol(Expr):
@@ -177,36 +188,26 @@ class Symbol(Expr):
         self.kind = kind
         self.order = order
 
-    def __eq__(self, other):
-        return self is other
-
-    # equality is identity, so the identity hash, computed in C, agrees
-    __hash__ = object.__hash__
-
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        self.terms = terms
-        self._h = None
+    def __new__(cls, terms: tuple):
+        return _intern(cls, terms)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        self.factors = factors
-        self._h = None
+    def __new__(cls, factors: tuple):
+        return _intern(cls, factors)
 
 
 class Pow(Expr):
     __slots__ = ("base", "n")
 
-    def __init__(self, base: Expr, n: int):
-        self.base = base
-        self.n = n
-        self._h = None
+    def __new__(cls, base: Expr, n: int):
+        return _intern(cls, base, n)
 
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -215,10 +216,8 @@ FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 class Func(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
-        self.fn = fn
-        self.arg = arg
-        self._h = None
+    def __new__(cls, fn: str, arg: Expr):
+        return _intern(cls, fn, arg)
 
 
 ZERO = Num(0)
@@ -423,30 +422,15 @@ _FN_RANK = {"sin": 0, "cos": 1, "exp": 2, "sqrt": 3}
 class OpaqueAtom:
     """sin/cos/exp applied to a compound argument, as a monomial atom.
 
-    Identity is the canonical rational form of the argument, so arguments
-    that normalize equal collapse to the same atom.  `arg` keeps an
-    expression view for printing and evaluation."""
+    Interned by (fn, key), key the canonical rational form of the argument,
+    so arguments that normalize equal give one atom.  `arg` keeps an
+    expression view for printing and evaluation, and `arg_poly` the
+    argument of a mergeable exp atom, None for every other atom."""
 
-    __slots__ = ("fn", "key", "arg", "arg_poly", "_h")
+    __slots__ = ("fn", "key", "arg", "arg_poly")
 
-    def __init__(self, fn: str, key: tuple, arg: Expr):
-        self.fn = fn
-        self.key = key
-        self.arg = arg
-        self.arg_poly = None  # set for mergeable exp atoms only
-        self._h = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpaqueAtom)
-            and self.fn == other.fn
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        if self._h is None:
-            self._h = hash((self.fn, self.key))
-        return self._h
+    def __new__(cls, fn: str, key: tuple, arg: Expr, arg_poly: Poly | None = None):
+        return _intern(cls, fn, key, unkeyed=(arg, arg_poly))
 
     def __repr__(self):
         return f"<atom {self.fn}({to_string(self.arg)})>"
@@ -463,8 +447,8 @@ _MONO_KEYS: dict = {}
 
 def _mono_sort_key(mono: tuple):
     # graded lex, descending: higher total degree first, then earlier
-    # symbols with higher exponents first; memoized per monomial and
-    # emptied together with the normalization cache (`_clear_caches`)
+    # symbols with higher exponents first; memoized per monomial for the
+    # process, as nodes are
     key = _MONO_KEYS.get(mono)
     if key is None:
         deg = sum(e for _, e in mono)
@@ -691,9 +675,8 @@ _ONE_KEY = (((), (1, 1)),)
 
 
 def _exp_atom(arg_poly: Poly) -> OpaqueAtom:
-    atom = OpaqueAtom("exp", (_poly_key(arg_poly), _ONE_KEY), arg_poly.to_expression())
-    atom.arg_poly = arg_poly
-    return atom
+    return OpaqueAtom("exp", (_poly_key(arg_poly), _ONE_KEY),
+                      arg_poly.to_expression(), arg_poly)
 
 
 class RatForm:
@@ -1031,17 +1014,8 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
 
 # --- normalization ----------------------------------------------------------
 
-_RAT_CACHE: dict = {}
-# (atom, symbol) -> d atom / d symbol as a normal form
+# (atom, symbol) -> d atom / d symbol as a normal form, for the process
 _ATOM_DERIVATIVES: dict = {}
-
-
-def _clear_caches():
-    """Empty the normalization cache, the monomial-key memo it feeds and the
-    atom derivatives."""
-    _RAT_CACHE.clear()
-    _MONO_KEYS.clear()
-    _ATOM_DERIVATIVES.clear()
 
 
 def _atom_derivative(atom, s: Symbol) -> RatForm:
@@ -1054,16 +1028,13 @@ def _atom_derivative(atom, s: Symbol) -> RatForm:
 
 
 def as_ratform(e: Expr) -> RatForm:
-    """Canonical rational form num/den.  Raises NotPolynomial only for
-    square roots with no exact form."""
-    hit = _RAT_CACHE.get(e)
-    if hit is not None:
-        return hit
-    rf = _as_ratform(e)
-    if len(_RAT_CACHE) > 400_000:
-        _clear_caches()
-    _RAT_CACHE[e] = rf
-    return rf
+    """Canonical rational form num/den, kept on the node once taken.
+    Raises NotPolynomial only for square roots with no exact form."""
+    try:
+        return e._rf
+    except AttributeError:  # the slot is unset until the first call
+        rf = e._rf = _as_ratform(e)
+        return rf
 
 
 def _as_ratform(e: Expr) -> RatForm:
@@ -1267,7 +1238,7 @@ def differentiate(e: Expr, s: Symbol) -> Expr:
         out = []
         for i, f in enumerate(e.factors):
             df = differentiate(f, s)
-            if df is ZERO or (isinstance(df, Num) and df.val == 0):
+            if df is ZERO:
                 continue
             rest = e.factors[:i] + e.factors[i + 1 :]
             out.append(mul(df, *rest))
@@ -1277,7 +1248,7 @@ def differentiate(e: Expr, s: Symbol) -> Expr:
         return mul(Num(e.n), pow_(e.base, e.n - 1), db)
     if isinstance(e, Func):
         da = differentiate(e.arg, s)
-        if isinstance(da, Num) and da.val == 0:
+        if da is ZERO:
             return ZERO
         if e.fn == "sin":
             return mul(func("cos", e.arg), da)

@@ -310,20 +310,38 @@ def test_verify_solution_skips_overflowing_samples(capsys, tmp_path):
     assert err == ""
 
 
+def _horner_field(path, depth):
+    """Write the field sin(y*(1 + x*(1 + x*(...)))), `depth` nested
+    factors, 0, 0 to path."""
+    text = "1"
+    for _ in range(depth):
+        text = f"1+x*({text})"
+    path.write_text(f"sin(y*({text}))\n0\n0\n")
+    return path
+
+
 @pytest.mark.parametrize("depth", [110, MAX_NESTING - 3],
                          ids=["110", "at-the-parser-bound"])
 def test_verify_solution_deep_horner_field(capsys, tmp_path, depth):
     # 110 nested factors: too deep for one parenthesised Python expression;
     # MAX_NESTING - 3 factors take the parser to its bound
-    text = "1"
-    for _ in range(depth):
-        text = f"1+x*({text})"
-    path = tmp_path / "field.txt"
-    path.write_text(f"sin(y*({text}))\n0\n0\n")
+    path = _horner_field(tmp_path / "field.txt", depth)
     code, out, _ = run(capsys, "verify-solution", "--sol", str(path),
                        "--system", "blair")
     assert code == cli.EXIT_VERIFY
     assert "modes: numeric symbolic numeric numeric" in out
+
+
+def test_verify_solution_of_one_deep_field_again_and_again(capsys, tmp_path):
+    # the second parse of a 180-factor field is the same tree as the first:
+    # interned, it is the same object, where comparing two equal copies
+    # walked both past the recursion limit
+    path = _horner_field(tmp_path / "field.txt", 180)
+    for _ in range(3):
+        code, out, err = run(capsys, "verify-solution", "--sol", str(path),
+                             "--system", "blair")
+        assert (code, err) == (cli.EXIT_VERIFY, "")
+        assert "verdict: FAIL" in out
 
 
 def test_verify_solution_nested_too_deeply(capsys, tmp_path):
@@ -427,11 +445,7 @@ def run_fresh(*argv, timeout):
 def test_verify_solution_too_deep_to_print(tmp_path):
     # 180 nested factors normalize, but |B| has no exact square root and
     # the subtree in that message is too deep for the recursive printer
-    text = "1"
-    for _ in range(180):
-        text = f"1+x*({text})"
-    path = tmp_path / "field.txt"
-    path.write_text(f"sin(y*({text}))\n0\n0\n")
+    path = _horner_field(tmp_path / "field.txt", 180)
     proc = run_fresh("verify-solution", "--sol", str(path), "--system", "curl-absB",
                      timeout=60)
     assert proc.returncode == cli.EXIT_VERIFY

@@ -1,5 +1,6 @@
 """Kernel tests: trees, normal forms, rewrites, parser/printer, numerics."""
 
+import ast
 import math
 import random
 import sys
@@ -73,6 +74,96 @@ def test_structural_equality_is_not_semantic():
     assert E.Add((S.x, S.y)) != E.Mul((S.x, S.y))
 
 
+def test_equal_values_are_one_object():
+    assert Num(2) is Num(Fraction(4, 2))
+    assert parse("sin(x/y) + 2*x") is add(sin(S.x / S.y), mul(2, S.x))
+    # arguments that normalize equal give one atom
+    for left, right in (("exp(x)*exp(y)", "exp(x + y)"),
+                        ("sin(x/y)", "sin((2*x)/(2*y))")):
+        (a,), (b,) = (normalize(parse(t)).atoms() for t in (left, right))
+        assert isinstance(a, E.OpaqueAtom) and a is b
+
+
+def test_a_node_keeps_its_normal_form(monkeypatch):
+    e = parse("x*y + 17/3")
+    rf = as_ratform(e)
+    assert e._rf is rf
+    monkeypatch.setattr(E, "_as_ratform", lambda e: pytest.fail("normalized twice"))
+    assert as_ratform(parse("x*y + 17/3")) is rf
+
+
+# the classes whose instances `_intern` builds: one object per value
+_INTERNED = ("Num", "Add", "Mul", "Pow", "Func", "OpaqueAtom")
+
+
+def _scopes(tree):
+    """(enclosing class or None, enclosing function or None, node) for every
+    node of a module."""
+    stack = [(None, None, tree)]
+    while stack:
+        cls, fn, node = stack.pop()
+        yield cls, fn, node
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        stack.extend((cls, fn, child) for child in ast.iter_child_nodes(node))
+
+
+def _is_attr(node, owner, attr):
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == owner)
+
+
+def _slot_writes(tree, slots):
+    """(class, function, line, target) of every store to or deletion of an
+    attribute named in `slots`, and of every setattr or delattr call, whose
+    target is None."""
+    for cls, fn, node in _scopes(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr")
+                or _is_attr(node.func, "object", "__setattr__")):
+            yield cls, fn, node.lineno, None
+        if (isinstance(node, ast.Attribute) and node.attr in slots
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            yield cls, fn, node.lineno, node
+
+
+def test_only_the_interning_code_builds_or_changes_a_node():
+    """No module under src/curlsym builds an object by `object.__new__`,
+    sets a slot of a node or an atom, or gives an interned class its own
+    equality, hash or initializer, outside `_intern`.  A class's `self.terms`
+    and the like are its own.  Two writes are exempt: `as_ratform` keeps the
+    normal form in `_rf`, and `Symbol.__init__` builds the one symbol of a
+    name in a registry."""
+    interned = [getattr(E, n) for n in _INTERNED]
+    classes = (E.Expr, E.Symbol, *interned)
+    slots = {name for c in classes for name in c.__slots__}
+    nodes = {c.__name__ for c in classes}
+    found = []
+    for path in sorted(Path(E.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        interning = (path.name, "_intern")
+        for cls, fn, node in _scopes(tree):
+            if _is_attr(node, "object", "__new__") and (path.name, fn) != interning:
+                found.append((path.name, node.lineno, "object.__new__"))
+            if (cls in _INTERNED and isinstance(node, ast.FunctionDef)
+                    and node.name in ("__eq__", "__hash__", "__init__")):
+                found.append((path.name, node.lineno, f"{cls}.{node.name}"))
+        for cls, fn, line, t in _slot_writes(tree, slots):
+            own = t is not None and _is_attr(t, "self", t.attr) and (
+                cls not in nodes or (cls, fn) == ("Symbol", "__init__"))
+            memo = (path.name, fn, getattr(t, "attr", None)) == (
+                "expr.py", "as_ratform", "_rf")
+            if not ((path.name, fn) == interning or own or memo):
+                found.append((path.name, line, fn))
+    assert found == []
+    for c in classes:
+        assert (c.__eq__, c.__hash__) == (object.__eq__, object.__hash__), c
+    for c in interned:
+        assert c.__init__ is object.__init__, c
+
+
 def test_free_symbols_of_a_deep_tree():
     # sin(... + y) nested 5,000 times: far past the recursion limit
     e = S.x
@@ -141,6 +232,12 @@ def _golden_normal_forms():
 @pytest.mark.parametrize("text, want", _golden_normal_forms())
 def test_printed_normal_forms_match_the_golden_file(text, want):
     assert to_string(E.normal_expression(parse(text))) == want
+
+
+@pytest.mark.parametrize("text", [text for text, _ in _golden_normal_forms()])
+def test_equal_inputs_parse_and_normalize_to_one_object(text):
+    assert parse(text) is parse(text)
+    assert as_ratform(parse(text)) is as_ratform(parse(text))
 
 
 def test_r_denominator_cleared_by_conjugation():
@@ -524,9 +621,7 @@ def _expr_strategy():
 @example(neg(exp(mul(pow_(S.x, -1), S.x))))
 @example(add(S.x, neg(add(S.x, S.y))))
 def test_print_parse_round_trip(e):
-    back = parse(to_string(e))
-    assert back == e
-    assert hash(back) == hash(e)
+    assert parse(to_string(e)) is e
 
 
 @settings(max_examples=60, deadline=None)
@@ -813,21 +908,6 @@ def test_rat_add_keeps_the_square_as_denominator():
     rf = as_ratform(parse("1/(x^2+y^2+z^2+1) + 1/(x^2+y^2+z^2+1)^2"))
     assert rf.den == d * d
     assert rf.num == d + E.poly_const(Fraction(1))
-
-
-class _FullCache(dict):
-    def __len__(self):
-        return 400_001
-
-
-def test_cache_overflow_empties_the_monomial_key_memo(monkeypatch):
-    monkeypatch.setattr(E, "_RAT_CACHE", _FullCache())
-    E._mono_sort_key(E._freeze({S.x: 1, S.y: 1}))
-    assert E._MONO_KEYS
-    e = S.x * S.y + 3
-    as_ratform(e)
-    assert not E._MONO_KEYS
-    assert list(E._RAT_CACHE) == [e]
 
 
 def test_registry_fresh_symbols():

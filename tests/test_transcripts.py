@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 164
-invocations, 163 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 166
+invocations, 165 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -27,7 +27,10 @@ invocations, 163 of them distinct, run in-process through `cli.main`:
 * the divergence line's three verdicts under the curl systems, as text
   and as `--json`: `0 (symbolic)` for B1, `0 (numeric)` for a field whose
   divergence stays within `--tol`, and `undecided (numeric)` for one whose
-  every sample overflows.
+  every sample overflows;
+* `verify-solution --system blair` on a field of 180 nested factors, as
+  text and as `--json`: the second run parses the same deep tree again in
+  the same process.
 
 A `reduce` stdout that carries the RK4 table keeps its summary in the
 transcript, the table taken out, beside the table's row count and the
@@ -164,8 +167,16 @@ _DIVERGENCE_RUNS = [
         "verify-solution --sol overflow_field.txt --system curl-absB",
     ) for j in ([], ["--json"])
 ]
+# sin(y*(1 + x*(1 + x*(...)))) with 180 nested factors, within the parser's
+# bound; run twice in one process, its second parse meets the first's tree
+_DEEP_TEXT = "1"
+for _ in range(180):
+    _DEEP_TEXT = f"1+x*({_DEEP_TEXT})"
+_DEEP_RUNS = [["verify-solution", "--sol", "horner_field.txt", "--system", "blair",
+               *j] for j in ([], ["--json"])]
 _INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS, **_PROBE_FIELDS,
                      **_DIVERGENCE_FIELDS,
+                     "horner_field.txt": f"sin(y*({_DEEP_TEXT}))\n0\n0\n",
                      "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
                      "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n"})
 _BAD_INPUT_RUNS = [shlex.split(c) for c in [
@@ -226,7 +237,8 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
 INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
     shlex.join(a)
     for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS
-    + _SAMPLED_RUNS + _BAD_INPUT_RUNS + _PROBE_RUNS + _DIVERGENCE_RUNS)]
+    + _SAMPLED_RUNS + _BAD_INPUT_RUNS + _PROBE_RUNS + _DIVERGENCE_RUNS
+    + _DEEP_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -314,8 +326,8 @@ def corpus():
 def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
             len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
-            len(_PROBE_RUNS), len(_DIVERGENCE_RUNS), len(INVOCATIONS)
-            ) == (34, 28, 4, 6, 1, 80, 5, 6, 163)
+            len(_PROBE_RUNS), len(_DIVERGENCE_RUNS), len(_DEEP_RUNS),
+            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 80, 5, 6, 2, 165)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
