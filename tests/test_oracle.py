@@ -1,12 +1,14 @@
-"""An independent oracle for the bracket tables, the adjoint tables and the
-two solutions.
+"""An independent oracle for the reference generators, the bracket tables,
+the adjoint tables and the two solutions.
 
 The sympy side reads the reference bases and tables from the fixture text
 itself and computes with sympy alone; nothing of curlsym takes part in it.
 Only the values it checks come from curlsym: the structure constants, the
 closed-form adjoint entries and the built-in fields, the latter two as
 printed expressions.  Each basis costs one exact solve: the polynomial
-coefficients of all its brackets against those of its elements."""
+coefficients of all its brackets against those of its elements.  That the
+reference generators are symmetries at all is checked from the fixture
+text too, by the first prolongation on the solved equations."""
 
 from pathlib import Path
 
@@ -182,3 +184,78 @@ def test_b1_solves_the_blair_system():
 def test_b2_solves_the_curl_system_but_not_div_free():
     assert _solves_curl_with_magnitude(B2, 4 / (1 + R2))
     assert sp.simplify(_div(B2) - 8 * z / (1 + R2)**2) == 0
+
+
+# --- the generators are symmetries ------------------------------------------
+
+BASE, FIELD = COORDS[:3], COORDS[3:]
+JETS = {(c, s): sp.Symbol(f"{c}_{s}", real=True) for c in FIELD for s in BASE}
+MAGNITUDE = sp.sqrt(u**2 + v**2 + w**2)
+
+
+def _jet(c, s):
+    return JETS[(c, s)]
+
+
+# curl B = |B| B, and div B = 0 for the Blair system, each solved for one
+# first jet that no right-hand side holds
+CURL = {_jet(w, y): _jet(v, z) + MAGNITUDE * u,
+        _jet(u, z): _jet(w, x) + MAGNITUDE * v,
+        _jet(v, x): _jet(u, y) + MAGNITUDE * w}
+DIV = {_jet(u, x): -_jet(v, y) - _jet(w, z)}
+
+
+def _total(c: sp.Expr, s: sp.Symbol) -> sp.Expr:
+    """D_s of a function of (x, y, z, u, v, w)."""
+    return sp.diff(c, s) + sum(sp.diff(c, a) * _jet(a, s) for a in FIELD)
+
+
+def _prolonged(gen: tuple, eq: sp.Expr) -> sp.Expr:
+    """pr X applied to a first-order equation, X = (zeta, ..., psi).  The
+    first jet coefficient of u^a in s is D_s Q^a + xi^t u^a_st, Q^a = phi^a -
+    xi^t u^a_t the characteristic; the second jets cancel, which leaves
+    D_s phi^a - u^a_t D_s xi^t."""
+    xi, phi = gen[:3], gen[3:]
+    out = sum(g * sp.diff(eq, s) for g, s in zip(gen, COORDS))
+    for a, pa in zip(FIELD, phi):
+        for s in BASE:
+            coeff = _total(pa, s) - sum(_jet(a, t) * _total(xt, s)
+                                        for t, xt in zip(BASE, xi))
+            out += coeff * sp.diff(eq, _jet(a, s))
+    return out
+
+
+def _is_symmetry(gen: tuple, solved: dict) -> bool:
+    """pr X of each equation `jet - value` vanishes where the equations
+    hold.  Times |B|, no term keeps 1/|B|, and |B|^2 evaluates to
+    u^2 + v^2 + w^2: the expansion is p + q*|B| with p and q polynomials,
+    zero exactly when both are, as |B| is irrational."""
+    return all(sp.expand(MAGNITUDE * _prolonged(gen, jet - value).subs(solved)) == 0
+               for jet, value in solved.items())
+
+
+def _flipped(gen: tuple) -> tuple:
+    """gen with the sign of its last nonzero coefficient flipped; None when
+    that is its only one, as -X is a symmetry whenever X is."""
+    nonzero = [k for k, c in enumerate(gen) if c != 0]
+    if len(nonzero) < 2:
+        return None
+    return tuple(-c if k == nonzero[-1] else c for k, c in enumerate(gen))
+
+
+_SYSTEMS = [("basis_10.txt", CURL), ("basis_7.txt", {**CURL, **DIV})]
+
+
+@pytest.mark.parametrize("name, solved", _SYSTEMS, ids=["b10-curl", "b7-blair"])
+def test_each_reference_generator_is_a_symmetry(name, solved):
+    for k, gen in enumerate(_basis(name), start=1):
+        assert _is_symmetry(gen, solved), f"X{k}"
+        flipped = _flipped(gen)
+        assert flipped is None or not _is_symmetry(flipped, solved), \
+            f"X{k}, one sign flipped"
+
+
+def test_the_conformal_generators_break_div_b_zero():
+    # X8..X10 of b10 keep curl B = |B| B but not div B = 0: b7 leaves them out
+    for k, gen in enumerate(_basis("basis_10.txt")[7:], start=8):
+        assert not _is_symmetry(gen, {**CURL, **DIV}), f"X{k}"
