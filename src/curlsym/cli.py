@@ -7,12 +7,15 @@ mismatches limited to the documented exception list, 2 verification
 failed, 3 fixture mismatch beyond the documented exceptions, 4 bad input
 (unparseable expression, unknown name, malformed file).  Each `cmd_*`
 returns (lines, data, code); only `main` prints, and it alone maps bad input
-to exit 4.
+to exit 4.  `all` runs the other subcommands through their own parser and
+`cmd_*`, so each of its sections but the subalgebra candidates is what that
+subcommand alone prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
@@ -111,28 +114,26 @@ def _emit(args, lines, data, code):
     return code
 
 
-def _pde_system(token: str):
-    if token == "curl-f":
-        return symmetry.curl_system(None)
-    if token == "curl-absB":
-        return symmetry.curl_system(S.R)
-    if token == "blair":
-        return symmetry.blair_system(S.R)
-    raise CliInputError(f"unknown system '{token}'")
+# name -> (builder, profile) of each PDE system; a system is built on use.
+# The names are also the `--system` choices
+_SYSTEMS = {
+    "curl-f": (symmetry.curl_system, None),
+    "curl-absB": (symmetry.curl_system, S.R),
+    "blair": (symmetry.blair_system, S.R),
+}
 
 
-def _fixture_basis(token: str):
-    if token == "b10":
-        return fixtures.load_basis(10)
-    if token == "b7":
-        return fixtures.load_basis(7)
-    raise CliInputError(f"unknown basis '{token}'")
+def _pde_system(name: str):
+    build, profile = _SYSTEMS[name]
+    return build(profile)
 
 
+@functools.lru_cache(maxsize=None)
 def _algebra_table(token: str) -> liealg.LieAlgebraTable:
+    """The bracket table of basis b7 or b10, built once per process."""
     from . import liealg
 
-    return liealg.structure_constants(_fixture_basis(token))
+    return liealg.structure_constants(fixtures.load_basis(int(token[1:])))
 
 
 def _check_sampling(args):
@@ -240,9 +241,9 @@ def cmd_solve_ansatz(args):
 
 def _read_clean_lines(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
     return fixtures.content_lines(raw)
 
@@ -312,12 +313,9 @@ def _mismatch_code(new, documented) -> int:
 
 
 def cmd_bracket_table(args):
-    return _bracket_report(_algebra_table(args.basis), args.basis)
-
-
-def _bracket_report(table, basis: str):
     from . import liealg
 
+    table = _algebra_table(args.basis)
     lines = [liealg.table_grid(table)]
     jacobi = liealg.jacobi_check(table)
     lines.append(f"Jacobi identity: {'ok' if jacobi else 'VIOLATED'}")
@@ -338,7 +336,7 @@ def _bracket_report(table, basis: str):
         f"{len(documented)} documented mismatches, {len(new)} new"
     )
     data = {
-        "basis": basis,
+        "basis": args.basis,
         "jacobi": jacobi,
         "table": liealg.table_to_json(table),
         "documented_mismatches": [m.describe() for m in documented],
@@ -376,13 +374,7 @@ def cmd_adjoint(args):
                 lines.append(f"X{i},X{j}: {pretty}")
         data = {"basis": "b7", "eps": eps, "coordinates": entries}
         return lines, data, EXIT_OK
-    return _adjoint_report(table)
-
-
-def _adjoint_report(table):
-    """The closed-form adjoint table of b7 against the stored one."""
-    from . import liealg
-
+    # the closed-form table against the stored one
     names = table.names
     try:
         rows = [liealg.adjoint_closed_form(table, i) for i in range(1, table.dim + 1)]
@@ -473,7 +465,11 @@ def cmd_verify_solution(args):
             raise CliInputError("--transform needs --eps")
         if not 1 <= args.transform <= 7:
             raise CliInputError("--transform takes a family index 1..7")
-        sol = solutions.transform(sol, args.transform, _parse_eps(args.eps))
+        eps = _parse_eps(args.eps)
+        try:
+            sol = solutions.transform(sol, args.transform, eps)
+        except ValueError as e:
+            raise CliInputError(f"bad eps value {args.eps!r}: {e}") from None
     check = solutions.verify_solution_residuals(
         sol, args.system, samples=args.samples, tol=args.tol
     )
@@ -541,7 +537,10 @@ def cmd_reduce(args):
     code = EXIT_OK if not table.blown_up else EXIT_VERIFY
 
     if args.out:
-        solutions.solution_table_csv(table, args.out)
+        try:
+            solutions.solution_table_csv(table, args.out)
+        except OSError as e:
+            raise CliInputError(f"cannot write {args.out}: {e}") from None
         lines.append(f"table written to {args.out}")
         data["out"] = args.out
 
@@ -628,22 +627,17 @@ def cmd_check_f(args):
         profile = parse(args.expr)
     except ExprError as e:
         raise CliInputError(f"bad expression: {e}") from None
-    labeled = _labeled_constraints()
+    verdicts = {label: symmetry.verify_f([constraint], profile)
+                for label, constraint in _labeled_constraints()}
+    failed = [label for label, good in verdicts.items() if not good]
+    ok = not failed
     lines = [f"profile f = {to_string(profile)}"]
-    verdicts = {}
-    ok = True
-    first_fail = None
-    for label, constraint in labeled:
-        good = symmetry.verify_f([constraint], profile)
-        verdicts[label] = good
-        lines.append(f"{'PASS' if good else 'FAIL'}: {label}")
-        if not good and first_fail is None:
-            first_fail = label
-        ok = ok and good
+    lines += [f"{'PASS' if good else 'FAIL'}: {label}"
+              for label, good in verdicts.items()]
     lines.append(
         "verdict: profile generates the full symmetry group"
         if ok
-        else f"verdict: FAIL ({first_fail})"
+        else f"verdict: FAIL ({failed[0]})"
     )
     data = {"profile": to_string(profile), "constraints": verdicts, "ok": ok}
     return lines, data, EXIT_OK if ok else EXIT_VERIFY
@@ -697,8 +691,7 @@ def cmd_all(args):
         ns = parser.parse_args(argv)
         return ns.func(ns)
 
-    # each table is built once and passed to every section that reads it
-    b10, b7 = _algebra_table("b10"), _algebra_table("b7")
+    # `_algebra_table` builds b7's table once for the three sections that read it
     sections = [
         ("determining (formal profile) vs fixture",
          *run("determining", "--system", "curl-f", *det_fixture)),
@@ -706,15 +699,16 @@ def cmd_all(args):
          *run("solve-ansatz", "--system", "curl-absB", "--degree", "2", *fixture)),
         ("ansatz degree 2, divergence-free",
          *run("solve-ansatz", "--system", "blair", "--degree", "2", *fixture)),
-        ("bracket table, ten generators", *_bracket_report(b10, "b10")),
-        ("bracket table, seven generators", *_bracket_report(b7, "b7")),
-        ("adjoint table", *_adjoint_report(b7)),
+        ("bracket table, ten generators", *run("bracket-table", "--basis", "b10")),
+        ("bracket table, seven generators", *run("bracket-table", "--basis", "b7")),
+        ("adjoint table", *run("adjoint", "--basis", "b7")),
         ("first solution, full system",
          *run("verify-solution", "--sol", "B1", "--system", "blair")),
         ("second solution, curl equations",
          *run("verify-solution", "--sol", "B2", "--system", "curl-absB")),
         ("profile constraint check", *run("check-f", "--expr", "R")),
-        ("two-generator subalgebra candidates", *_subalgebra_section(b7)),
+        ("two-generator subalgebra candidates",
+         *_subalgebra_section(_algebra_table("b7"))),
     ]
 
     # the codes rank 0 < 1 < 2 < 3 by severity, and no section gives 4
@@ -748,15 +742,13 @@ def build_parser() -> _ArgumentParser:
         return p
 
     p = add("determining", cmd_determining, help="print the determining system")
-    p.add_argument("--system", default="curl-f",
-                   choices=["curl-f", "curl-absB", "blair"])
+    p.add_argument("--system", default="curl-f", choices=_SYSTEMS)
     p.add_argument("--compare-fixture", default=False,
                    help="compare against a reference system ('determining')")
 
     p = add("solve-ansatz", cmd_solve_ansatz,
             help="polynomial symmetry generators up to a degree")
-    p.add_argument("--system", required=True,
-                   choices=["curl-f", "curl-absB", "blair"])
+    p.add_argument("--system", required=True, choices=_SYSTEMS)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--compare-fixture", action="store_true",
                    help="compare the span against the reference basis")
@@ -765,8 +757,7 @@ def build_parser() -> _ArgumentParser:
             help="check whether a vector field generates a symmetry")
     p.add_argument("--gen", help="named reference generator (X1..X10)")
     p.add_argument("--expr-file", help="file with six coefficient expressions")
-    p.add_argument("--system", default="curl-absB",
-                   choices=["curl-f", "curl-absB", "blair"])
+    p.add_argument("--system", default="curl-absB", choices=_SYSTEMS)
 
     p = add("bracket-table", cmd_bracket_table,
             help="structure constants and fixture diff")
@@ -783,7 +774,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--sol", required=True,
                    help="B1, B2, zero, or a file with three expressions")
     p.add_argument("--system", default="blair",
-                   choices=["curl", "curl-f", "curl-absB", "blair"])
+                   choices=["curl", *_SYSTEMS])
     p.add_argument("--transform", type=int, default=None,
                    help="apply a transform family 1..7 first")
     p.add_argument("--eps", default=None,

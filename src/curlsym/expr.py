@@ -1400,9 +1400,9 @@ def _tokenize(text: str):
             toks.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j

@@ -234,7 +234,8 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     and 2.5 its denominator has 11, 9, 9 and 9 digits, the float's own
     17, 16, 16 and 15): the point lies exactly on the unit circle, so the
     rotation is exactly orthogonal, and its angle is eps up to the
-    rounding of one float.
+    rounding of one float; a numeric eps beyond float range is a
+    ValueError there.
     """
     if family not in range(1, 8):
         raise ValueError(f"family index must be 1..7, got {family}")
@@ -245,7 +246,13 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     comps = sol.components()
     if family <= 3:
         if isinstance(eps, Fraction):
-            t = _simplest_rounding_to(math.tan(eps / 2))
+            try:
+                half = float(eps / 2)
+            except OverflowError:
+                digits = len(str(abs(eps.numerator) // eps.denominator))
+                raise ValueError("a rotation needs eps within float range, "
+                                 f"not |eps| >= 10^{digits - 1}") from None
+            t = _simplest_rounding_to(math.tan(half))
             ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
         else:
             ca, sb = _unit_pair_for(sol)

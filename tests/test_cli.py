@@ -1121,6 +1121,41 @@ def test_flags_that_would_be_ignored_are_refused(capsys, argv, message, json_fla
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify-solution", "--sol", "B1", "--system", "blair", "--transform", "2",
+      "--eps", "10^400"),
+     "bad eps value '10^400': a rotation needs eps within float range, "
+     "not |eps| >= 10^400"),
+    (("reduce", "--kind", "translation", "--step", "1e-2",
+      "--out", "{tmp}/missing/t.csv"),
+     "cannot write {tmp}/missing/t.csv: [Errno 2] "),
+    (("reduce", "--kind", "translation", "--step", "1e-2", "--out", "{tmp}"),
+     "cannot write {tmp}: [Errno 21] "),
+    (("verify-solution", "--sol", "{tmp}/latin1_field.txt"),
+     "cannot read {tmp}/latin1_field.txt: 'utf-8' codec can't decode byte 0xff"),
+    (("verify-generator", "--expr-file", "{tmp}/latin1_field.txt"),
+     "cannot read {tmp}/latin1_field.txt: 'utf-8' codec can't decode byte 0xff"),
+    (("check-f", "--expr", "2\u00b2"),
+     "bad expression: unexpected character '\u00b2' (offset 1)"),
+], ids=["rotation-past-float-range", "out-in-missing-dir", "out-is-a-dir",
+        "sol-not-utf8", "expr-file-not-utf8", "superscript-digit"])
+@pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh"])
+def test_input_that_once_raised_is_bad_input(capsys, tmp_path, argv, message,
+                                             fresh):
+    # each once ended in a traceback with exit 1, or, for the superscript,
+    # in a message about a literal's length
+    (tmp_path / "latin1_field.txt").write_bytes(b"\xffx\n0\n0\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if fresh:
+        proc = run_fresh(*argv, timeout=60)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
+
+
 # --- all ---------------------------------------------------------------------
 
 
@@ -1137,7 +1172,8 @@ def test_all_documented_only_and_deterministic(capsys):
 
 def test_all_builds_each_bracket_table_once(capsys, monkeypatch):
     # b10 for its bracket section, b7 for the bracket, adjoint and
-    # subalgebra sections
+    # subalgebra sections; the tables live for the process, so a second
+    # `all` builds none
     built = []
     inner = liealg.structure_constants
 
@@ -1146,6 +1182,10 @@ def test_all_builds_each_bracket_table_once(capsys, monkeypatch):
         return inner(basis)
 
     monkeypatch.setattr(liealg, "structure_constants", counting)
+    cli._algebra_table.cache_clear()
+    code, _, _ = run(capsys, "all", "--compare-fixtures")
+    assert code == cli.EXIT_DOCUMENTED
+    assert sorted(built) == [7, 10]
     code, _, _ = run(capsys, "all", "--compare-fixtures")
     assert code == cli.EXIT_DOCUMENTED
     assert sorted(built) == [7, 10]

@@ -544,6 +544,13 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as ei:
         parse("foo(x)")
     assert ei.value.offset == 0
+    # a superscript is a digit to str.isdigit(), but no decimal digit
+    for text, offset in (("\u00b2", 0), ("2\u00b2", 1)):
+        with pytest.raises(ParseError, match="unexpected character '\u00b2'") as ei:
+            parse(text)
+        assert ei.value.offset == offset
+    # Arabic-Indic digits are decimal, and int() reads them
+    assert parse("\u0663\u0661*x") == parse("31*x")
 
 
 def test_parse_rejects_input_nested_too_deeply():

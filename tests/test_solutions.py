@@ -287,6 +287,15 @@ def test_bad_family_index():
         transform(B1, 8, 0.1)
 
 
+def test_rotation_past_float_range_is_a_value_error():
+    # tan(eps/2) needs eps as a float; a translation or scaling does not
+    for family in (1, 2, 3):
+        for eps, power in ((Fraction(10**400), 400), (Fraction(-3 * 10**400, 7), 399)):
+            with pytest.raises(ValueError, match=rf"not \|eps\| >= 10\^{power}$"):
+                transform(B1, family, eps)
+    assert transform(B1, 4, Fraction(10**400)).label == "B1~4"
+
+
 def _simplest_inside(lo, hi):
     """The Stern-Brocot walk from 0/1 and 1/0 to the first mediant strictly
     between lo and hi, 0 <= lo < hi, each run of steps to one side taken at

@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 166
-invocations, 165 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 171
+invocations, 170 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -20,7 +20,7 @@ invocations, 165 of them distinct, run in-process through `cli.main`:
   sampled, so the unit pair (a, b) is drawn on its circle;
 * the bad inputs of `tests/test_cli.py` that exit 4 with one line of
   stderr from `main`, and the files they read, a field of 200 nested
-  parentheses among them;
+  parentheses and a file that is not UTF-8 among them;
 * the probes that the open zero-test, normal-form, square-root and
   enclosure items will change on purpose: `check-f` on a profile with
   sqrt(x^2), and `verify-solution --system blair` on four `--sol` files.
@@ -178,7 +178,8 @@ _INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS, **_PROBE_FIELDS,
                      **_DIVERGENCE_FIELDS,
                      "horner_field.txt": f"sin(y*({_DEEP_TEXT}))\n0\n0\n",
                      "constant_generator.txt": "1\n0\n0\n0\n0\n0\n",
-                     "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n"})
+                     "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n",
+                     "not_utf8.txt": b"\xffsin(z)\ncos(z)\n0\n"})
 _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "determining --system blair --compare-fixture determining",
     "determining --system curl-f --compare-fixture bogus",
@@ -191,6 +192,8 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "verify-generator",
     *(f"verify-generator --expr-file {name}" for name in _BAD_GENERATORS),
     *(f"verify-solution --sol {name}" for name in _BAD_FIELDS),
+    "verify-solution --sol not_utf8.txt",
+    "verify-generator --expr-file not_utf8.txt",
     *(f"verify-solution --sol sampled_field.txt --system blair {flags}"
       for flags in ("--samples 0", "--samples -2", "--tol nan", "--tol inf",
                     "--tol=-1e-9")),
@@ -204,6 +207,7 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "verify-solution --sol B1 --transform 9 --eps 0.1",
     "verify-solution --sol B1 --transform 2",
     "verify-solution --sol B1 --eps 0.3",
+    "verify-solution --sol B1 --system blair --transform 2 --eps 10^400",
     "adjoint --basis b7 --numeric --eps nan --json",
     "adjoint --basis b7 --numeric --eps inf --json",
     "adjoint --basis b7 --numeric --eps 1e6 --json",
@@ -218,6 +222,8 @@ _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "reduce --kind translation --step 1e-300 --range 0 1e-290",
     "reduce --kind translation --ic 1e200 0",
     "reduce --kind rotation --range 0 3",
+    "reduce --kind translation --step 1e-2 --out missing_dir/table.csv",
+    "reduce --kind translation --step 1e-2 --out .",
     *(f"reduce --kind rotation --ic {ic} 0{j}" for ic in ("0", "1e-200")
       for j in ("", " --json")),
     *(f"reduce --kind rotation --range 1 1.001 --step 1e-4{j}"
@@ -307,8 +313,11 @@ def load_corpus() -> dict:
 
 
 def _write_input_files(d: Path):
-    for name, text in _INPUT_FILES.items():
-        (d / name).write_text(text)
+    for name, content in _INPUT_FILES.items():
+        if isinstance(content, bytes):
+            (d / name).write_bytes(content)
+        else:
+            (d / name).write_text(content)
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +336,7 @@ def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
             len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
             len(_PROBE_RUNS), len(_DIVERGENCE_RUNS), len(_DEEP_RUNS),
-            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 80, 5, 6, 2, 165)
+            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 85, 5, 6, 2, 170)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
