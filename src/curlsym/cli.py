@@ -33,7 +33,6 @@ from .expr import (
     ExprError,
     FORMAL_COEFFS,
     REGISTRY,
-    S,
     _poly_key,
     as_ratform,
     differentiate,
@@ -114,17 +113,8 @@ def _emit(args, lines, data, code):
     return code
 
 
-# name -> (builder, profile) of each PDE system; a system is built on use.
-# The names are also the `--system` choices
-_SYSTEMS = {
-    "curl-f": (symmetry.curl_system, None),
-    "curl-absB": (symmetry.curl_system, S.R),
-    "blair": (symmetry.blair_system, S.R),
-}
-
-
 def _pde_system(name: str):
-    build, profile = _SYSTEMS[name]
+    build, profile = symmetry.SYSTEMS[name]
     return build(profile)
 
 
@@ -241,7 +231,7 @@ def cmd_solve_ansatz(args):
 
 def _read_clean_lines(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from None
@@ -742,13 +732,13 @@ def build_parser() -> _ArgumentParser:
         return p
 
     p = add("determining", cmd_determining, help="print the determining system")
-    p.add_argument("--system", default="curl-f", choices=_SYSTEMS)
+    p.add_argument("--system", default="curl-f", choices=symmetry.SYSTEMS)
     p.add_argument("--compare-fixture", default=False,
                    help="compare against a reference system ('determining')")
 
     p = add("solve-ansatz", cmd_solve_ansatz,
             help="polynomial symmetry generators up to a degree")
-    p.add_argument("--system", required=True, choices=_SYSTEMS)
+    p.add_argument("--system", required=True, choices=symmetry.SYSTEMS)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--compare-fixture", action="store_true",
                    help="compare the span against the reference basis")
@@ -757,7 +747,7 @@ def build_parser() -> _ArgumentParser:
             help="check whether a vector field generates a symmetry")
     p.add_argument("--gen", help="named reference generator (X1..X10)")
     p.add_argument("--expr-file", help="file with six coefficient expressions")
-    p.add_argument("--system", default="curl-absB", choices=_SYSTEMS)
+    p.add_argument("--system", default="curl-absB", choices=symmetry.SYSTEMS)
 
     p = add("bracket-table", cmd_bracket_table,
             help="structure constants and fixture diff")
@@ -774,7 +764,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--sol", required=True,
                    help="B1, B2, zero, or a file with three expressions")
     p.add_argument("--system", default="blair",
-                   choices=["curl", *_SYSTEMS])
+                   choices=["curl", *symmetry.SYSTEMS])
     p.add_argument("--transform", type=int, default=None,
                    help="apply a transform family 1..7 first")
     p.add_argument("--eps", default=None,

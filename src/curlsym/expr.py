@@ -16,9 +16,10 @@ fixed symbol universe:
   a^2 + b^2 -> 1, integration constants C1..C10, the formal function symbols
   f, f_u, f_v, f_w, the formal generator coefficients zeta ... psi with
   their first partials zeta_x ... psi_w, and the generator names X1..X10
-  that the reference tables combine; a rotation at a symbolic eps of a
-  field that already holds a and b registers a fresh pair a2, b2, ...,
-  and a numeric eps is an exact rational, never a symbol)
+  that the reference tables combine; a rotation at a symbolic eps takes
+  the first registered pair that the field does not name, and registers
+  a new pair a2, b2, ... only when the field names every pair; a numeric
+  eps is an exact rational, never a symbol)
 
 Everything downstream (prolongation, determining systems, brackets) runs on
 normal forms, which `rat_combination` sums per denominator, `substitution`
@@ -333,7 +334,6 @@ class SymbolRegistry:
         self._order = 0
         self.derivative_rules: dict[tuple[Symbol, Symbol], Expr] = {}
         self.unit_pairs: dict[Symbol, Symbol] = {}  # b -> a for b^2 -> 1-a^2
-        self._pair_count = 1
 
     def register(self, name: str, kind: str) -> Symbol:
         if kind not in KINDS:
@@ -354,9 +354,15 @@ class SymbolRegistry:
         self.unit_pairs[b] = a
         return a, b
 
-    def fresh_unit_pair(self) -> tuple[Symbol, Symbol]:
-        self._pair_count += 1
-        return self.register_unit_pair(f"a{self._pair_count}", f"b{self._pair_count}")
+    def unit_pair_avoiding(self, used) -> tuple[Symbol, Symbol]:
+        """The first registered unit pair (a, b) of which `used` holds
+        neither symbol; a new pair a{k}, b{k}, k the pair count plus one,
+        only when `used` names every pair."""
+        for b, a in self.unit_pairs.items():
+            if a not in used and b not in used:
+                return a, b
+        k = len(self.unit_pairs) + 1
+        return self.register_unit_pair(f"a{k}", f"b{k}")
 
 
 def _build_registry() -> SymbolRegistry:
@@ -566,9 +572,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(_poly_key(self))
 
     def __repr__(self):
         return f"<Poly {to_string(self.to_expression())}>"

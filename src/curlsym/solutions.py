@@ -45,7 +45,7 @@ from .expr import (
     substitute,
     to_string,
 )
-from .symmetry import blair_system
+from .symmetry import SYSTEMS, blair_system
 
 
 class FieldSolution(namedtuple("FieldSolution", "u v w bindings label",
@@ -85,24 +85,6 @@ B2 = _field(
 ZERO_FIELD = _field("0", "0", "0", "zero")
 
 BUILTIN_SOLUTIONS = {"B1": B1, "B2": B2, "zero": ZERO_FIELD}
-
-_SYSTEM_ALIASES = {
-    "curl": "curl",
-    "curl-f": "curl",
-    "curl-absB": "curl",
-    "blair": "blair",
-}
-
-
-def _system_kind(system: str) -> str:
-    kind = _SYSTEM_ALIASES.get(system)
-    if kind is None:
-        raise ValueError(
-            f"unknown system '{system}'; expected one of "
-            f"{sorted(set(_SYSTEM_ALIASES))}"
-        )
-    return kind
-
 
 def _jet_substitution(sol: FieldSolution) -> dict:
     """The components and their first partials for u, v, w and the jets,
@@ -156,8 +138,12 @@ def verify_solution_residuals(
 
     Under a curl system the fourth residual, the divergence, does not count
     toward `ok` and has no display: `divergence` holds its (verdict, mode),
-    and is None under blair."""
-    kind = _system_kind(system)
+    and is None under blair.  `system` is "curl" or a name of `SYSTEMS`."""
+    names = ["curl", *SYSTEMS]
+    if system not in names:
+        raise ValueError(f"unknown system '{system}'; expected one of "
+                         f"{sorted(names)}")
+    kind = "blair" if system == "blair" else "curl"
     decided = []
     for e in residual_expressions(sol):
         try:
@@ -178,15 +164,6 @@ def verify_solution_residuals(
 
 # coordinate positions (0, 1, 2 for x, y, z) of the rotation planes
 _ROTATION_PLANES = {1: (0, 1), 2: (1, 2), 3: (0, 2)}
-
-
-def _unit_pair_for(sol: FieldSolution):
-    used = set()
-    for c in sol.components():
-        used |= free_symbols(c)
-    if S.a not in used and S.b not in used:
-        return S.a, S.b
-    return REGISTRY.fresh_unit_pair()
 
 
 def _normalized(e: Expr) -> Expr:
@@ -227,8 +204,9 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
     components: families 1-3 rotate a coordinate plane and the matching
     component pair by a unit pair (a, b) standing for (cos eps, sin eps),
     families 4-6 translate axis family - 4 by eps, and family 7 scales by
-    e^-eps.  For a symbolic eps the rotation keeps (a, b) free, a fresh
-    pair if the field already holds a and b.  For a number it takes the
+    e^-eps.  For a symbolic eps the rotation keeps a unit pair free: the
+    first registered pair the field does not name
+    (`SymbolRegistry.unit_pair_avoiding`).  For a number it takes the
     rational point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), t the simplest
     rational that rounds to the float tan(eps/2) (at eps = 0.3, 0.4, 1
     and 2.5 its denominator has 11, 9, 9 and 9 digits, the float's own
@@ -255,7 +233,8 @@ def transform(sol: FieldSolution, family: int, eps) -> FieldSolution:
             t = _simplest_rounding_to(math.tan(half))
             ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
         else:
-            ca, sb = _unit_pair_for(sol)
+            ca, sb = REGISTRY.unit_pair_avoiding(
+                set().union(*map(free_symbols, comps)))
         i, j = _ROTATION_PLANES[family]
         xi, xj = xyz[i], xyz[j]
         sigma = {xi: ca * xi + sb * xj, xj: -sb * xi + ca * xj}
@@ -499,6 +478,11 @@ def reconstruct_field(table: SolutionTable) -> NumericField:
         try:  # terms like beta^3/(r*s), s = |(beta, gamma)|, are 0/0 at s = 0
             curvatures.append(second(*y, t))
         except ArithmeticError as e:
+            if not any(y):
+                # the origin is an equilibrium: the solution through it,
+                # and so its curvature, is identically zero
+                curvatures.append((0.0, 0.0))
+                continue
             raise ValueError(f"reconstruction fails at radius {t:g} "
                              f"({type(e).__name__})") from None
     beta, gamma = (

@@ -106,6 +106,17 @@ def blair_system(f_value: Expr | None = None) -> PdeSystem:
                      (S.u_y, S.v_y, S.v_z, S.w_x, S.w_z), f_value)
 
 
+# name -> (builder, profile) of each PDE system the paper studies: (8) with
+# the formal profile f, curl B = |B| B, and the blair system, which adds
+# the divergence.  A system is built on use; the names, in this order, are
+# the CLI's `--system` choices
+SYSTEMS = {
+    "curl-f": (curl_system, None),
+    "curl-absB": (curl_system, S.R),
+    "blair": (blair_system, S.R),
+}
+
+
 def generic_generator() -> GeneratorField:
     return GeneratorField(S.zeta, S.eta, S.theta, S.phi, S.lam, S.psi)
 

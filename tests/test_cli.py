@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, driven through main(argv)."""
 
+import argparse
 import ast
 import contextlib
 import gc
@@ -19,7 +20,7 @@ import jsonschema
 import pytest
 
 import curlsym
-from curlsym import cli, fixtures, liealg, ratlin, solutions
+from curlsym import cli, fixtures, liealg, ratlin, solutions, symmetry
 from curlsym.expr import (MAX_NESTING, S, as_ratform, equal_exprs, normalize,
                           parse, poly_div_exact, substitute, to_string)
 
@@ -962,16 +963,31 @@ def test_reduce_rotation_rejects_singular_start(capsys):
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
-@pytest.mark.parametrize("ic", ["0", "1e-200"])
+@pytest.mark.parametrize("ic", ["1e-200"])
 def test_reduce_rotation_refuses_a_zero_field(capsys, ic, json_flag):
-    # beta = gamma = 0 makes the reconstruction's curvature terms
-    # gamma*beta^2/(r*s) and beta^3/(r*s), s = |(beta, gamma)|, 0/0; the
-    # square of 1e-200 underflows to the same state
+    # the square of 1e-200 underflows, so the reconstruction's curvature
+    # terms gamma*beta^2/(r*s) and beta^3/(r*s), s = |(beta, gamma)|, are
+    # 0/0 at a state that is not the equilibrium (0, 0)
     code, out, err = run(capsys, "reduce", "--kind", "rotation", "--ic", ic, "0",
                          *json_flag)
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err == "error: reconstruction fails at radius 0.01 (ZeroDivisionError)\n"
+
+
+def test_reduce_rotation_reconstructs_the_zero_field(capsys):
+    # (0, 0) is an equilibrium of the reduced ODE: the solution through it
+    # and its curvature are identically zero, and so is B
+    code, out, err = run(capsys, "reduce", "--kind", "rotation", "--ic", "0", "0")
+    assert code == cli.EXIT_OK and err == ""
+    assert "final state: (0, 0)" in out
+    assert ("reconstruction residuals over 100 points: "
+            "max curl 0.000e+00, max div 0.000e+00") in out
+    code, doc = run_json(capsys, "reduce", "--kind", "rotation", "--ic", "0", "0")
+    assert code == cli.EXIT_OK
+    assert all(state == [0, 0] for state in doc["data"]["table"]["states"])
+    rec = doc["data"]["reconstruction"]
+    assert (rec["points"], rec["max_curl"], rec["max_div"]) == (100, 0, 0)
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
@@ -1156,6 +1172,26 @@ def test_input_that_once_raised_is_bad_input(capsys, tmp_path, argv, message,
     assert err.startswith("error: " + message.format(tmp=tmp_path))
 
 
+@pytest.mark.parametrize("argv, content", [
+    (("verify-solution", "--sol", "input.txt", "--system", "blair"),
+     "sin(z)\ncos(z)\n0\n"),
+    (("verify-generator", "--expr-file", "input.txt", "--system", "blair"),
+     "-y\nx\n0\n-v\nu\n0\n"),
+], ids=["sol", "expr-file"])
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path, monkeypatch, argv,
+                                      content):
+    # a file saved as UTF-8 with a leading byte-order mark reads as the
+    # same text without it; it was once an unexpected character '\ufeff'
+    runs = []
+    for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "input.txt").write_bytes(mark + content.encode())
+        monkeypatch.chdir(tmp_path / name)
+        runs.append(run(capsys, *argv))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == cli.EXIT_OK
+
+
 # --- all ---------------------------------------------------------------------
 
 
@@ -1278,6 +1314,19 @@ def test_text_output_is_the_lines(capsys):
     assert lines[-6287] == "-- table (csv) --"
     assert cli._emit(args, lines, data, code) == cli.EXIT_OK
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_system_choices_are_the_table_of_systems():
+    # every --system flag offers the names of symmetry.SYSTEMS in its
+    # order, so --help and argparse's invalid-choice message list them so
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = {name: list(action.choices) for name, p in sub.choices.items()
+               for action in p._actions if action.dest == "system"}
+    assert choices.pop("verify-solution") == ["curl", *symmetry.SYSTEMS]
+    assert choices == dict.fromkeys(
+        ["determining", "solve-ansatz", "verify-generator"], list(symmetry.SYSTEMS))
+    assert list(symmetry.SYSTEMS) == ["curl-f", "curl-absB", "blair"]
 
 
 def test_unknown_subcommand_exits_4(capsys):

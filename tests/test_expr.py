@@ -918,20 +918,36 @@ def test_rat_add_keeps_the_square_as_denominator():
 
 
 def test_registry_fresh_symbols():
-    before = set(REGISTRY.by_name)
-    a2, b2 = REGISTRY.fresh_unit_pair()
-    assert is_zero_expr(a2 ** 2 + b2 ** 2 - 1)
-    assert a2.name not in before and b2.name not in before
-    # the one path that registers symbols: a rotation at a symbolic eps of
-    # a field that already holds a and b takes a fresh pair (a number
-    # enters as an exact rational and registers none)
+    # the one path that registers symbols: a rotation at a symbolic eps
+    # takes the first registered unit pair that the field does not name,
+    # and registers a new one only when the field names every pair (a
+    # number enters as an exact rational and registers none)
     from curlsym.solutions import B1, transform
 
     held = transform(B1, 2, S.eps)
+    assert {S.a, S.b} <= free_symbols(held.v)
+    rotated = transform(held, 1, S.eps)
+    a2, b2 = list(REGISTRY.unit_pairs.items())[1][::-1]
+    assert (a2.name, b2.name) == ("a2", "b2")
+    assert is_zero_expr(a2 ** 2 + b2 ** 2 - 1)
+    assert {a2, b2} <= free_symbols(rotated.u)
+    # a repeat takes the same pair and adds no symbol
     before = set(REGISTRY.by_name)
-    transform(held, 1, S.eps)
-    added = set(REGISTRY.by_name) - before
-    assert len(added) == 2 and all(n[0] in "ab" for n in added)
+    assert transform(held, 1, S.eps) == rotated
+    assert set(REGISTRY.by_name) == before
+    # only a field that names every pair gets a new one, k = pair count + 1
+    every = {*REGISTRY.unit_pairs, *REGISTRY.unit_pairs.values()}
+    k = len(REGISTRY.unit_pairs) + 1
+    new = REGISTRY.unit_pair_avoiding(every)
+    assert [s.name for s in new] == [f"a{k}", f"b{k}"]
+    assert REGISTRY.unit_pair_avoiding(every) == new
+    assert REGISTRY.unit_pair_avoiding(every - {S.a, S.b}) == (S.a, S.b)
+
+
+def test_poly_is_unhashable():
+    # a Poly is a value backed by a mutable dict: compared, never hashed
+    with pytest.raises(TypeError):
+        hash(E.poly_const(1))
 
 
 @settings(max_examples=100, deadline=None)

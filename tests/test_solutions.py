@@ -21,6 +21,7 @@ from curlsym.expr import (
     decide_zero,
     equal_exprs,
     exp,
+    free_symbols,
     neg,
     parse,
     sqrt,
@@ -92,8 +93,10 @@ def test_residual_expression_count_and_alias():
         assert (check.system, len(check.displays), check.divergence) == (
             "curl", 3, (True, "symbolic"))
     assert verify_solution_residuals(B1, "blair").divergence is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         verify_solution_residuals(B1, "torsion")
+    assert str(exc.value) == ("unknown system 'torsion'; expected one of "
+                              "['blair', 'curl', 'curl-absB', 'curl-f']")
 
 
 @pytest.mark.parametrize("name, family, eps", [
@@ -389,7 +392,8 @@ def _reference_transform(sol, family, eps):
             t = _simplest_rounding_to(math.tan(float(value) / 2))
             ca, sb = Num((1 - t * t) / (1 + t * t)), Num(2 * t / (1 + t * t))
         else:
-            ca, sb = solutions._unit_pair_for(sol)
+            ca, sb = REGISTRY.unit_pair_avoiding(
+                set().union(*map(free_symbols, comps)))
         sigma = {ax1: ca * ax1 + sb * ax2, ax2: -sb * ax1 + ca * ax2}
         rotated = [substitute(c, sigma) for c in comps]
         out = list(rotated)
