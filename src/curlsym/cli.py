@@ -126,9 +126,16 @@ def _algebra_table(token: str) -> liealg.LieAlgebraTable:
     return liealg.structure_constants(fixtures.load_basis(int(token[1:])))
 
 
+# the bound RK4 steps have: `reduce` holds every sample point at once, and
+# `verify-solution` may evaluate a residual at 12 times as many
+MAX_SAMPLES = 1_000_000
+
+
 def _check_sampling(args):
     if args.samples < 1:
         raise CliInputError("--samples must be >= 1")
+    if args.samples > MAX_SAMPLES:
+        raise CliInputError(f"--samples must be <= {MAX_SAMPLES}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliInputError("--tol must be a finite number >= 0")
 

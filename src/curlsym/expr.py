@@ -23,18 +23,18 @@ fixed symbol universe:
 
 Everything downstream (prolongation, determining systems, brackets) runs on
 normal forms, which `rat_combination` sums per denominator, `substitution`
-puts values into term by term and `jet.derivation` differentiates, with
-each atom's derivative kept once taken.  `normalize` maps an expression
-to a polynomial normal form: a map from monomials to rational
-coefficients under graded lexicographic order with
+puts values into term by term and `jet.derivation` differentiates.
+`normalize` maps an expression to a polynomial normal form: a map from
+monomials to rational coefficients under graded lexicographic order with
 x < y < z < u < v < w < jets < R < parameters.  A coefficient, a
 `Poly.terms` value or a `Num.val`, is an int whenever it is integral and
 a Fraction only when its denominator exceeds 1 (`_coeff`); a division or
 a negative power of one goes through Fraction, as int / int is a float.
-sin/cos/exp of compound arguments stay opaque; they enter the normal form
-as atoms keyed by the canonical form of their argument.  `_emit` applies
-three quadratic rewrites at insertion time, which keep the form canonical
-without doing general trig simplification:
+sin/cos/exp stay opaque: each enters the normal form as an atom, the one
+`Func` node of its canonical argument, ordered by the canonical rational
+form of that argument.  `_emit` applies three quadratic rewrites at
+insertion time, which keep the form canonical without doing general trig
+simplification:
 
 * R^2        -> u^2 + v^2 + w^2
 * b^2        -> 1 - a^2           (for every registered unit pair)
@@ -108,26 +108,31 @@ def _as_expr(v) -> "Expr":
     raise TypeError(f"cannot coerce {type(v).__name__} to an expression")
 
 
-# (class, *slots) -> the one Num, Add, Mul, Pow, Func or OpaqueAtom with
-# those slots.  It lives for the process: a node must never be rebuilt
-# while an equal one lives, and a weak-valued table would need a
-# `__weakref__` slot on every node and a Python-level lookup on every build.
+# (class, *slots) -> the one Num, Add, Mul, Pow or Func with those slots; a
+# Func is keyed by (fn, arg) alone, so the sin, cos and exp atoms of the
+# normal form are table entries too.  It lives for the process: a node must
+# never be rebuilt while an equal one lives, and a weak-valued table would
+# need a `__weakref__` slot on every node and a Python-level lookup on every
+# build.
 _NODES: dict = {}
 
 
-def _intern(cls, *slots, unkeyed=()):
+def _intern(cls, *slots, atom=None):
     """The one object of class `cls` whose leading slots are `slots`, built
     on the first call and then taken from `_NODES`.  Children are interned
     already, so the key compares them by identity and a lookup costs
-    O(arity), never a walk of the tree.  `unkeyed` fills the slots after
-    `slots` on the first call only: an atom's views of its argument follow
-    from its key."""
+    O(arity), never a walk of the tree.  `atom`, a pair (key, arg_poly),
+    makes a Func node a normal-form atom: it fills the node's `key` and
+    `arg_poly` the first time the node is used as one, so a node built
+    before, by the parser say, becomes the atom too."""
     key = (cls, *slots)
     node = _NODES.get(key)
     if node is None:
         node = _NODES[key] = object.__new__(cls)
-        for name, value in zip(cls.__slots__, slots + unkeyed):
+        for name, value in zip(cls.__slots__, slots):
             setattr(node, name, value)
+    if atom is not None and not hasattr(node, "key"):
+        node.key, node.arg_poly = atom
     return node
 
 
@@ -215,7 +220,13 @@ FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
 class Func(Expr):
-    __slots__ = ("fn", "arg")
+    """fn(arg).  sin, cos or exp of its canonical argument, the expression
+    `_rat_to_expression` gives, is an atom of the normal form: `key` is the
+    canonical rational form of the argument, which orders atoms, and
+    `arg_poly` the argument of a mergeable exp atom, None for every other
+    atom.  Both are unset until the node is first used as an atom."""
+
+    __slots__ = ("fn", "arg", "key", "arg_poly")
 
     def __new__(cls, fn: str, arg: Expr):
         return _intern(cls, fn, arg)
@@ -326,8 +337,8 @@ FORMAL_COEFFS = ("zeta", "eta", "theta", "phi", "lam", "psi")
 
 
 class SymbolRegistry:
-    """Owns the symbol universe, the parse namespace, per-symbol derivative
-    rules and the unit-pair rewrites."""
+    """Owns the symbol universe, per-symbol derivative rules and the
+    unit-pair rewrites."""
 
     def __init__(self):
         self.by_name: dict[str, Symbol] = {}
@@ -405,6 +416,10 @@ def _build_registry() -> SymbolRegistry:
 
 
 REGISTRY = _build_registry()
+# the parse namespace: the registry as the kernel built it, so a unit pair
+# that a rotation registers later is never an input name, and what a text
+# means does not depend on what ran earlier in the process
+_INPUT_NAMES = dict(REGISTRY.by_name)
 
 
 class _Namespace:
@@ -423,23 +438,6 @@ BASE_SYMBOLS = tuple(REGISTRY.by_name[n] for n in ("x", "y", "z", "u", "v", "w")
 # --- polynomial normal form -------------------------------------------------
 
 _FN_RANK = {"sin": 0, "cos": 1, "exp": 2, "sqrt": 3}
-
-
-class OpaqueAtom:
-    """sin/cos/exp applied to a compound argument, as a monomial atom.
-
-    Interned by (fn, key), key the canonical rational form of the argument,
-    so arguments that normalize equal give one atom.  `arg` keeps an
-    expression view for printing and evaluation, and `arg_poly` the
-    argument of a mergeable exp atom, None for every other atom."""
-
-    __slots__ = ("fn", "key", "arg", "arg_poly")
-
-    def __new__(cls, fn: str, key: tuple, arg: Expr, arg_poly: Poly | None = None):
-        return _intern(cls, fn, key, unkeyed=(arg, arg_poly))
-
-    def __repr__(self):
-        return f"<atom {self.fn}({to_string(self.arg)})>"
 
 
 def _atom_sort_key(atom):
@@ -613,13 +611,13 @@ def _reducible(atom, e: int):
             return Poly({(): 1, _freeze({partner: 2}): -1})
         return None
     if atom.fn == "sin":
-        cos_atom = OpaqueAtom("cos", atom.key, atom.arg)
+        cos_atom = _intern(Func, "cos", atom.arg, atom=(atom.key, None))
         return Poly({(): 1, _freeze({cos_atom: 2}): -1})
     return None
 
 
 def _is_mergeable_exp(a) -> bool:
-    return isinstance(a, OpaqueAtom) and a.fn == "exp" and a.arg_poly is not None
+    return isinstance(a, Func) and a.fn == "exp" and a.arg_poly is not None
 
 
 def _mono_mul(a, b: tuple, k: int = 1) -> dict | None:
@@ -677,9 +675,9 @@ def _emit(acc: dict, mono: dict, coeff):
 _ONE_KEY = (((), (1, 1)),)
 
 
-def _exp_atom(arg_poly: Poly) -> OpaqueAtom:
-    return OpaqueAtom("exp", (_poly_key(arg_poly), _ONE_KEY),
-                      arg_poly.to_expression(), arg_poly)
+def _exp_atom(arg_poly: Poly) -> Func:
+    return _intern(Func, "exp", arg_poly.to_expression(),
+                   atom=((_poly_key(arg_poly), _ONE_KEY), arg_poly))
 
 
 class RatForm:
@@ -1017,19 +1015,6 @@ def poly_div_exact(p: Poly, d: Poly) -> Poly | None:
 
 # --- normalization ----------------------------------------------------------
 
-# (atom, symbol) -> d atom / d symbol as a normal form, for the process
-_ATOM_DERIVATIVES: dict = {}
-
-
-def _atom_derivative(atom, s: Symbol) -> RatForm:
-    """d atom / ds as a normal form, from `differentiate` once per pair."""
-    d = _ATOM_DERIVATIVES.get((atom, s))
-    if d is None:
-        base = atom if isinstance(atom, Symbol) else func(atom.fn, atom.arg)
-        d = _ATOM_DERIVATIVES[(atom, s)] = as_ratform(differentiate(base, s))
-    return d
-
-
 def as_ratform(e: Expr) -> RatForm:
     """Canonical rational form num/den, kept on the node once taken.
     Raises NotPolynomial only for square roots with no exact form."""
@@ -1078,8 +1063,8 @@ def _as_ratform(e: Expr) -> RatForm:
             if arg_poly.is_zero():
                 return RatForm(one, one)
             return RatForm(poly_atom(_exp_atom(arg_poly)), one)
-        arg_expr = _rat_to_expression(arg)
-        atom = OpaqueAtom(e.fn, _rat_key(arg), arg_expr)
+        atom = _intern(Func, e.fn, _rat_to_expression(arg),
+                       atom=(_rat_key(arg), None))
         return RatForm(poly_atom(atom).scale(sign), one)
     raise ExprError(f"unhandled node {type(e).__name__}")
 
@@ -1123,9 +1108,9 @@ def equal_exprs(e1: Expr, e2: Expr) -> bool:
 
 def _exact_atom(a) -> bool:
     """A symbol, or an exp unit whose argument holds no opaque atom."""
-    return not isinstance(a, OpaqueAtom) or (
+    return not isinstance(a, Func) or (
         _is_mergeable_exp(a)
-        and not any(isinstance(b, OpaqueAtom) for b in a.arg_poly.atoms()))
+        and not any(isinstance(b, Func) for b in a.arg_poly.atoms()))
 
 
 def decide_zero(e: Expr, samples: int = 20, tol: float = 1e-9):
@@ -1217,11 +1202,7 @@ def collect_poly(p: Poly, variables) -> dict:
 
 
 def monomial_expr(mono: tuple) -> Expr:
-    factors = []
-    for a, e in mono:
-        base = a if isinstance(a, Symbol) else func(a.fn, a.arg)
-        factors.append(pow_(base, e))
-    return mul(*factors) if factors else ONE
+    return mul(*(pow_(a, e) for a, e in mono))
 
 
 # --- calculus ----------------------------------------------------------------
@@ -1515,7 +1496,7 @@ class _Parser:
                 if t[0] != ")":
                     raise ParseError("expected ')'", t[2])
                 return func(text, arg)
-            sym = REGISTRY.by_name.get(text)
+            sym = _INPUT_NAMES.get(text)
             if sym is None:
                 raise ParseError(f"unknown identifier '{text}'", off)
             return sym

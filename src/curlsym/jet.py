@@ -20,11 +20,12 @@ nine expanded coefficient formulas, quadratic in jets.
 X, pr X and the total derivatives D_i are derivations sum c d/ds, given as
 (symbol s, coefficient c) pairs with c a rational normal form (`RatForm`);
 `derivation` applies one to a normal form and gives a normal form.  It
-takes each atom's derivative d a/ds once, from `differentiate`, and keeps
-it: on a monomial a derivation is the sum over its atoms a^e of
-e a^(e-1) X(a), so it multiplies normal-form terms and never builds or
-normalizes an expression tree.  The brackets of `liealg` and the
-invariance conditions of `symmetry` go through it too.
+takes each atom's derivative d a/ds from `differentiate`, an interned
+node, which keeps its normal form once taken.  On a monomial a derivation
+is the sum over its atoms a^e of e a^(e-1) X(a), so it multiplies
+normal-form terms and builds no tree but the atoms' derivatives.  The
+brackets of `liealg` and the invariance conditions of `symmetry` go
+through it too.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .expr import (
     Symbol,
     _ONE_RF,
     _as_expr,
-    _atom_derivative,
     _rat_mul,
     as_ratform,
+    differentiate,
     free_symbols,
     parse,
     poly_atom,
@@ -78,7 +79,7 @@ def derivation(field, rf: RatForm) -> RatForm:
         if xa is None:
             xa = images[atom] = rat_combination(
                 (1, (), _rat_mul(c, d)) for s, c in field
-                if not (d := _atom_derivative(atom, s)).num.is_zero())
+                if not (d := as_ratform(differentiate(atom, s))).num.is_zero())
         return xa
 
     def of(p):

@@ -742,9 +742,10 @@ def test_verify_solution_file_bad_expression(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--samples", "0"], ["--samples", "-2"], ["--tol", "nan"],
-    ["--tol", "inf"], ["--tol=-1e-9"],
-], ids=["samples-0", "samples-negative", "tol-nan", "tol-inf", "tol-negative"])
+    ["--samples", "0"], ["--samples", "-2"], ["--samples", "1000001"],
+    ["--tol", "nan"], ["--tol", "inf"], ["--tol=-1e-9"],
+], ids=["samples-0", "samples-negative", "samples-above-bound", "tol-nan",
+        "tol-inf", "tol-negative"])
 def test_verify_solution_rejects_checks_that_check_nothing(capsys, tmp_path, extra):
     # a non-solution (exit 2 at --samples 3) that passed with no sample point
     path = tmp_path / "field.txt"
@@ -753,6 +754,30 @@ def test_verify_solution_rejects_checks_that_check_nothing(capsys, tmp_path, ext
                          "--system", "blair", *extra)
     assert code == cli.EXIT_INPUT
     assert out == "" and err.startswith("error: ")
+
+
+def test_verify_solution_at_the_samples_bound(capsys):
+    # B1 is decided in normal form, so the bound draws no sample point
+    code, out, err = run(capsys, "verify-solution", "--sol", "B1",
+                         "--samples", str(cli.MAX_SAMPLES))
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[-1] == "verdict: PASS" and err == ""
+
+
+def test_a_registered_unit_pair_is_never_an_input_name(capsys, tmp_path):
+    # a rotation at a symbolic eps of a field that names a registers or
+    # takes the pair a2, b2; a file that names a2 is refused before and
+    # after it, as in a fresh process
+    named = tmp_path / "named.txt"
+    named.write_text("a2 + x\n0\n0\n")
+    rotated = tmp_path / "rotated.txt"
+    rotated.write_text("a + x\n0\n0\n")
+    refused = (cli.EXIT_INPUT, "", "error: unknown identifier 'a2' (offset 0)\n")
+    assert run(capsys, "verify-solution", "--sol", str(named)) == refused
+    code, out, _ = run(capsys, "verify-solution", "--sol", str(rotated),
+                       "--transform", "1", "--eps", "eps")
+    assert code == cli.EXIT_VERIFY and "a2" in out
+    assert run(capsys, "verify-solution", "--sol", str(named)) == refused
 
 
 @pytest.mark.parametrize("tol, zero", [("1", True), ("1e-10", False)])
@@ -918,9 +943,9 @@ def test_reduce_rotation_json(capsys):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--samples", "0"], ["--step", "2e-2", "--tol", "nan"],
-    ["--tol", "-1"],
-], ids=["samples-0", "tol-nan", "tol-negative"])
+    ["--samples", "0"], ["--samples", "1000001"],
+    ["--step", "2e-2", "--tol", "nan"], ["--tol", "-1"],
+], ids=["samples-0", "samples-above-bound", "tol-nan", "tol-negative"])
 def test_reduce_rotation_rejects_checks_that_check_nothing(capsys, extra):
     # --step 2e-2 exits 2 at the default tolerance (max curl about 2e-2)
     code, out, err = run(capsys, "reduce", "--kind", "rotation", *extra)

@@ -81,7 +81,20 @@ def test_equal_values_are_one_object():
     for left, right in (("exp(x)*exp(y)", "exp(x + y)"),
                         ("sin(x/y)", "sin((2*x)/(2*y))")):
         (a,), (b,) = (normalize(parse(t)).atoms() for t in (left, right))
-        assert isinstance(a, E.OpaqueAtom) and a is b
+        assert isinstance(a, E.Func) and a is b
+
+
+def test_a_function_atom_is_one_node_whichever_comes_first():
+    # arguments that no other test builds, so that this test meets each
+    # node first: a node the parser built becomes the atom, and an atom
+    # built by normalizing is the node a later parse gives
+    parsed = parse("sin(C7*X9 + 1)")
+    assert not hasattr(parsed, "key")
+    (atom,) = normalize(parsed).atoms()
+    assert atom is parsed and atom.key == E._rat_key(as_ratform(atom.arg))
+    (atom,) = normalize(parse("cos((2*C8 - 2*X10)/2)")).atoms()
+    again = parse("cos(C8 - X10)")
+    assert again is atom and again.key == E._rat_key(as_ratform(again.arg))
 
 
 def test_a_node_keeps_its_normal_form(monkeypatch):
@@ -93,7 +106,7 @@ def test_a_node_keeps_its_normal_form(monkeypatch):
 
 
 # the classes whose instances `_intern` builds: one object per value
-_INTERNED = ("Num", "Add", "Mul", "Pow", "Func", "OpaqueAtom")
+_INTERNED = ("Num", "Add", "Mul", "Pow", "Func")
 
 
 def _scopes(tree):
@@ -135,10 +148,12 @@ def test_only_the_interning_code_builds_or_changes_a_node():
     equality, hash or initializer, outside `_intern`.  A class's `self.terms`
     and the like are its own.  Two writes are exempt: `as_ratform` keeps the
     normal form in `_rf`, and `Symbol.__init__` builds the one symbol of a
-    name in a registry."""
+    name in a registry.  An atom of the normal form is a Func node, whose
+    `key` and `arg_poly` only `_intern` fills."""
     interned = [getattr(E, n) for n in _INTERNED]
     classes = (E.Expr, E.Symbol, *interned)
     slots = {name for c in classes for name in c.__slots__}
+    assert {"key", "arg_poly"} <= slots
     nodes = {c.__name__ for c in classes}
     found = []
     for path in sorted(Path(E.__file__).parent.glob("*.py")):
@@ -677,6 +692,39 @@ def _poly_strategy(max_terms=4, atoms=range(len(_POLY_ATOMS))):
     return st.lists(term, max_size=max_terms).map(_build_poly)
 
 
+def _function_atoms(rf):
+    """The Func atoms of a normal form, and of their arguments' normal
+    forms, at any depth."""
+    out, stack = set(), [rf]
+    while stack:
+        rf = stack.pop()
+        for a in rf.num.atoms() | rf.den.atoms():
+            if isinstance(a, E.Func) and a not in out:
+                out.add(a)
+                stack.append(as_ratform(a.arg))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_expr_strategy(), _poly_strategy().map(E.Poly.to_expression)))
+@example(mul(exp(S.x), exp(S.x / S.y), sin(S.y - S.x) ** 2))
+def test_every_function_atom_is_its_node(e):
+    # an atom is the node fn(canonical argument), keyed by the normal form
+    # of that argument, and an exp atom keeps its argument as a Poly
+    # exactly when the argument is a polynomial
+    try:
+        rf = as_ratform(e)
+    except (NotPolynomial, E.ExprError):
+        return
+    for a in _function_atoms(rf):
+        arg = as_ratform(a.arg)
+        assert E._rat_key(arg) == a.key
+        assert E._is_mergeable_exp(a) == (a.fn == "exp" and arg.is_polynomial())
+        if E._is_mergeable_exp(a):
+            assert a.arg_poly == arg.num
+        assert E.monomial_expr(((a, 1),)) is a
+
+
 def _div_order(p, d):
     """Key of the monomial order the division follows: graded lex on the
     atoms other than mergeable exp atoms, then lex, larger first, on the
@@ -1001,7 +1049,7 @@ def _poly_breakers(p):
     rule."""
     out = [c for c in p.terms.values() if _breaks_rule(c)]
     for a in p.atoms():
-        if isinstance(a, E.OpaqueAtom):
+        if isinstance(a, E.Func):
             out += _expr_breakers(a.arg)
             if a.arg_poly is not None:
                 out += _poly_breakers(a.arg_poly)

@@ -1,7 +1,7 @@
 """What the commands print, held in one committed transcript.
 
-`transcripts.txt` holds argv, exit code, stdout and stderr of 174
-invocations, 173 of them distinct, run in-process through `cli.main`:
+`transcripts.txt` holds argv, exit code, stdout and stderr of 175
+invocations, 174 of them distinct, run in-process through `cli.main`:
 
 * the 17 README commands that perfbench's readme-tour runs (every
   `curlsym` line of the README's "Command line" block but `all`, whose
@@ -33,6 +33,8 @@ invocations, 173 of them distinct, run in-process through `cli.main`:
   the same process;
 * a rotation at the symbolic `--eps eps` of a field that names a, as text
   and as `--json`: both runs take the unit pair a2, b2 in one process;
+* right after them, a field that names a2, which is bad input though
+  those runs have registered a2 in the process;
 * valid inputs once refused as bad input: B1 read from a file that starts
   with a UTF-8 byte-order mark, and `reduce --kind rotation --ic 0 0`, as
   text and as `--json`, which reconstructs the zero field.
@@ -183,6 +185,9 @@ _DEEP_RUNS = [["verify-solution", "--sol", "horner_field.txt", "--system", "blai
 # pair a2, b2, and run twice in one process it takes the same pair again
 _PAIR_RUNS = [["verify-solution", "--sol", "pair_field.txt", "--transform", "1",
                "--eps", "eps", *j] for j in ([], ["--json"])]
+# a field that names a2, run after _PAIR_RUNS have registered a2: a unit
+# pair that a rotation registers is never an input name
+_PAIR_NAME_RUNS = [["verify-solution", "--sol", "pair_name_field.txt"]]
 # valid inputs that were once refused as bad input: B1 in a file that
 # starts with a UTF-8 byte-order mark, which is skipped, and a rotation
 # reduction from the equilibrium (0, 0), which reconstructs the zero field
@@ -198,6 +203,7 @@ _INPUT_FILES.update({**_BAD_GENERATORS, **_BAD_FIELDS, **_PROBE_FIELDS,
                      "sampled_field.txt": "sin(x*y)\ncos(x*y)\n0\n",
                      "not_utf8.txt": b"\xffsin(z)\ncos(z)\n0\n",
                      "pair_field.txt": "a + x\n0\n0\n",
+                     "pair_name_field.txt": "a2 + x\n0\n0\n",
                      "bom_field.txt": b"\xef\xbb\xbfsin(z)\ncos(z)\n0\n"})
 _BAD_INPUT_RUNS = [shlex.split(c) for c in [
     "determining --system blair --compare-fixture determining",
@@ -262,7 +268,7 @@ INVOCATIONS = [shlex.split(line) for line in dict.fromkeys(
     shlex.join(a)
     for a in _README_RUNS + _TRANSFORM_RUNS + _ANSATZ_RUNS + _DERIVATION_RUNS
     + _SAMPLED_RUNS + _BAD_INPUT_RUNS + _PROBE_RUNS + _DIVERGENCE_RUNS
-    + _DEEP_RUNS + _PAIR_RUNS + _ONCE_REFUSED_RUNS)]
+    + _DEEP_RUNS + _PAIR_RUNS + _PAIR_NAME_RUNS + _ONCE_REFUSED_RUNS)]
 _TABLE_MARK = "-- table (csv) --"
 
 
@@ -354,8 +360,8 @@ def test_corpus_holds_every_invocation_once(corpus):
     assert (len(_README_RUNS), len(_TRANSFORM_RUNS), len(_ANSATZ_RUNS),
             len(_DERIVATION_RUNS), len(_SAMPLED_RUNS), len(_BAD_INPUT_RUNS),
             len(_PROBE_RUNS), len(_DIVERGENCE_RUNS), len(_DEEP_RUNS),
-            len(_PAIR_RUNS), len(_ONCE_REFUSED_RUNS),
-            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 83, 5, 6, 2, 2, 3, 173)
+            len(_PAIR_RUNS), len(_PAIR_NAME_RUNS), len(_ONCE_REFUSED_RUNS),
+            len(INVOCATIONS)) == (34, 28, 4, 6, 1, 83, 5, 6, 2, 2, 1, 3, 174)
     assert sorted(corpus) == sorted(shlex.join(a) for a in INVOCATIONS)
 
 
